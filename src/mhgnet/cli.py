@@ -2,8 +2,10 @@
 
 Subcommands: train, eval, ablate, synth, convert, cluster-inspect,
 graph-dump. Exit codes: 0 success, 2 usage error, 1 runtime error.
-The seed resolution order is: --seed flag, then the MHGNET_SEED
-environment variable, then the config file, then the built-in default.
+The run configuration is --config, else the config.cfg beside
+--checkpoint, else the built-in defaults. The seed resolution order is:
+--seed flag, then the MHGNET_SEED environment variable, then that
+configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import model as model_mod
 from . import train_eval
-from .config import RunConfig, load_config, parse_config, render_config
+from .config import RunConfig, load_config, render_config
 from .data import convert_csv, load_series, make_bundle, save_series, synthesize
 from .errors import ConfigError, MhgnetError
 from .model import ForecastModel
@@ -32,11 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, data=True, config=True):
-        if data:
-            p.add_argument("--data", required=True, help="MHGT dataset file")
-        if config:
-            p.add_argument("--config", help="run configuration file")
+    def add_common(p):
+        p.add_argument("--data", required=True, help="MHGT dataset file")
+        p.add_argument("--config", help="run configuration file")
         p.add_argument("--seed", type=int, help="override the config seed")
 
     p_train = sub.add_parser("train", help="train a model and keep the best-val checkpoint")
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_abl = sub.add_parser("ablate", help="train and test a structural variant")
     add_common(p_abl)
-    p_abl.add_argument("--variant", required=True, choices=train_eval.VARIANTS)
+    p_abl.add_argument("--variant", required=True, choices=model_mod.VARIANTS)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--nodes", type=int, required=True)
@@ -78,25 +78,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+    checkpoint = getattr(args, "checkpoint", None)
+    sibling = Path(checkpoint).parent / "config.cfg" if checkpoint else None
+    if args.config:
         cfg = load_config(args.config)
+    elif sibling is not None and sibling.exists():
+        cfg = load_config(sibling)
     else:
         cfg = RunConfig()
     env_seed = os.environ.get("MHGNET_SEED")
     if env_seed is not None:
         try:
-            cfg.seed = int(env_seed)
+            cfg.model.seed = int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"MHGNET_SEED is not an integer: {env_seed!r}") from exc
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+    if args.seed is not None:
+        cfg.model.seed = args.seed
     cfg.validate()
     return cfg
 
 
 def _prepare(cfg: RunConfig, data_path):
     series = load_series(data_path)
-    bundle = make_bundle(series, cfg.t_h, cfg.t_f, cfg.ratios)
+    bundle = make_bundle(series, cfg.model.t_h, cfg.model.t_f, cfg.ratios)
     model_cfg = cfg.to_model_config(series.nodes, series.steps_per_day)
     model = ForecastModel(model_cfg)
     return series, bundle, model
@@ -124,12 +128,10 @@ def _cmd_train(args) -> int:
         cfg.to_schedule(),
         epochs=cfg.epochs,
         batch_size=cfg.batch_size,
-        refresh_per_batch=cfg.refresh_per_batch,
         log_path=out_dir / "log.csv",
     )
-    resolved = cfg
-    resolved.n = model.cfg.n
-    (out_dir / "config.cfg").write_text(render_config(resolved))
+    cfg.model.n = model.cfg.n
+    (out_dir / "config.cfg").write_text(render_config(cfg))
     if result.best_state is not None:
         model_mod.save_checkpoint(
             out_dir / "checkpoint.mhgc", result.best_state, result.best_assignment
@@ -146,24 +148,12 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _sibling_config(checkpoint_path) -> RunConfig | None:
-    candidate = Path(checkpoint_path).parent / "config.cfg"
-    if candidate.exists():
-        return parse_config(candidate.read_text())
-    return None
-
-
 def _cmd_eval(args) -> int:
-    if getattr(args, "config", None):
-        cfg = _resolve_config(args)
-    else:
-        cfg = _sibling_config(args.checkpoint) or RunConfig()
-        if getattr(args, "seed", None) is not None:
-            cfg.seed = args.seed
+    cfg = _resolve_config(args)
     series, bundle, model = _prepare(cfg, args.data)
     model_mod.restore(model, args.checkpoint)
     report = train_eval.evaluate(model, bundle.test, bundle.scaler, cfg.batch_size)
-    _print_report(report, cfg.t_f)
+    _print_report(report, cfg.model.t_f)
     return 0
 
 
@@ -180,7 +170,7 @@ def _cmd_ablate(args) -> int:
         ratios=cfg.ratios,
     )
     print(f"variant,{args.variant}")
-    _print_report(report, cfg.t_f)
+    _print_report(report, cfg.model.t_f)
     return 0
 
 
@@ -213,10 +203,8 @@ def _cmd_convert(args) -> int:
 
 def _load_for_inspection(args):
     cfg = _resolve_config(args)
-    if getattr(args, "checkpoint", None) and not getattr(args, "config", None):
-        cfg = _sibling_config(args.checkpoint) or cfg
     series, bundle, model = _prepare(cfg, args.data)
-    if getattr(args, "checkpoint", None):
+    if args.checkpoint:
         model_mod.restore(model, args.checkpoint)
     return cfg, bundle, model
 
@@ -273,10 +261,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except MhgnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MhgnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,55 +1,33 @@
 """Flat `key = value` run configuration with strict round-tripping.
 
-Unknown keys are rejected with their line number; values render with full
-precision so ``parse(render(cfg)) == cfg`` holds exactly.
+A run configuration is a :class:`ModelConfig`, a :class:`Schedule` and the
+training-loop settings; the file keys and their defaults come from those
+dataclasses. Unknown keys are rejected with their line number; values render
+with full precision so ``parse(render(cfg)) == cfg`` holds exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
-from .model import GRAPH_MODES, ModelConfig
+from .model import ModelConfig
 from .train_eval import Schedule
 
 
 @dataclass
 class RunConfig:
-    # model
-    n: int = 0  # 0 = infer from the dataset
-    p: int = 3
-    d: int = 10
-    d_s: int = 10
-    d_t: int = 10
-    t_h: int = 12
-    t_f: int = 12
-    k: int = 10
-    hops: int = 2
-    gamma: float = 0.05
-    alpha: float = 3.0
-    beta: float = 0.5
-    rnn_width_multiplier: int = 1
-    dropout: float = 0.15
-    seed: int = 1
-    graph_mode: str = "full"
-    single_cluster: bool = False
-    # schedule
-    lr: float = 0.006
-    warmup_epochs: int = 20
-    curriculum_length: int = 3
-    warmup_lr_ramp: bool = True
-    warmup_horizon_floor: bool = True
-    # training
+    model: ModelConfig = field(default_factory=ModelConfig)
+    schedule: Schedule = field(default_factory=Schedule)
     epochs: int = 100
     batch_size: int = 64
     train_ratio: float = 0.6
     val_ratio: float = 0.2
     test_ratio: float = 0.2
-    refresh_per_batch: bool = False  # experimental: re-cluster every batch
 
     def validate(self) -> None:
-        if self.graph_mode not in GRAPH_MODES:
-            raise ConfigError(f"graph_mode must be one of {GRAPH_MODES}")
+        self.model.validate()
+        self.schedule.validate()
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -60,56 +38,52 @@ class RunConfig:
         return (self.train_ratio, self.val_ratio, self.test_ratio)
 
     def to_model_config(self, n: int, steps_per_day: int) -> ModelConfig:
-        return ModelConfig(
-            n=self.n if self.n > 0 else n,
-            p=self.p,
-            d=self.d,
-            d_s=self.d_s,
-            d_t=self.d_t,
-            t_h=self.t_h,
-            t_f=self.t_f,
-            k=self.k,
-            hops=self.hops,
-            gamma=self.gamma,
-            alpha=self.alpha,
-            beta=self.beta,
-            rnn_width_multiplier=self.rnn_width_multiplier,
-            dropout=self.dropout,
-            seed=self.seed,
-            steps_per_day=steps_per_day,
-            graph_mode=self.graph_mode,
-            single_cluster=self.single_cluster,
-        )
+        return replace(self.model, n=self.model.n or n, steps_per_day=steps_per_day)
 
     def to_schedule(self) -> Schedule:
-        return Schedule(
-            warmup_epochs=self.warmup_epochs,
-            curriculum_length=self.curriculum_length,
-            max_horizon=self.t_f,
-            base_lr=self.lr,
-            lr_ramp=self.warmup_lr_ramp,
-            horizon_floor=self.warmup_horizon_floor,
-        )
+        return replace(self.schedule, max_horizon=self.model.t_f)
 
 
-_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+# Schedule fields whose file key reads differently.
+_RENAMED = {
+    "base_lr": "lr",
+    "lr_ramp": "warmup_lr_ramp",
+    "horizon_floor": "warmup_horizon_floor",
+}
+# Not keys: they come from the data file and from t_f.
+_DERIVED = {"steps_per_day", "max_horizon"}
 
 
-def _parse_value(key: str, raw: str, lineno: int):
-    kind = _FIELDS[key]
+def _key_table() -> dict[str, tuple[str | None, str]]:
+    """File key -> (RunConfig section holding it, or None for its own fields; field)."""
+    table = {}
+    for f in fields(RunConfig):
+        if f.name in ("model", "schedule"):
+            for sub in fields(f.default_factory):
+                if sub.name not in _DERIVED:
+                    table[_RENAMED.get(sub.name, sub.name)] = (f.name, sub.name)
+        else:
+            table[f.name] = (None, f.name)
+    return table
+
+
+_KEYS = _key_table()
+
+
+def _owner(cfg: RunConfig, section: str | None):
+    return cfg if section is None else getattr(cfg, section)
+
+
+def _parse_value(key: str, kind: type, raw: str, lineno: int):
     raw = raw.strip()
     try:
-        if kind == "bool":
+        if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 
@@ -124,24 +98,33 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELDS:
+        if key == "refresh_per_batch":  # retired; older run directories hold "= false"
+            if raw.strip() != "false":
+                raise ConfigError(
+                    f"line {lineno}: key {key!r} was retired; "
+                    "only 'refresh_per_batch = false' is accepted"
+                )
+            continue
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        setattr(cfg, key, _parse_value(key, raw, lineno))
+        section, name = _KEYS[key]
+        owner = _owner(cfg, section)
+        setattr(owner, name, _parse_value(key, type(getattr(owner, name)), raw, lineno))
     cfg.validate()
     return cfg
 
 
 def render_config(cfg: RunConfig) -> str:
     lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
+    for key, (section, name) in _KEYS.items():
+        value = getattr(_owner(cfg, section), name)
         if isinstance(value, bool):
             text = "true" if value else "false"
         elif isinstance(value, float):
             text = repr(value)
         else:
             text = str(value)
-        lines.append(f"{f.name} = {text}")
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 

@@ -43,8 +43,6 @@ class ClusterGraphParams:
     w1: Tensor  # [D_s, D_s]
     w2: Tensor  # [D_s, D_s]
     alpha: float
-    beta: float
-    k: int
 
 
 @dataclass

@@ -56,19 +56,12 @@ class ModelConfig:
     single_cluster: bool = False  # collapse all pools into one
 
     def validate(self) -> None:
-        positives = {
-            "n": self.n,
-            "p": self.p,
-            "d": self.d,
-            "d_s": self.d_s,
-            "d_t": self.d_t,
-            "t_h": self.t_h,
-            "t_f": self.t_f,
-            "hops": self.hops,
-            "rnn_width_multiplier": self.rnn_width_multiplier,
-            "steps_per_day": self.steps_per_day,
-        }
-        for name, value in positives.items():
+        if self.n < 0:
+            raise ConfigError(f"n must be >= 0 (0 = infer from data), got {self.n}")
+        for name in (
+            "p", "d", "d_s", "d_t", "t_h", "t_f", "hops", "rnn_width_multiplier", "steps_per_day"
+        ):
+            value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.k < 0:
@@ -136,8 +129,6 @@ class ForecastModel:
             w1=add("graph.w1", (cfg.d_s, cfg.d_s)),
             w2=add("graph.w2", (cfg.d_s, cfg.d_s)),
             alpha=cfg.alpha,
-            beta=cfg.beta,
-            k=cfg.k,
         )
 
         self.prop_cfg = sie.PropagationConfig(
@@ -275,30 +266,10 @@ class ForecastModel:
         self, train_split: WindowedDataset, scaler: Scaler
     ) -> ClusterAssignment:
         """Recompute the node assignment from a fixed probe of training windows."""
-        cfg = self.cfg
-        if cfg.single_cluster:
-            assignment = clusterer.single_pool(cfg.n)
-            self.set_assignment(assignment)
-            return assignment
-        probe = train_split.slice(slice(0, min(PROBE_WINDOWS, len(train_split))))
-        x = scaler.apply(probe.inputs[..., :1])
-        with no_grad():
-            x_hat = std.embed_input(Tensor(x), self.embed_w, self.embed_b)
-            pattern_set = std.decouple(
-                x_hat,
-                probe.tod_index,
-                probe.dow_index,
-                self.node_embedding,
-                self.timestamps,
-                self.gates,
-            )
-            fs = clusterer.build_feature_space(
-                [p.data for p in pattern_set.patterns],
-                x_hat.data,
-                [w.data for w in self.ratio_weights],
-                self.ratio_total.data,
-            )
-        assignment = clusterer.assign(fs)
+        if self.cfg.single_cluster:
+            assignment = clusterer.single_pool(self.cfg.n)
+        else:
+            assignment = clusterer.assign(self.feature_space(train_split, scaler))
         self.set_assignment(assignment)
         return assignment
 
@@ -358,12 +329,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ClusterAssignment]:
     blob = Path(path).read_bytes()
     if blob[:4] != CKPT_MAGIC:
         raise FormatError(f"bad checkpoint magic {blob[:4]!r}", offset=0)
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != CKPT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-    offset = 12
+    offset = 4
     state: dict[str, np.ndarray] = {}
     try:
+        version, count = struct.unpack_from("<II", blob, offset)
+        if version != CKPT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {version}", offset=4)
+        offset = 12
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2
@@ -382,8 +354,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ClusterAssignment]:
         types = np.frombuffer(blob, dtype="<u4", count=n, offset=offset).astype(
             np.int64
         )
-    except struct.error as exc:
-        raise FormatError(f"truncated checkpoint: {exc}", offset=offset) from exc
+    except FormatError:
+        raise
+    except (struct.error, ValueError) as exc:  # includes UnicodeDecodeError
+        raise FormatError(f"malformed checkpoint: {exc}", offset=offset) from exc
     num_types = int(types.max()) + 1 if n else 1
     return state, ClusterAssignment.from_types(types, num_types)
 
@@ -395,18 +369,20 @@ def restore(model: ForecastModel, path) -> None:
     model.set_assignment(assignment)
 
 
+# ablation variant name -> ModelConfig overrides
+VARIANTS = {
+    "no-clusterer": {"single_cluster": True},
+    "no-sg": {"graph_mode": "no_sg"},
+    "no-tg": {"graph_mode": "no_tg"},
+    "p2": {"p": 2},
+    "p3": {"p": 3},
+}
+
+
 def apply_variant(cfg: ModelConfig, variant: str) -> ModelConfig:
     """Translate an ablation variant name into a config."""
-    if variant == "no-clusterer":
-        return replace(cfg, single_cluster=True)
-    if variant == "no-sg":
-        return replace(cfg, graph_mode="no_sg")
-    if variant == "no-tg":
-        return replace(cfg, graph_mode="no_tg")
-    if variant == "p2":
-        return replace(cfg, p=2)
-    if variant == "p3":
-        return replace(cfg, p=3)
-    raise ConfigError(
-        f"unknown variant {variant!r}; expected no-clusterer, no-sg, no-tg, p2, p3"
-    )
+    if variant not in VARIANTS:
+        raise ConfigError(
+            f"unknown variant {variant!r}; expected one of {', '.join(VARIANTS)}"
+        )
+    return replace(cfg, **VARIANTS[variant])

@@ -33,10 +33,6 @@ def no_grad():
         _GradMode.enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _GradMode.enabled
-
-
 class Tensor:
     """A dense float64 array, optionally tracked for gradients."""
 
@@ -526,10 +522,6 @@ def topk_row_mask(a, k: int) -> Tensor:
         _accum(a, g * mask)
 
     return _result(a.data * mask, (a,), bw)
-
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape))
 
 
 def eye(n: int) -> Tensor:

@@ -66,15 +66,6 @@ def propagate(h: Tensor, graph: FusedSubgraph, cfg: PropagationConfig) -> Tensor
     return matmul(concat(states, axis=-1), cfg.out_proj)
 
 
-def split_by_pools(x: Tensor, assignment: ClusterAssignment) -> list[Tensor]:
-    """Gather node features per nonempty pool, in pool order."""
-    return [
-        take(x, np.asarray(pool, dtype=np.int64), axis=x.ndim - 2)
-        for pool in assignment.pools
-        if pool
-    ]
-
-
 def reassemble(cluster_outputs: list[Tensor], assignment: ClusterAssignment) -> Tensor:
     """Concatenate per-cluster outputs and restore original node order.
 
@@ -148,26 +139,19 @@ def gru_scan(steps_stacked: Tensor, gru: GruParams, width: int) -> Tensor:
 
 
 def encode_sequence(
-    steps: list[Tensor] | Tensor,
+    steps: Tensor,
     enc: RecurrentEncoder,
     training: bool = False,
     rng: SplitRng | None = None,
 ) -> Tensor:
-    """Encode per-step node features into one summary vector per node.
+    """Encode per-step node features [B, T, N, D] into one vector per node.
 
-    ``steps`` is a list of [B, N, D] tensors or an equivalent pre-stacked
-    [B, T, N, D] tensor. All hidden states are kept, optionally dropped out
-    (training mode only), then the time axis is collapsed by two
-    ReLU-separated projections and the result is gated elementwise.
+    All hidden states are kept, optionally dropped out (training mode
+    only), then the time axis is collapsed by two ReLU-separated
+    projections and the result is gated elementwise.
     """
-    if isinstance(steps, Tensor):
-        seq = steps
-    else:
-        if not steps:
-            raise ConfigError("encode_sequence needs at least one step")
-        seq = stack(steps, axis=1)  # [B, T, N, D]
-    b, t, n, _ = seq.shape
-    h_out = gru_scan(seq, enc.gru, enc.width)
+    b, t, n, _ = steps.shape
+    h_out = gru_scan(steps, enc.gru, enc.width)
     if training and enc.dropout > 0.0:
         if rng is None:
             raise ConfigError("training-mode dropout needs an rng")

@@ -145,6 +145,9 @@ class Schedule:
     horizon_floor: bool = True  # pin the supervised horizon to 1 during warm-up
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         if self.warmup_epochs < 0:
             raise ConfigError("warmup_epochs must be >= 0")
         if self.curriculum_length < 1:
@@ -235,7 +238,6 @@ def train(
     schedule: Schedule,
     epochs: int,
     batch_size: int = 64,
-    refresh_per_batch: bool = False,
     log_path=None,
 ) -> TrainResult:
     """Adam training with per-epoch cluster refresh and best-val tracking."""
@@ -255,8 +257,6 @@ def train(
         model.train_mode()
         batch_losses = []
         for batch_no, idx in enumerate(_batched(len(data.train), batch_size, order)):
-            if refresh_per_batch:
-                model.refresh_clusters(data.train, data.scaler)
             x = data.scaler.apply(data.train.inputs[idx][..., :1])
             pred = model.forward(x, data.train.tod_index[idx], data.train.dow_index[idx])
             target = data.train.targets[idx][:, :horizon]
@@ -315,9 +315,6 @@ def write_log(log: list[EpochRecord], path) -> None:
 # ---------------------------------------------------------------------------
 # ablation harness
 
-VARIANTS = ("no-clusterer", "no-sg", "no-tg", "p2", "p3")
-
-
 def run_ablation(
     variant: str,
     cfg: ModelConfig,
@@ -328,8 +325,6 @@ def run_ablation(
     ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
 ) -> tuple[MetricsReport, TrainResult]:
     """Train a structural variant from scratch and report test metrics."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     var_cfg = apply_variant(cfg, variant)
     bundle = make_bundle(series, var_cfg.t_h, var_cfg.t_f, ratios)
     model = ForecastModel(var_cfg)

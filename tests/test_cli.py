@@ -6,7 +6,42 @@ import pytest
 from mhgnet.cli import main
 from mhgnet.config import RunConfig, parse_config, render_config
 from mhgnet.data import load_series
-from mhgnet.errors import ConfigError
+from mhgnet.errors import ConfigError, FormatError
+from mhgnet.model import ForecastModel, ModelConfig, load_checkpoint, save_checkpoint
+from mhgnet.train_eval import Schedule
+
+# What render_config(RunConfig()) wrote before refresh_per_batch was retired;
+# run directories from then must still load.
+LEGACY_DEFAULT_CONFIG = """\
+n = 0
+p = 3
+d = 10
+d_s = 10
+d_t = 10
+t_h = 12
+t_f = 12
+k = 10
+hops = 2
+gamma = 0.05
+alpha = 3.0
+beta = 0.5
+rnn_width_multiplier = 1
+dropout = 0.15
+seed = 1
+graph_mode = full
+single_cluster = false
+lr = 0.006
+warmup_epochs = 20
+curriculum_length = 3
+warmup_lr_ramp = true
+warmup_horizon_floor = true
+epochs = 100
+batch_size = 64
+train_ratio = 0.6
+val_ratio = 0.2
+test_ratio = 0.2
+refresh_per_batch = false
+"""
 
 
 @pytest.fixture()
@@ -26,8 +61,10 @@ def synth_file(tmp_path):
 
 def _fast_config(tmp_path, **overrides):
     cfg = RunConfig(
-        p=2, d=4, d_s=4, d_t=4, t_h=6, t_f=6, k=4,
-        epochs=2, batch_size=64, warmup_epochs=2, lr=0.004, dropout=0.1,
+        model=ModelConfig(p=2, d=4, d_s=4, d_t=4, t_h=6, t_f=6, k=4, dropout=0.1),
+        schedule=Schedule(warmup_epochs=2, base_lr=0.004),
+        epochs=2,
+        batch_size=64,
     )
     for key, value in overrides.items():
         setattr(cfg, key, value)
@@ -38,8 +75,25 @@ def _fast_config(tmp_path, **overrides):
 
 class TestConfig:
     def test_roundtrip_identity(self):
-        cfg = RunConfig(p=2, gamma=0.123456789012345, lr=3e-3, single_cluster=True)
+        cfg = RunConfig(
+            model=ModelConfig(p=2, gamma=0.123456789012345, single_cluster=True),
+            schedule=Schedule(base_lr=3e-3),
+        )
         assert parse_config(render_config(cfg)) == cfg
+
+    def test_legacy_default_config_parses(self):
+        assert len(LEGACY_DEFAULT_CONFIG.splitlines()) == 28
+        assert parse_config(LEGACY_DEFAULT_CONFIG) == RunConfig()
+
+    def test_retired_key_rejects_true(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("p = 2\nrefresh_per_batch = true\n")
+        assert "line 2" in str(exc.value) and "retired" in str(exc.value)
+
+    def test_model_settings_checked_at_parse_time(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config("hops = 0\n")
+        assert "hops" in str(exc.value)
 
     def test_unknown_key_with_line_number(self):
         with pytest.raises(ConfigError) as exc:
@@ -53,11 +107,11 @@ class TestConfig:
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# comment\n\np = 2  # trailing\n")
-        assert cfg.p == 2
+        assert cfg.model.p == 2
 
     def test_booleans(self):
-        assert parse_config("single_cluster = true\n").single_cluster
-        assert not parse_config("single_cluster = false\n").single_cluster
+        assert parse_config("single_cluster = true\n").model.single_cluster
+        assert not parse_config("single_cluster = false\n").model.single_cluster
 
 
 class TestSynthConvert:
@@ -161,7 +215,15 @@ class TestTrainEvalFlow:
             == 0
         )
         written = parse_config((out_dir / "config.cfg").read_text())
-        assert written.seed == 17
+        assert written.model.seed == 17
+
+    def test_bad_env_seed_beside_checkpoint_exits_1(self, synth_file, tmp_path, monkeypatch, capsys):
+        ckpt = tmp_path / "m.mhgc"
+        model = ForecastModel(RunConfig().to_model_config(8, 24))
+        save_checkpoint(ckpt, model.store.state(), model.assignment)
+        monkeypatch.setenv("MHGNET_SEED", "abc")
+        assert main(["eval", "--data", str(synth_file), "--checkpoint", str(ckpt)]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestInspection:
@@ -180,3 +242,30 @@ class TestInspection:
         for line in out[1:4]:
             cluster, row, col, weight = line.split(",")
             assert float(weight) >= 0.0
+
+
+class TestMalformedCheckpoint:
+    def test_truncated_or_corrupt_gives_format_error(self, synth_file, tmp_path, capsys):
+        model = ForecastModel(RunConfig().to_model_config(8, 24))
+        good = tmp_path / "good.mhgc"
+        save_checkpoint(good, model.store.state(), model.assignment)
+        blob = good.read_bytes()
+        tail = 4 + 4 * 8  # u32 N plus N u32 node types
+        corrupt_name = bytearray(blob)
+        corrupt_name[14] = 0xFF  # first byte of the first parameter name
+        cases = {
+            "six_bytes": blob[:6],
+            "inside_header": blob[:10],
+            "mid_payload": blob[: len(blob) // 2],
+            "inside_assignment_count": blob[: len(blob) - tail + 2],
+            "inside_assignment_types": blob[: len(blob) - 6],
+            "corrupt_name": bytes(corrupt_name),
+        }
+        for name, data in cases.items():
+            path = tmp_path / f"{name}.mhgc"
+            path.write_bytes(data)
+            with pytest.raises(FormatError) as exc:
+                load_checkpoint(path)
+            assert exc.value.offset is not None, name
+            assert main(["eval", "--data", str(synth_file), "--checkpoint", str(path)]) == 1, name
+            assert "error:" in capsys.readouterr().err, name

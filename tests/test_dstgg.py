@@ -11,7 +11,7 @@ from mhgnet.numcore import ParameterStore, SplitRng, Tensor, check_gradient, sum
 from mhgnet.std import TimestampEmbeddings
 
 
-def _params(n=6, d_s=3, alpha=1.0, beta=1.0, k=10, seed=0, store=None):
+def _params(n=6, d_s=3, alpha=1.0, seed=0, store=None):
     store = store or ParameterStore(SplitRng(seed))
     return store, ClusterGraphParams(
         e1=store.add("e1", (n, d_s), "normal(0,1)"),
@@ -19,8 +19,6 @@ def _params(n=6, d_s=3, alpha=1.0, beta=1.0, k=10, seed=0, store=None):
         w1=store.add("w1", (d_s, d_s)),
         w2=store.add("w2", (d_s, d_s)),
         alpha=alpha,
-        beta=beta,
-        k=k,
     )
 
 
@@ -79,8 +77,6 @@ class TestSpatialGraph:
             w1=store.add("w1", (1, 1), "ones"),
             w2=store.add("w2", (1, 1), "ones"),
             alpha=1.0,
-            beta=1.0,
-            k=2,
         )
         params.e1.data = np.array([[1.0], [0.0]])
         params.e2.data = np.array([[0.0], [1.0]])
@@ -207,7 +203,7 @@ class TestFuseAndSparsify:
             assert (np.count_nonzero(g, axis=1) <= k).all()
 
     def test_fused_permutation_equivariance(self):
-        store, params = _params(n=8, seed=14, beta=0.5, k=8)
+        store, params = _params(n=8, seed=14)
         store2, ts = _timestamps(seed=15)
         rng = np.random.default_rng(16)
         tod = rng.integers(0, 8, (1, 4))
@@ -226,7 +222,7 @@ class TestFuseAndSparsify:
         assert np.allclose(shuffled, base[np.ix_(perm, perm)], atol=1e-15)
 
     def test_gradient_through_fusion(self):
-        store, params = _params(n=3, d_s=2, seed=17, alpha=0.9, beta=0.6, k=2)
+        store, params = _params(n=3, d_s=2, seed=17, alpha=0.9)
         store2, ts = _timestamps(spd=5, d_t=2, seed=18)
         tod = np.array([[0, 3]])
         dow = np.array([[2, 4]])

@@ -57,6 +57,11 @@ class TestShapes:
         with pytest.raises(ConfigError):
             model.forward(np.zeros((1, cfg.t_h + 1, cfg.n, 1)), np.zeros((1, 5), int), np.zeros((1, 5), int))
 
+    def test_needs_concrete_node_count(self):
+        ModelConfig(n=0).validate()  # 0 means "infer from data" in a config
+        with pytest.raises(ConfigError):
+            ForecastModel(ModelConfig(n=0))
+
     def test_assignment_size_checked(self):
         cfg = _tiny_cfg()
         model = ForecastModel(cfg)

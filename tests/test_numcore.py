@@ -117,6 +117,7 @@ class TestCheckGradient:
         err = check_gradient(lambda: sum_(matmul(a, b)), store.parameters(), h=1e-5)
         assert err < 1e-7
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_nonfinite_loss_raises(self):
         store = ParameterStore(SplitRng(6))
         x = store.add("x", (1,), "zeros")

@@ -9,6 +9,7 @@ from mhgnet.numcore import (
     SplitRng,
     Tensor,
     check_gradient,
+    stack,
     sum_,
     take,
 )
@@ -19,8 +20,12 @@ from mhgnet.sie import (
     encode_sequence,
     propagate,
     reassemble,
-    split_by_pools,
 )
+
+
+def _split(x, assignment):
+    """Node features per nonempty pool, in pool order."""
+    return [take(x, np.asarray(pool), axis=x.ndim - 2) for pool in assignment.pools if pool]
 
 
 def _graph(adj):
@@ -173,7 +178,7 @@ class TestReassemble:
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(3, 8, 4)))
         asg = ClusterAssignment.from_types(rng.integers(0, 3, 8), 3)
-        out = reassemble(split_by_pools(x, asg), asg)
+        out = reassemble(_split(x, asg), asg)
         assert np.array_equal(out.data, x.data)
 
     def test_size_mismatch(self):
@@ -186,14 +191,14 @@ class TestEncodeSequence:
     def test_zero_fixed_point(self):
         store = ParameterStore(SplitRng(9))
         enc = _encoder(d=3, width=3, t=4, store=store)
-        steps = [Tensor(np.zeros((2, 5, 3))) for _ in range(4)]
+        steps = stack([Tensor(np.zeros((2, 5, 3))) for _ in range(4)], axis=1)
         out = encode_sequence(steps, enc)
         assert np.array_equal(out.data, np.zeros((2, 5, 3)))
 
     def test_single_step(self):
         store = ParameterStore(SplitRng(10))
         enc = _encoder(d=2, width=4, t=1, store=store)
-        steps = [Tensor(np.random.default_rng(11).normal(size=(2, 3, 2)))]
+        steps = stack([Tensor(np.random.default_rng(11).normal(size=(2, 3, 2)))], axis=1)
         out = encode_sequence(steps, enc)
         assert out.shape == (2, 3, 4)
 
@@ -207,16 +212,12 @@ class TestEncodeSequence:
         oracle = _oracle_gru(x, p, width=3)
         assert np.max(np.abs(out.data - oracle)) < 1e-10
 
-    def test_empty_steps_rejected(self):
-        store = ParameterStore(SplitRng(14))
-        enc = _encoder(d=2, width=2, t=1, store=store)
-        with pytest.raises(ConfigError):
-            encode_sequence([], enc)
-
     def test_eval_mode_deterministic(self):
         store = ParameterStore(SplitRng(15))
         enc = _encoder(d=3, width=3, t=3, store=store, dropout=0.5)
-        steps = [Tensor(np.random.default_rng(16).normal(size=(2, 4, 3))) for _ in range(3)]
+        steps = stack(
+            [Tensor(np.random.default_rng(16).normal(size=(2, 4, 3))) for _ in range(3)], axis=1
+        )
         a = encode_sequence(steps, enc, training=False)
         b = encode_sequence(steps, enc, training=False)
         assert np.array_equal(a.data, b.data)
@@ -224,7 +225,7 @@ class TestEncodeSequence:
     def test_dropout_needs_rng_in_training(self):
         store = ParameterStore(SplitRng(17))
         enc = _encoder(d=2, width=2, t=2, store=store, dropout=0.3)
-        steps = [Tensor(np.zeros((1, 2, 2))) for _ in range(2)]
+        steps = stack([Tensor(np.zeros((1, 2, 2))) for _ in range(2)], axis=1)
         with pytest.raises(ConfigError):
             encode_sequence(steps, enc, training=True, rng=None)
 
@@ -240,10 +241,10 @@ class TestEncodeSequence:
         def loss():
             parts = [
                 propagate(piece, _graph(adj[: piece.shape[-2], : piece.shape[-2]]), cfg)
-                for piece in split_by_pools(h, asg)
+                for piece in _split(h, asg)
             ]
             merged = reassemble(parts, asg)
-            steps = [take(merged, j, axis=1) for j in range(3)]
+            steps = stack([take(merged, j, axis=1) for j in range(3)], axis=1)
             return sum_(encode_sequence(steps, enc))
 
         err = check_gradient(loss, store.parameters(), h=1e-5)
