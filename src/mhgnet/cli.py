@@ -133,18 +133,16 @@ def _cmd_train(args) -> int:
     cfg.model.n = model.cfg.n
     (out_dir / "config.cfg").write_text(render_config(cfg))
     if result.best_state is not None:
-        model_mod.save_checkpoint(
-            out_dir / "checkpoint.mhgc", result.best_state, result.best_assignment
-        )
-        print(
+        state, assignment = result.best_state, result.best_assignment
+        summary = (
             f"trained {cfg.epochs} epochs on {series.name}; "
             f"best val MAE {result.best_val_mae:.4f} at epoch {result.best_epoch}"
         )
     else:
-        model_mod.save_checkpoint(
-            out_dir / "checkpoint.mhgc", model.store.state(), model.assignment
-        )
-        print(f"trained 0 epochs on {series.name}; wrote initial checkpoint")
+        state, assignment = model.store.state(), model.assignment
+        summary = f"trained 0 epochs on {series.name}; wrote initial checkpoint"
+    model_mod.save_checkpoint(out_dir / "checkpoint.mhgc", state, assignment)
+    print(summary)
     return 0
 
 

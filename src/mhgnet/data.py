@@ -25,6 +25,7 @@ from .numcore import SplitRng
 MAGIC = b"MHGT"
 VERSION = 1
 _HEADER = struct.Struct("<5I")
+_F32_MAX = float(np.finfo(np.float32).max)  # values are stored as f32
 
 
 @dataclass
@@ -158,6 +159,10 @@ def load_series(path) -> TrafficSeries:
     values = np.frombuffer(
         blob, dtype="<f4", count=steps * nodes * channels, offset=payload_offset
     ).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(f"non-finite value {values[i]}", offset=payload_offset + 4 * i)
     return TrafficSeries(
         values=values.reshape(steps, nodes, channels),
         steps_per_day=steps_per_day,
@@ -174,9 +179,12 @@ def convert_csv(src, dst, steps_per_day: int = 288, start_weekday: int = 0) -> T
             if not row:
                 continue
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: non-numeric value ({exc})") from exc
+            if not all(abs(v) <= _F32_MAX for v in values):  # False for NaN too
+                raise FormatError(f"line {lineno}: value is not finite as float32")
+            rows.append(values)
     if not rows:
         raise FormatError("empty CSV file")
     width = len(rows[0])

@@ -232,13 +232,12 @@ class ForecastModel:
         pattern_set = std.decouple(
             x_hat, tod, dow, self.node_embedding, self.timestamps, self.gates
         )
-        features = pattern_set.patterns[0]
-        for piece in pattern_set.patterns[1:]:
-            features = features + piece
-
+        # the patterns sum back to x_hat by construction (the last one is the
+        # residual), so propagation reads x_hat; the gates get their gradient
+        # through the per-pattern skip means below
         graphs = self._build_graphs(tod, dow)
         cluster_out = [
-            sie.propagate(take(features, g.members, axis=2), g, self.prop_cfg)
+            sie.propagate(take(x_hat, g.members, axis=2), g, self.prop_cfg)
             for g in graphs
         ]
         repositioned = sie.reassemble(cluster_out, self.assignment)
@@ -325,7 +324,12 @@ def save_checkpoint(
         fh.write(types.tobytes())
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ClusterAssignment]:
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
+    """Parameter values, raw node types, and the byte offset of the types.
+
+    The types are not checked against a pattern count here; :func:`restore`
+    does that before any pool is built.
+    """
     blob = Path(path).read_bytes()
     if blob[:4] != CKPT_MAGIC:
         raise FormatError(f"bad checkpoint magic {blob[:4]!r}", offset=0)
@@ -358,15 +362,26 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ClusterAssignment]:
         raise
     except (struct.error, ValueError) as exc:  # includes UnicodeDecodeError
         raise FormatError(f"malformed checkpoint: {exc}", offset=offset) from exc
-    num_types = int(types.max()) + 1 if n else 1
-    return state, ClusterAssignment.from_types(types, num_types)
+    return state, types, offset
 
 
 def restore(model: ForecastModel, path) -> None:
-    """Load a checkpoint into a model built with the matching config."""
-    state, assignment = load_checkpoint(path)
+    """Load a checkpoint into a model built with the matching config.
+
+    Every node type must lie in [0, p); otherwise a FormatError names the
+    offending entry's byte offset.
+    """
+    state, types, types_offset = load_checkpoint(path)
+    bad = np.flatnonzero(types >= model.cfg.p)
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(
+            f"node {i} has type {types[i]}, outside [0, {model.cfg.p})",
+            offset=types_offset + 4 * i,
+        )
     model.store.load_state(state)
-    model.set_assignment(assignment)
+    num_types = int(types.max()) + 1 if types.size else 1
+    model.set_assignment(ClusterAssignment.from_types(types, num_types))
 
 
 # ablation variant name -> ModelConfig overrides

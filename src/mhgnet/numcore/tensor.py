@@ -153,9 +153,14 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g
 
 
+def _tracked(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` records a graph node (a gradient will flow)."""
+    return _GradMode.enabled and any(p.requires_grad for p in parents)
+
+
 def _result(data: Array, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    if _GradMode.enabled and any(p.requires_grad for p in parents):
+    if _tracked(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -265,12 +270,24 @@ def relu(a) -> Tensor:
     return _result(np.maximum(a.data, 0.0), (a,), bw)
 
 
+def _logistic(x: Array) -> Array:
+    """Overflow-free logistic function: exp(-|x|) is in (0, 1].
+
+    Computed in place on two buffers: 1 / (1 + e) where x >= 0, else
+    e / (1 + e), with e = exp(-|x|).
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
 def sigmoid(a) -> Tensor:
     a = _to_tensor(a)
-    x = a.data
-    # overflow-free: exp(-|x|) is in (0, 1]
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = _logistic(a.data)
 
     def bw(g):
         _accum(a, g * (out * (1.0 - out)))
@@ -492,10 +509,87 @@ def matmul(a, b) -> Tensor:
         ) from exc
 
     def bw(g):
-        _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if a.ndim == 2:
+            # one matrix shared by every batch entry of b: contract the batch
+            # and column axes at once instead of summing per-entry products
+            axes = tuple(range(g.ndim - 2)) + (g.ndim - 1,)
+            _accum(a, np.tensordot(g, b.data, axes=(axes, axes)))
+        else:
+            _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
         _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _result(data, (a, b), bw)
+
+
+# ---------------------------------------------------------------------------
+# gated recurrence
+
+
+def gru_sequence(px_zr, px_n, w_zr_h, w_n_h) -> Tensor:
+    """GRU recurrence over axis 1 from a zero state, recorded as one graph node.
+
+    ``px_zr`` [B, T, N, 2W] holds the input-side update|reset pre-activations
+    and ``px_n`` [B, T, N, W] the candidate's, biases included; ``w_zr_h``
+    [W, 2W] and ``w_n_h`` [W, W] are the hidden-side weights. Per step:
+    ``z|r = sigmoid(px_zr + h @ w_zr_h)``, ``c = tanh(px_n + (r * h) @ w_n_h)``,
+    ``h = (1 - z) * h + z * c``. Returns the stacked states [B, T, N, W].
+    The gates and candidates are kept for backpropagation through time
+    only when a gradient will be taken.
+    """
+    px_zr, px_n, w_zr_h, w_n_h = (_to_tensor(t) for t in (px_zr, px_n, w_zr_h, w_n_h))
+    if px_n.ndim != 4:
+        raise ShapeError(f"gru_sequence expects [B, T, N, W] inputs, got {px_n.shape}")
+    b, t, n, w = px_n.shape
+    if px_zr.shape != (b, t, n, 2 * w) or w_zr_h.shape != (w, 2 * w) or w_n_h.shape != (w, w):
+        raise ShapeError(
+            "gru_sequence shapes disagree: "
+            f"{px_zr.shape}, {px_n.shape}, {w_zr_h.shape}, {w_n_h.shape}"
+        )
+    parents = (px_zr, px_n, w_zr_h, w_n_h)
+    keep = _tracked(parents)
+    states = np.empty((b, t, n, w))
+    zr_all = np.empty((b, t, n, 2 * w)) if keep else None
+    cand_all = np.empty((b, t, n, w)) if keep else None
+    hidden = np.zeros((b, n, w))
+    for j in range(t):
+        ph_zr = (hidden.reshape(-1, w) @ w_zr_h.data).reshape(b, n, 2 * w)
+        zr = _logistic(px_zr.data[:, j] + ph_zr)
+        z, r = zr[..., :w], zr[..., w:]
+        rh = (r * hidden).reshape(-1, w)
+        cand = np.tanh(px_n.data[:, j] + (rh @ w_n_h.data).reshape(b, n, w))
+        hidden = (1.0 - z) * hidden + z * cand
+        states[:, j] = hidden
+        if keep:
+            zr_all[:, j] = zr
+            cand_all[:, j] = cand
+
+    def bw(g):
+        h_prev = np.concatenate([np.zeros((b, 1, n, w)), states[:, :-1]], axis=1)
+        z_all, r_all = zr_all[..., :w], zr_all[..., w:]
+        d_zr = np.empty_like(zr_all)
+        d_n = np.empty_like(cand_all)
+        dh = np.zeros((b, n, w))
+        for j in reversed(range(t)):
+            dh = dh + g[:, j]
+            z, r, cand, hp = z_all[:, j], r_all[:, j], cand_all[:, j], h_prev[:, j]
+            dn = dh * z * (1.0 - cand * cand)
+            d_rh = (dn.reshape(-1, w) @ w_n_h.data.T).reshape(b, n, w)
+            dzr = np.concatenate(
+                [dh * (cand - hp) * z * (1.0 - z), d_rh * hp * r * (1.0 - r)], axis=-1
+            )
+            d_n[:, j] = dn
+            d_zr[:, j] = dzr
+            dh = (
+                dh * (1.0 - z)
+                + d_rh * r
+                + (dzr.reshape(-1, 2 * w) @ w_zr_h.data.T).reshape(b, n, w)
+            )
+        _accum(px_zr, d_zr)
+        _accum(px_n, d_n)
+        _accum(w_zr_h, h_prev.reshape(-1, w).T @ d_zr.reshape(-1, 2 * w))
+        _accum(w_n_h, (r_all * h_prev).reshape(-1, w).T @ d_n.reshape(-1, w))
+
+    return _result(states, parents, bw)
 
 
 # ---------------------------------------------------------------------------

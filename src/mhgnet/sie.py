@@ -18,15 +18,12 @@ from .numcore import (
     Tensor,
     concat,
     eye,
+    gru_sequence,
     matmul,
     relu,
     reshape,
-    sigmoid,
-    slice_axis,
-    stack,
     sum_,
     take,
-    tanh,
     transpose,
 )
 from .clusterer import ClusterAssignment
@@ -117,25 +114,19 @@ class RecurrentEncoder:
 def gru_scan(steps_stacked: Tensor, gru: GruParams, width: int) -> Tensor:
     """Run the GRU over axis 1 of [B, T, N, D]; returns stacked states.
 
-    The update and reset gates share one fused projection per step; the
-    input-side projections for all steps are computed up front.
+    The input-side projections for all steps are computed up front, with
+    the update and reset gates sharing one fused projection; the recurrence
+    itself is the single op :func:`gru_sequence`. ``width`` is the hidden
+    width of ``gru``.
     """
-    b, t, n, _ = steps_stacked.shape
+    if gru.cand_h.shape != (width, width):
+        raise ShapeError(f"GRU hidden weights {gru.cand_h.shape} do not match width {width}")
     w_zr_x = concat([gru.update_x, gru.reset_x], axis=1)
     w_zr_h = concat([gru.update_h, gru.reset_h], axis=1)
     b_zr = concat([gru.update_b, gru.reset_b], axis=0)
     px_zr = matmul(steps_stacked, w_zr_x) + b_zr
     px_n = matmul(steps_stacked, gru.cand_x) + gru.cand_b
-    hidden = Tensor(np.zeros((b, n, width)))
-    states = []
-    for j in range(t):
-        zr = sigmoid(take(px_zr, j, axis=1) + matmul(hidden, w_zr_h))
-        z = slice_axis(zr, -1, 0, width)
-        r = slice_axis(zr, -1, width, 2 * width)
-        cand = tanh(take(px_n, j, axis=1) + matmul(r * hidden, gru.cand_h))
-        hidden = (1.0 - z) * hidden + z * cand
-        states.append(hidden)
-    return stack(states, axis=1)  # [B, T, N, width]
+    return gru_sequence(px_zr, px_n, w_zr_h, gru.cand_h)  # [B, T, N, width]
 
 
 def encode_sequence(

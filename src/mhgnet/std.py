@@ -15,12 +15,11 @@ import numpy as np
 from .errors import ConfigError
 from .numcore import (
     Tensor,
-    broadcast_to,
-    concat,
     matmul,
     relu,
     reshape,
     sigmoid,
+    slice_axis,
     take,
 )
 
@@ -66,20 +65,15 @@ def gate_features(
     dow: np.ndarray,
     node_embedding: Tensor,
     ts: TimestampEmbeddings,
-) -> Tensor:
-    """Per-(step, node) conditioning vector: ReLU(T_D || T_W || E).
+) -> tuple[Tensor, Tensor, Tensor]:
+    """The factors of the per-(step, node) conditioning vector ReLU(T_D || T_W || E).
 
-    ``tod`` and ``dow`` are [B, T_h] integer index arrays; the result is
-    [B, T_h, N, 2*D_t + D_s].
+    ``tod`` and ``dow`` are [B, T_h] integer index arrays; returns
+    ReLU(T_D) and ReLU(T_W), each [B, T_h, D_t], and ReLU(E), [N, D_s].
+    The broadcast [B, T_h, N, 2*D_t + D_s] concatenation is never built.
     """
-    b, t = tod.shape
-    n, d_s = node_embedding.shape
-    d_t = ts.daily.shape[1]
     daily, weekly = ts.rows(tod, dow)
-    daily = broadcast_to(reshape(daily, (b, t, 1, d_t)), (b, t, n, d_t))
-    weekly = broadcast_to(reshape(weekly, (b, t, 1, d_t)), (b, t, n, d_t))
-    emb = broadcast_to(reshape(node_embedding, (1, 1, n, d_s)), (b, t, n, d_s))
-    return relu(concat([daily, weekly, emb], axis=-1))
+    return relu(daily), relu(weekly), relu(node_embedding)
 
 
 def decouple(
@@ -95,6 +89,10 @@ def decouple(
     Gate n is sigmoid((features @ w1 + b1) @ w2 + b2); pattern n multiplies
     the running residual by the gate, and the final pattern is whatever
     remains, so the patterns sum to ``x_hat``.
+
+    Both gate layers are affine, so they are applied to the factors of
+    ``features`` separately: the timestamp rows of ``w1`` on [B, T_h] and
+    the node rows on [N], summed by broadcasting inside the sigmoid.
     """
     if gate_params is None:
         raise ConfigError("gate_params must be a list (possibly empty)")
@@ -102,10 +100,17 @@ def decouple(
     gates: list[Tensor] = []
     remaining = x_hat
     if gate_params:
-        feats = gate_features(tod, dow, node_embedding, ts)
+        daily, weekly, emb = gate_features(tod, dow, node_embedding, ts)
+        b, t, d_t = daily.shape
+        d_s, d = emb.shape[1], x_hat.shape[-1]
         for gp in gate_params:
-            hidden = matmul(feats, gp.w1) + gp.b1
-            gate = sigmoid(matmul(hidden, gp.w2) + gp.b2)
+            w_daily = slice_axis(gp.w1, 0, 0, d_t)
+            w_weekly = slice_axis(gp.w1, 0, d_t, 2 * d_t)
+            w_node = slice_axis(gp.w1, 0, 2 * d_t, 2 * d_t + d_s)
+            per_step = matmul(daily, w_daily) + matmul(weekly, w_weekly) + gp.b1
+            per_step = matmul(per_step, gp.w2) + gp.b2  # [B, T_h, D]
+            per_node = matmul(matmul(emb, w_node), gp.w2)  # [N, D]
+            gate = sigmoid(reshape(per_step, (b, t, 1, d)) + per_node)
             piece = remaining * gate
             patterns.append(piece)
             gates.append(gate)

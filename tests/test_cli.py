@@ -7,7 +7,13 @@ from mhgnet.cli import main
 from mhgnet.config import RunConfig, parse_config, render_config
 from mhgnet.data import load_series
 from mhgnet.errors import ConfigError, FormatError
-from mhgnet.model import ForecastModel, ModelConfig, load_checkpoint, save_checkpoint
+from mhgnet.model import (
+    ForecastModel,
+    ModelConfig,
+    load_checkpoint,
+    restore,
+    save_checkpoint,
+)
 from mhgnet.train_eval import Schedule
 
 # What render_config(RunConfig()) wrote before refresh_per_batch was retired;
@@ -269,3 +275,20 @@ class TestMalformedCheckpoint:
             assert exc.value.offset is not None, name
             assert main(["eval", "--data", str(synth_file), "--checkpoint", str(path)]) == 1, name
             assert "error:" in capsys.readouterr().err, name
+
+    @pytest.mark.parametrize("bad_type", [3, 7, 0xFFFFFFFF])
+    def test_node_type_outside_pattern_count(self, synth_file, tmp_path, capsys, bad_type):
+        cfg = RunConfig().to_model_config(8, 24)  # p = 3
+        model = ForecastModel(cfg)
+        path = tmp_path / "m.mhgc"
+        save_checkpoint(path, model.store.state(), model.assignment)
+        blob = bytearray(path.read_bytes())
+        node = 5
+        at = len(blob) - 4 * 8 + 4 * node  # types are the last N u32s
+        blob[at : at + 4] = int(bad_type).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as exc:
+            restore(ForecastModel(cfg), path)
+        assert exc.value.offset == at
+        assert main(["eval", "--data", str(synth_file), "--checkpoint", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err

@@ -74,6 +74,19 @@ class TestBinaryFormat:
         assert "truncated" in str(exc.value)
         assert exc.value.offset == 28
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_value_rejected_at_its_offset(self, tmp_path, bad):
+        series = synthesize(nodes=4, days=2, patterns=2, seed=1, steps_per_day=8)
+        path = tmp_path / "nf.mhgt"
+        save_series(series, path)
+        blob = bytearray(path.read_bytes())
+        index = 13  # step 3, node 1
+        blob[28 + 4 * index : 32 + 4 * index] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as exc:
+            load_series(path)
+        assert exc.value.offset == 28 + 4 * index
+
     def test_csv_convert(self, tmp_path):
         csv_path = tmp_path / "raw.csv"
         rows = np.arange(24.0).reshape(8, 3)
@@ -84,6 +97,15 @@ class TestBinaryFormat:
         loaded = load_series(out)
         assert loaded.start_weekday == 2
         assert np.allclose(loaded.values[:, :, 0], rows)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e39"])
+    def test_csv_nonfinite_rejected_with_line(self, tmp_path, bad):
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text(f"1,2,3\n\n4,{bad},6\n")
+        out = tmp_path / "o.mhgt"
+        with pytest.raises(FormatError, match="line 3"):
+            convert_csv(csv_path, out)
+        assert not out.exists()
 
     def test_csv_ragged_rejected(self, tmp_path):
         csv_path = tmp_path / "raw.csv"

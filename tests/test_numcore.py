@@ -172,6 +172,14 @@ class TestPrimitiveGradients:
             ((2, 4, 5), "normal(0,1)"),
         )
 
+    def test_matmul_shared_left_matrix(self):
+        # a 2-D left operand applied to every [.., N, D] slab of a 4-D right one
+        self.check(
+            lambda a, b: sum_(matmul(a, b) * matmul(a, b)),
+            ((3, 3), "normal(0,1)"),
+            ((2, 2, 3, 2), "normal(0,1)"),
+        )
+
     def test_concat(self):
         self.check(
             lambda a, b: sum_(concat([a, b], axis=1) * concat([b, a], axis=1)),

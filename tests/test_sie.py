@@ -9,6 +9,7 @@ from mhgnet.numcore import (
     SplitRng,
     Tensor,
     check_gradient,
+    no_grad,
     stack,
     sum_,
     take,
@@ -211,6 +212,34 @@ class TestEncodeSequence:
         out = gru_scan(Tensor(x), p, width=3)
         oracle = _oracle_gru(x, p, width=3)
         assert np.max(np.abs(out.data - oracle)) < 1e-10
+
+    def test_gru_gradient_all_parameters_and_input(self):
+        from mhgnet.sie import gru_scan
+
+        store = ParameterStore(SplitRng(20))
+        p = _gru_params(d=2, width=3, store=store)
+        for t in (p.update_b, p.reset_b, p.cand_b):
+            t.data = np.random.default_rng(21).normal(0.0, 0.5, t.shape)
+        x = store.add("x", (2, 4, 2, 2), "normal(0,1)")  # T = 4, D = 2, width = 3
+        weights = Tensor(np.random.default_rng(22).normal(size=(2, 4, 2, 3)))
+        err = check_gradient(
+            lambda: sum_(gru_scan(x, p, width=3) * weights), store.parameters(), h=1e-5
+        )
+        assert err < 1e-6
+        assert len(store.parameters()) == 10
+
+    def test_gru_states_identical_with_and_without_grad(self):
+        from mhgnet.sie import gru_scan
+
+        store = ParameterStore(SplitRng(23))
+        p = _gru_params(d=2, width=3, store=store)
+        x = np.random.default_rng(24).normal(size=(2, 5, 3, 2))
+        tracked = gru_scan(Tensor(x), p, width=3)
+        assert tracked.requires_grad
+        with no_grad():
+            untracked = gru_scan(Tensor(x), p, width=3)
+        assert not untracked.requires_grad
+        assert np.array_equal(tracked.data, untracked.data)
 
     def test_eval_mode_deterministic(self):
         store = ParameterStore(SplitRng(15))

@@ -109,6 +109,34 @@ class TestDecouple:
 
         err = check_gradient(loss, store.parameters(), h=1e-5)
         assert err < 1e-4
+        # the daily, weekly and node row blocks of every w1 carry gradient
+        d_t, d_s = ts.daily.shape[1], emb.shape[1]
+        for gp in gates:
+            for lo, hi in ((0, d_t), (d_t, 2 * d_t), (2 * d_t, 2 * d_t + d_s)):
+                assert np.any(gp.w1.grad[lo:hi] != 0.0), (lo, hi)
+
+    def test_gates_match_concatenated_features_oracle(self):
+        # reference: both gate layers applied to the broadcast [B, T, N, 2*D_t + D_s]
+        # concatenation of ReLU(T_D || T_W || E)
+        store, ts, emb, gates, x_hat, tod, dow = _setup(p=3, seed=8)
+        ps = decouple(x_hat, tod, dow, emb, ts, gates)
+        b, t, n, _ = x_hat.shape
+        d_t, d_s = ts.daily.shape[1], emb.shape[1]
+        feats = np.maximum(
+            np.concatenate(
+                [
+                    np.broadcast_to(ts.daily.data[tod][:, :, None], (b, t, n, d_t)),
+                    np.broadcast_to(ts.weekly.data[dow][:, :, None], (b, t, n, d_t)),
+                    np.broadcast_to(emb.data, (b, t, n, d_s)),
+                ],
+                axis=-1,
+            ),
+            0.0,
+        )
+        for gp, gate in zip(gates, ps.gates):
+            hidden = feats @ gp.w1.data + gp.b1.data
+            oracle = 1.0 / (1.0 + np.exp(-(hidden @ gp.w2.data + gp.b2.data)))
+            assert np.max(np.abs(gate.data - oracle)) < 1e-12
 
     def test_none_gate_params_rejected(self):
         store, ts, emb, gates, x_hat, tod, dow = _setup(p=1)
