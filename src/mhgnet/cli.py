@@ -229,7 +229,7 @@ def _cmd_graph_dump(args) -> int:
     cfg, bundle, model = _load_for_inspection(args)
     model.refresh_clusters(bundle.train, bundle.scaler)
     model.eval_mode()
-    probe = bundle.train.slice(slice(0, min(model_mod.PROBE_WINDOWS, len(bundle.train))))
+    probe = model_mod.probe_windows(bundle.train)
     with no_grad():
         graphs = model._build_graphs(probe.tod_index, probe.dow_index)
     print("cluster,row,col,weight")

@@ -156,19 +156,24 @@ def load_series(path) -> TrafficSeries:
             f"truncated payload: expected {expected} bytes, found {len(blob) - payload_offset}",
             offset=payload_offset,
         )
-    values = np.frombuffer(
-        blob, dtype="<f4", count=steps * nodes * channels, offset=payload_offset
-    ).astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(values))
+    end = payload_offset + expected
+    if end != len(blob):
+        raise FormatError(f"{len(blob) - end} trailing bytes after the payload", offset=end)
+    raw = np.frombuffer(blob, dtype="<f4", count=steps * nodes * channels, offset=payload_offset)
+    bad = np.flatnonzero(~np.isfinite(raw))  # before the cast, which warns on a signaling NaN
     if bad.size:
         i = int(bad[0])
-        raise FormatError(f"non-finite value {values[i]}", offset=payload_offset + 4 * i)
-    return TrafficSeries(
-        values=values.reshape(steps, nodes, channels),
-        steps_per_day=steps_per_day,
-        start_weekday=start_weekday,
-        name=path.stem,
-    )
+        raise FormatError(f"non-finite value {raw[i]}", offset=payload_offset + 4 * i)
+    values = raw.astype(np.float64)
+    try:
+        return TrafficSeries(
+            values=values.reshape(steps, nodes, channels),
+            steps_per_day=steps_per_day,
+            start_weekday=start_weekday,
+            name=path.stem,
+        )
+    except ConfigError as exc:  # header values that no series can have
+        raise FormatError(f"bad header: {exc}", offset=8) from exc
 
 
 def convert_csv(src, dst, steps_per_day: int = 288, start_weekday: int = 0) -> TrafficSeries:

@@ -1,11 +1,18 @@
 """Per-cluster graph generation: learned spatial graph, timestamp-driven
 temporal graph, fusion, and row-wise top-k sparsification.
 
-The spatial graph is the antisymmetric form alpha * (M1 M2^T - M2 M1^T)
+The spatial graph is the antisymmetric form A_s = alpha * (M1 M2^T - M2 M1^T)
 built from two node-embedding tables, so self-weights vanish and direction
-is encoded by sign. The temporal graph contracts daily against weekly
-embedding rows over the input window. Fusion multiplies the two, squashes
-through tanh and ReLU, and keeps the k strongest entries per row.
+is encoded by sign; it is kept as its factors M1, M2. The temporal graph is
+one scalar e (see :func:`temporal_graph`).
+
+Fusion squashes beta * A_s A_t^T through tanh and ReLU and keeps the k
+strongest entries per row, ties going to the lower column index. With A_t
+the constant e, A_s A_t^T = e * rowsum(A_s) 1^T has constant rows, so row i
+of the fused graph is f_i = relu(tanh(beta * e * r_i)) in its first k
+columns and zero elsewhere; the row sums r come from the factors in
+O(N_p * D_s). Without a temporal graph (``no_tg``), A_s A_t^T = A_s and the
+top-k is taken per row; without a spatial graph (``no_sg``), r = 1.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ import numpy as np
 
 from .numcore import (
     Tensor,
-    broadcast_to,
     matmul,
     mean,
     relu,
@@ -46,6 +52,27 @@ class ClusterGraphParams:
 
 
 @dataclass
+class SpatialGraph:
+    """A cluster's spatial graph alpha * (m1 m2^T - m2 m1^T), kept as factors."""
+
+    m1: Tensor  # [N_p, D_s]
+    m2: Tensor  # [N_p, D_s]
+    alpha: float
+
+    def dense(self) -> Tensor:
+        """The [N_p, N_p] matrix; antisymmetric by construction."""
+        m1, m2 = self.m1, self.m2
+        return self.alpha * (matmul(m1, swap_last2(m2)) - matmul(m2, swap_last2(m1)))
+
+    def row_sums(self) -> Tensor:
+        """Row sums [N_p, 1] of the matrix: alpha * (m1 sum_j m2_j - m2 sum_j m1_j)."""
+        d_s = self.m1.shape[1]
+        s1 = reshape(sum_(self.m1, axis=0), (d_s, 1))
+        s2 = reshape(sum_(self.m2, axis=0), (d_s, 1))
+        return self.alpha * (matmul(self.m1, s2) - matmul(self.m2, s1))
+
+
+@dataclass
 class FusedSubgraph:
     """Sparsified fused adjacency for one cluster."""
 
@@ -53,46 +80,52 @@ class FusedSubgraph:
     members: np.ndarray  # ascending node indices
 
 
-def spatial_graph(members: np.ndarray, params: ClusterGraphParams) -> Tensor:
-    """Learned directed graph over the cluster; antisymmetric by construction."""
+def spatial_graph(members: np.ndarray, params: ClusterGraphParams) -> SpatialGraph:
+    """Learned directed graph over the cluster, as its two factors."""
     m1 = tanh(params.alpha * matmul(take(params.e1, members, axis=0), params.w1))
     m2 = tanh(params.alpha * matmul(take(params.e2, members, axis=0), params.w2))
-    return params.alpha * (
-        matmul(m1, swap_last2(m2)) - matmul(m2, swap_last2(m1))
-    )
+    return SpatialGraph(m1, m2, params.alpha)
 
 
 def temporal_graph(
-    members: np.ndarray,
     ts: TimestampEmbeddings,
     tod: np.ndarray,
     dow: np.ndarray,
     beta: float,
 ) -> Tensor:
-    """Daily-vs-weekly embedding contraction averaged over the window.
+    """The temporal graph's one entry e, a scalar shared by every cluster.
 
     ``tod``/``dow`` are [B, T_h] (or [T_h]) index arrays. Member nodes share
     the same timestamp row at each step, so the per-step outer product of
     member rows is a constant matrix: the daily/weekly dot product. The
     batch/time mean of those dots, through tanh and ReLU and scaled by
-    beta, is broadcast over the cluster.
+    beta, is that constant.
     """
     tod = np.atleast_2d(np.asarray(tod))
     dow = np.atleast_2d(np.asarray(dow))
-    n_p = len(members)
     daily, weekly = ts.rows(tod, dow)  # [B, T, D_t]
     dots = mean(sum_(daily * weekly, axis=-1))
-    entry = beta * relu(tanh(dots))
-    return broadcast_to(reshape(entry, (1, 1)), (n_p, n_p))
+    return beta * relu(tanh(dots))
 
 
 def fuse_and_sparsify(
-    a_spatial: Tensor,
-    a_temporal: Tensor,
+    spatial: SpatialGraph | None,
+    temporal: Tensor | None,
     beta: float,
     k: int,
     members: np.ndarray,
 ) -> FusedSubgraph:
-    """Combine the two graphs and keep the k strongest entries per row."""
-    fused = relu(tanh(beta * matmul(a_spatial, swap_last2(a_temporal))))
-    return FusedSubgraph(a_hat=topk_row_mask(fused, k), members=np.asarray(members))
+    """Combine the two graphs and keep the k strongest entries per row.
+
+    ``spatial`` is None without a spatial graph (r = 1) and ``temporal`` is
+    None without a temporal graph; one of the two must be given.
+    """
+    members = np.asarray(members)
+    if temporal is None:
+        a_hat = topk_row_mask(relu(tanh(beta * spatial.dense())), k)
+    else:
+        n_p = members.size
+        r = spatial.row_sums() if spatial is not None else Tensor(np.ones((n_p, 1)))
+        rows = relu(tanh(beta * temporal * r))  # [N_p, 1]: each row's constant
+        a_hat = rows * Tensor((np.arange(n_p) < k).astype(np.float64))
+    return FusedSubgraph(a_hat=a_hat, members=members)

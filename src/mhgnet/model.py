@@ -4,6 +4,7 @@ convolution, recurrent encoding, skip connections, and the regression head.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,7 +21,6 @@ from .numcore import (
     Tensor,
     broadcast_to,
     concat,
-    eye,
     matmul,
     mean,
     no_grad,
@@ -32,6 +32,11 @@ from .numcore import (
 
 GRAPH_MODES = ("full", "no_sg", "no_tg")
 PROBE_WINDOWS = 32  # training windows consulted when refreshing clusters
+
+
+def probe_windows(train_split: WindowedDataset) -> WindowedDataset:
+    """The fixed probe: the first PROBE_WINDOWS training windows (or all)."""
+    return train_split.slice(slice(0, PROBE_WINDOWS))
 
 
 @dataclass
@@ -197,22 +202,19 @@ class ForecastModel:
     ) -> list[dstgg.FusedSubgraph]:
         """One fused subgraph per nonempty pool, in pool order."""
         cfg = self.cfg
+        temporal = None
+        if cfg.graph_mode != "no_tg":
+            temporal = dstgg.temporal_graph(self.timestamps, tod, dow, cfg.beta)
         graphs = []
         for pool in self.assignment.pools:
             if not pool:
                 continue
             members = np.asarray(pool, dtype=np.int64)
-            n_p = members.size
-            if cfg.graph_mode == "no_sg":
-                a_s = eye(n_p)
-            else:
-                a_s = dstgg.spatial_graph(members, self.graph_params)
-            if cfg.graph_mode == "no_tg":
-                a_t = eye(n_p)
-            else:
-                a_t = dstgg.temporal_graph(members, self.timestamps, tod, dow, cfg.beta)
+            spatial = None
+            if cfg.graph_mode != "no_sg":
+                spatial = dstgg.spatial_graph(members, self.graph_params)
             graphs.append(
-                dstgg.fuse_and_sparsify(a_s, a_t, cfg.beta, cfg.k, members)
+                dstgg.fuse_and_sparsify(spatial, temporal, cfg.beta, cfg.k, members)
             )
         return graphs
 
@@ -276,7 +278,7 @@ class ForecastModel:
         self, train_split: WindowedDataset, scaler: Scaler
     ) -> clusterer.FeatureSpace:
         """The probe-window feature space currently used for assignment."""
-        probe = train_split.slice(slice(0, min(PROBE_WINDOWS, len(train_split))))
+        probe = probe_windows(train_split)
         x = scaler.apply(probe.inputs[..., :1])
         with no_grad():
             x_hat = std.embed_input(Tensor(x), self.embed_w, self.embed_b)
@@ -343,14 +345,23 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2
+            if offset + name_len > len(blob):
+                raise FormatError("truncated parameter name", offset=offset)
             name = blob[offset : offset + name_len].decode("utf-8")
             offset += name_len
             (rank,) = struct.unpack_from("<B", blob, offset)
             offset += 1
             dims = struct.unpack_from(f"<{rank}I", blob, offset)
             offset += 4 * rank
-            size = int(np.prod(dims)) if rank else 1
+            size = math.prod(dims)
+            if 4 * size > len(blob) - offset:
+                raise FormatError(f"truncated values of {name!r}", offset=offset)
             values = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise FormatError(
+                    f"non-finite value in {name!r}", offset=offset + 4 * int(bad[0])
+                )
             offset += 4 * size
             state[name] = values.astype(np.float64).reshape(dims)
         (n,) = struct.unpack_from("<I", blob, offset)
@@ -362,6 +373,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
         raise
     except (struct.error, ValueError) as exc:  # includes UnicodeDecodeError
         raise FormatError(f"malformed checkpoint: {exc}", offset=offset) from exc
+    end = offset + 4 * n
+    if end != len(blob):
+        raise FormatError(f"{len(blob) - end} trailing bytes after the checkpoint", offset=end)
     return state, types, offset
 
 

@@ -163,6 +163,16 @@ class TestUsageErrors:
     def test_missing_data_file_exits_1(self, tmp_path):
         assert main(["eval", "--data", str(tmp_path / "none.mhgt"), "--checkpoint", "x"]) == 1
 
+    def test_data_file_with_trailing_bytes_exits_1(self, synth_file, tmp_path, capsys):
+        model = ForecastModel(RunConfig().to_model_config(8, 24))
+        checkpoint = tmp_path / "m.mhgc"
+        save_checkpoint(checkpoint, model.store.state(), model.assignment)
+        size = synth_file.stat().st_size
+        with open(synth_file, "ab") as fh:
+            fh.write(b"\x01" * 7)
+        assert main(["eval", "--data", str(synth_file), "--checkpoint", str(checkpoint)]) == 1
+        assert f"(at byte {size})" in capsys.readouterr().err
+
 
 class TestTrainEvalFlow:
     @pytest.mark.slow
@@ -276,6 +286,19 @@ class TestMalformedCheckpoint:
             assert main(["eval", "--data", str(synth_file), "--checkpoint", str(path)]) == 1, name
             assert "error:" in capsys.readouterr().err, name
 
+    @pytest.mark.parametrize("pattern", ["0000c07f", "0100807f", "0000807f"])  # qNaN, sNaN, inf
+    def test_nonfinite_value_gives_format_error(self, tmp_path, pattern):
+        model = ForecastModel(RunConfig().to_model_config(8, 24))
+        path = tmp_path / "m.mhgc"
+        save_checkpoint(path, model.store.state(), model.assignment)
+        blob = bytearray(path.read_bytes())
+        at = blob.index(b"embed.weight") + len("embed.weight") + 1 + 4 * 2 + 4  # 2nd value
+        blob[at : at + 4] = bytes.fromhex(pattern)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == at
+
     @pytest.mark.parametrize("bad_type", [3, 7, 0xFFFFFFFF])
     def test_node_type_outside_pattern_count(self, synth_file, tmp_path, capsys, bad_type):
         cfg = RunConfig().to_model_config(8, 24)  # p = 3
@@ -292,3 +315,16 @@ class TestMalformedCheckpoint:
         assert exc.value.offset == at
         assert main(["eval", "--data", str(synth_file), "--checkpoint", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_trailing_bytes_rejected(self, synth_file, tmp_path, capsys):
+        path = tmp_path / "m.mhgc"
+        model = ForecastModel(RunConfig().to_model_config(8, 24))
+        save_checkpoint(path, model.store.state(), model.assignment)
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 22)
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == size
+        assert main(["eval", "--data", str(synth_file), "--checkpoint", str(path)]) == 1
+        assert "trailing" in capsys.readouterr().err

@@ -74,6 +74,25 @@ class TestBinaryFormat:
         assert "truncated" in str(exc.value)
         assert exc.value.offset == 28
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        series = synthesize(nodes=4, days=2, patterns=2, seed=1, steps_per_day=8)
+        path = tmp_path / "tail.mhgt"
+        save_series(series, path)
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 7)
+        with pytest.raises(FormatError) as exc:
+            load_series(path)
+        assert "trailing" in str(exc.value)
+        assert exc.value.offset == size
+
+    def test_impossible_header_gives_format_error(self, tmp_path):
+        path = tmp_path / "h.mhgt"
+        path.write_bytes(b"MHGT" + np.array([1, 4, 1, 1, 0, 0], "<u4").tobytes() + b"\0" * 16)
+        with pytest.raises(FormatError) as exc:  # steps_per_day = 0
+            load_series(path)
+        assert exc.value.offset == 8
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_value_rejected_at_its_offset(self, tmp_path, bad):
         series = synthesize(nodes=4, days=2, patterns=2, seed=1, steps_per_day=8)
@@ -86,6 +105,18 @@ class TestBinaryFormat:
         with pytest.raises(FormatError) as exc:
             load_series(path)
         assert exc.value.offset == 28 + 4 * index
+
+    def test_signaling_nan_rejected(self, tmp_path):
+        # casting a signaling NaN to float64 warns, so it must be caught first
+        series = synthesize(nodes=4, days=2, patterns=2, seed=1, steps_per_day=8)
+        path = tmp_path / "snan.mhgt"
+        save_series(series, path)
+        blob = bytearray(path.read_bytes())
+        blob[28 + 4 * 5 : 32 + 4 * 5] = bytes.fromhex("0100807f")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as exc:
+            load_series(path)
+        assert exc.value.offset == 28 + 4 * 5
 
     def test_csv_convert(self, tmp_path):
         csv_path = tmp_path / "raw.csv"

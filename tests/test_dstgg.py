@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from mhgnet.data import make_bundle, synthesize
 from mhgnet.dstgg import (
     ClusterGraphParams,
     fuse_and_sparsify,
     spatial_graph,
     temporal_graph,
 )
-from mhgnet.numcore import ParameterStore, SplitRng, Tensor, check_gradient, sum_
+from mhgnet.model import ForecastModel, ModelConfig
+from mhgnet.numcore import ParameterStore, SplitRng, Tensor, check_gradient, no_grad, sum_
 from mhgnet.std import TimestampEmbeddings
 
 
@@ -46,7 +48,16 @@ def _oracle_temporal(daily_tbl, weekly_tbl, members, tod, dow, beta):
 
 
 def _oracle_fuse(a_s, a_t, beta, k):
-    fused = np.maximum(np.tanh(beta * (a_s @ a_t.T)), 0.0)
+    """Dense fusion by definition: relu(tanh(beta * A_s A_t^T)), then top-k per row.
+
+    The product is summed in the same order for every entry, so rows that are
+    constant by construction come out exactly constant.
+    """
+    n = a_s.shape[0]
+    prod = np.array(
+        [[sum(a_s[i, l] * a_t[j, l] for l in range(n)) for j in range(n)] for i in range(n)]
+    )
+    fused = np.maximum(np.tanh(beta * prod), 0.0)
     out = np.zeros_like(fused)
     for i in range(fused.shape[0]):
         row = fused[i]
@@ -62,11 +73,12 @@ class TestSpatialGraph:
         params.e2.data = params.e1.data.copy()
         params.w2.data = params.w1.data.copy()
         out = spatial_graph(np.arange(6), params)
-        assert np.max(np.abs(out.data)) == 0.0
+        assert np.max(np.abs(out.dense().data)) == 0.0
+        assert np.max(np.abs(out.row_sums().data)) == 0.0
 
     def test_antisymmetry(self):
         store, params = _params(seed=3, alpha=2.5)
-        out = spatial_graph(np.arange(6), params).data
+        out = spatial_graph(np.arange(6), params).dense().data
         assert np.max(np.abs(out + out.T)) < 1e-12
 
     def test_two_node_hand_values(self):
@@ -80,7 +92,7 @@ class TestSpatialGraph:
         )
         params.e1.data = np.array([[1.0], [0.0]])
         params.e2.data = np.array([[0.0], [1.0]])
-        out = spatial_graph(np.array([0, 1]), params).data
+        out = spatial_graph(np.array([0, 1]), params).dense().data
         expected = np.tanh(1.0) ** 2
         assert abs(out[0, 1] - expected) < 1e-12
         assert abs(out[1, 0] + expected) < 1e-12
@@ -90,19 +102,28 @@ class TestSpatialGraph:
         store, params = _params(seed=4)
         members = np.array([0, 2, 3, 5])
         perm = np.array([2, 0, 3, 1])
-        base = spatial_graph(members, params).data
-        shuffled = spatial_graph(members[perm], params).data
+        base = spatial_graph(members, params).dense().data
+        shuffled = spatial_graph(members[perm], params).dense().data
         assert np.allclose(shuffled, base[np.ix_(perm, perm)], atol=1e-15)
+
+    def test_row_sums_match_dense(self):
+        store, params = _params(n=9, d_s=4, seed=20, alpha=2.0)
+        out = spatial_graph(np.array([0, 2, 3, 5, 8]), params)
+        sums = out.row_sums().data
+        assert sums.shape == (5, 1)
+        assert np.max(np.abs(sums[:, 0] - out.dense().data.sum(axis=1))) < 1e-12
 
     def test_gradient(self):
         store, params = _params(n=3, d_s=2, seed=5, alpha=0.7)
-        weights = Tensor(np.random.default_rng(6).normal(size=(3, 3)))
-        err = check_gradient(
-            lambda: sum_(spatial_graph(np.arange(3), params) * weights),
-            store.parameters(),
-            h=1e-5,
-        )
-        assert err < 1e-4
+        rng = np.random.default_rng(6)
+        weights = Tensor(rng.normal(size=(3, 3)))
+        row_weights = Tensor(rng.normal(size=(3, 1)))
+
+        def loss():
+            out = spatial_graph(np.arange(3), params)
+            return sum_(out.dense() * weights) + sum_(out.row_sums() * row_weights)
+
+        assert check_gradient(loss, store.parameters(), h=1e-5) < 1e-4
 
 
 class TestTemporalGraph:
@@ -114,10 +135,10 @@ class TestTemporalGraph:
         )
         tod = np.array([[0, 1, 2]])
         dow = np.array([[0, 3, 6]])
-        out = temporal_graph(np.arange(3), ts, tod, dow, beta=1.0).data
-        assert out.shape == (3, 3)
-        assert np.allclose(out, np.maximum(np.tanh(1.0), 0.0))
-        assert abs(out[0, 0] - 0.7616) < 5e-5
+        out = temporal_graph(ts, tod, dow, beta=1.0).data
+        assert out.shape == ()
+        assert out == np.tanh(1.0)
+        assert abs(out - 0.7616) < 5e-5
 
     def test_zero_weekly_zero_graph(self):
         store = ParameterStore(SplitRng(1))
@@ -125,8 +146,8 @@ class TestTemporalGraph:
             daily=store.add("daily", (4, 2), "normal(0,1)"),
             weekly=store.add("weekly", (7, 2), "zeros"),
         )
-        out = temporal_graph(np.arange(4), ts, np.array([[0, 1]]), np.array([[2, 3]]), 0.5)
-        assert np.array_equal(out.data, np.zeros((4, 4)))
+        out = temporal_graph(ts, np.array([[0, 1]]), np.array([[2, 3]]), 0.5)
+        assert out.data == 0.0
 
     def test_orthogonal_rows_zero_graph(self):
         store = ParameterStore(SplitRng(2))
@@ -140,26 +161,28 @@ class TestTemporalGraph:
         ts.weekly.data[1] = [1.0, 0.0]
         tod = np.array([[0, 1]])
         dow = np.array([[0, 1]])  # dots are 0 at every step
-        out = temporal_graph(np.arange(3), ts, tod, dow, 1.0)
-        assert np.array_equal(out.data, np.zeros((3, 3)))
+        out = temporal_graph(ts, tod, dow, 1.0)
+        assert out.data == 0.0
 
     def test_matches_full_construction_oracle(self):
         store, ts = _timestamps(spd=6, d_t=3, seed=7)
-        rng = np.random.default_rng(8)
+        rng = np.random.default_rng(12)  # a draw with a positive window mean
         tod = rng.integers(0, 6, (2, 5))
         dow = rng.integers(0, 7, (2, 5))
         members = np.array([1, 3, 4])
-        out = temporal_graph(members, ts, tod, dow, beta=0.5).data
+        out = temporal_graph(ts, tod, dow, beta=0.5).data
         oracle = _oracle_temporal(ts.daily.data, ts.weekly.data, members, tod, dow, 0.5)
+        assert out > 0.0
         assert np.max(np.abs(out - oracle)) < 1e-12
 
     def test_gradient(self):
         store, ts = _timestamps(spd=5, d_t=2, seed=9)
         tod = np.array([[0, 2, 4]])
-        dow = np.array([[1, 5, 6]])
+        dow = np.array([[0, 1, 2]])  # positive mean dot, so the ReLU passes it
+        assert temporal_graph(ts, tod, dow, 0.8).item() > 0.0
         weights = Tensor(np.random.default_rng(10).normal(size=(3, 3)))
         err = check_gradient(
-            lambda: sum_(temporal_graph(np.arange(3), ts, tod, dow, 0.8) * weights),
+            lambda: sum_(temporal_graph(ts, tod, dow, 0.8) * weights),
             store.parameters(),
             h=1e-5,
         )
@@ -168,73 +191,147 @@ class TestTemporalGraph:
 
 class TestFuseAndSparsify:
     def test_zero_temporal_zero_graph(self):
-        rng = np.random.default_rng(11)
-        a_s = Tensor(rng.normal(size=(4, 4)))
-        a_t = Tensor(np.zeros((4, 4)))
+        store, params = _params(n=4, seed=11)
+        spatial = spatial_graph(np.arange(4), params)
         for k in (0, 2, 4):
-            g = fuse_and_sparsify(a_s, a_t, beta=0.5, k=k, members=np.arange(4))
-            assert np.array_equal(g.a_hat.data, np.zeros((4, 4)))
+            for s in (spatial, None):
+                g = fuse_and_sparsify(s, Tensor(0.0), beta=0.5, k=k, members=np.arange(4))
+                assert np.array_equal(g.a_hat.data, np.zeros((4, 4)))
 
     def test_singleton_cluster(self):
         store, params = _params(n=1, seed=12)
-        a_s = spatial_graph(np.array([0]), params)
-        assert a_s.data.shape == (1, 1)
-        assert a_s.data[0, 0] == 0.0  # antisymmetric diagonal
-        g = fuse_and_sparsify(a_s, Tensor(np.ones((1, 1))), 0.5, 1, np.array([0]))
-        assert np.array_equal(g.a_hat.data, np.zeros((1, 1)))
+        spatial = spatial_graph(np.array([0]), params)
+        a_s = spatial.dense().data
+        assert a_s.shape == (1, 1)
+        assert a_s[0, 0] == 0.0  # antisymmetric diagonal
+        for temporal in (Tensor(1.0), None):
+            g = fuse_and_sparsify(spatial, temporal, 0.5, 1, np.array([0]))
+            assert np.array_equal(g.a_hat.data, np.zeros((1, 1)))
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (6, 3)])
     def test_matches_loop_oracle(self, n, k):
-        rng = np.random.default_rng(n * 10 + k)
-        a_s = rng.normal(size=(n, n))
-        a_t = rng.normal(size=(n, n))
-        g = fuse_and_sparsify(Tensor(a_s), Tensor(a_t), beta=0.7, k=k, members=np.arange(n))
-        assert np.max(np.abs(g.a_hat.data - _oracle_fuse(a_s, a_t, 0.7, k))) < 1e-12
+        store, params = _params(n=n, seed=n * 10 + k, alpha=1.3)
+        members = np.arange(n)
+        spatial = spatial_graph(members, params)
+        a_s = spatial.dense().data
+        constant = np.full((n, n), 0.8)
+        cases = {  # graph mode: (spatial, temporal, dense A_s, dense A_t)
+            "full": (spatial, Tensor(0.8), a_s, constant),
+            "no_sg": (None, Tensor(0.8), np.eye(n), constant),
+            "no_tg": (spatial, None, a_s, np.eye(n)),
+        }
+        for mode, (s, t, a_s_dense, a_t_dense) in cases.items():
+            g = fuse_and_sparsify(s, t, 0.7, k, members).a_hat.data
+            oracle = _oracle_fuse(a_s_dense, a_t_dense, 0.7, k)
+            assert oracle.any(), mode
+            assert np.max(np.abs(g - oracle)) < 1e-12, mode
 
     def test_range_and_row_sparsity(self):
         rng = np.random.default_rng(13)
         for trial in range(20):
             n = int(rng.integers(2, 8))
             k = int(rng.integers(0, n + 2))
-            a_s = rng.normal(size=(n, n)) * 3.0
-            a_t = rng.normal(size=(n, n)) * 3.0
-            g = fuse_and_sparsify(Tensor(a_s), Tensor(a_t), 0.5, k, np.arange(n)).a_hat.data
-            assert (g >= 0.0).all() and (g <= 1.0).all()
-            assert (np.count_nonzero(g, axis=1) <= k).all()
+            store, params = _params(n=n, seed=100 + trial, alpha=3.0)
+            spatial = spatial_graph(np.arange(n), params)
+            temporal = Tensor(abs(rng.normal()) * 3.0)
+            for s, t in ((spatial, temporal), (None, temporal), (spatial, None)):
+                g = fuse_and_sparsify(s, t, 0.5, k, np.arange(n)).a_hat.data
+                assert (g >= 0.0).all() and (g <= 1.0).all()
+                assert (np.count_nonzero(g, axis=1) <= k).all()
 
     def test_fused_permutation_equivariance(self):
         store, params = _params(n=8, seed=14)
         store2, ts = _timestamps(seed=15)
-        rng = np.random.default_rng(16)
+        rng = np.random.default_rng(17)  # a draw with a positive window mean
         tod = rng.integers(0, 8, (1, 4))
         dow = rng.integers(0, 7, (1, 4))
         members = np.array([0, 3, 5, 7])
         perm = np.array([3, 1, 0, 2])
+        a_t = temporal_graph(ts, tod, dow, 0.5)
 
         def fused(mem):
             a_s = spatial_graph(mem, params)
-            a_t = temporal_graph(mem, ts, tod, dow, 0.5)
             # keep every entry so sparsification cannot reorder ties
             return fuse_and_sparsify(a_s, a_t, 0.5, len(mem), mem).a_hat.data
 
         base = fused(members)
         shuffled = fused(members[perm])
+        assert base.any()
         assert np.allclose(shuffled, base[np.ix_(perm, perm)], atol=1e-15)
 
     def test_gradient_through_fusion(self):
         store, params = _params(n=3, d_s=2, seed=17, alpha=0.9)
         store2, ts = _timestamps(spd=5, d_t=2, seed=18)
-        tod = np.array([[0, 3]])
-        dow = np.array([[2, 4]])
+        tod = np.array([[1, 4]])
+        dow = np.array([[2, 4]])  # positive mean dot, so the fused graph is not empty
         weights = Tensor(np.random.default_rng(19).normal(size=(3, 3)))
         members = np.arange(3)
+        assert temporal_graph(ts, tod, dow, 0.6).item() > 0.0
 
         def loss():
             a_s = spatial_graph(members, params)
-            a_t = temporal_graph(members, ts, tod, dow, 0.6)
+            a_t = temporal_graph(ts, tod, dow, 0.6)
             g = fuse_and_sparsify(a_s, a_t, 0.6, 2, members)
             return sum_(g.a_hat * weights)
 
         params_all = store.parameters() + store2.parameters()
         err = check_gradient(loss, params_all, h=1e-5)
         assert err < 1e-4
+
+
+class TestClosedForm:
+    """The fused graph of a constant temporal graph has constant rows."""
+
+    def test_rounding_unequal_rows_keep_first_columns(self):
+        # A dense A_s A_t^T leaves the 43-node pool's rows unequal by ~7e-15,
+        # which a per-row sort turned into kept columns >= k in 5 rows.
+        series = synthesize(300, 2, 3, seed=1)
+        bundle = make_bundle(series, 12, 12)
+        model = ForecastModel(ModelConfig(n=300, seed=1))
+        model.refresh_clusters(bundle.train, bundle.scaler)
+        probe = bundle.train.slice(slice(0, 16))
+        with no_grad():
+            graphs = model._build_graphs(probe.tod_index, probe.dow_index)
+        assert sorted(g.members.size for g in graphs) == [43, 122, 135]
+        for g in graphs:
+            a = g.a_hat.data
+            kk = min(model.cfg.k, a.shape[0])
+            assert a.any()
+            assert not a[:, kk:].any()
+            assert (a[:, :kk] == a[:, :1]).all()
+
+    @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
+    def test_k_zero_and_k_above_pool_size(self, mode):
+        store, params = _params(n=5, seed=21, alpha=2.0)
+        members = np.arange(5)
+        spatial = None if mode == "no_sg" else spatial_graph(members, params)
+        temporal = None if mode == "no_tg" else Tensor(0.9)
+        assert not fuse_and_sparsify(spatial, temporal, 0.5, 0, members).a_hat.data.any()
+        every = fuse_and_sparsify(spatial, temporal, 0.5, 5, members).a_hat.data
+        beyond = fuse_and_sparsify(spatial, temporal, 0.5, 9, members).a_hat.data
+        assert every.any()
+        assert np.array_equal(beyond, every)
+        if temporal is not None:
+            assert (every == every[:, :1]).all()
+
+    @pytest.mark.parametrize("mode", ["full", "no_sg"])
+    def test_gradient_to_embeddings_and_timestamps(self, mode):
+        cfg = ModelConfig(
+            n=5, p=1, d=2, d_s=2, d_t=2, t_h=3, t_f=1, k=3, steps_per_day=6,
+            seed=4, graph_mode=mode,
+        )
+        model = ForecastModel(cfg)
+        tod = np.array([[0, 1, 2], [3, 4, 5]])
+        dow = np.array([[0, 1, 2], [2, 3, 4]])
+        weights = Tensor(np.random.default_rng(22).normal(size=(5, 5)))
+        names = ("graph.e1", "graph.e2", "graph.w1", "graph.w2", "time.daily", "time.weekly")
+        params = [p for p in model.parameters() if p.name in names]
+        assert len(params) == len(names)
+
+        def loss():
+            (graph,) = model._build_graphs(tod, dow)
+            return sum_(graph.a_hat * weights)
+
+        with no_grad():
+            assert loss().item() != 0.0
+        assert check_gradient(loss, params, h=1e-5) < 1e-4
