@@ -8,8 +8,10 @@ with full precision so ``parse(render(cfg)) == cfg`` holds exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
+from .data import read_utf8
 from .errors import ConfigError
 from .model import ModelConfig
 from .train_eval import Schedule
@@ -32,6 +34,9 @@ class RunConfig:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        for name in ("train_ratio", "val_ratio", "test_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def ratios(self) -> tuple[float, float, float]:
@@ -129,5 +134,5 @@ def render_config(cfg: RunConfig) -> str:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    """Parse a UTF-8 config file; malformed content raises ConfigError with its line."""
+    return parse_config(read_utf8(path, ConfigError))

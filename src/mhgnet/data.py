@@ -13,13 +13,14 @@ with :func:`convert_csv`.
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, MhgnetError, ShapeError
 from .numcore import SplitRng
 
 MAGIC = b"MHGT"
@@ -176,25 +177,47 @@ def load_series(path) -> TrafficSeries:
         raise FormatError(f"bad header: {exc}", offset=8) from exc
 
 
+def read_utf8(path, error: type[MhgnetError]) -> str:
+    """A text file's contents; a byte that is not UTF-8 raises ``error`` with its line."""
+    blob = Path(path).read_bytes()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise error(
+            f"line {line}: invalid UTF-8 byte {blob[exc.start]:#04x} at offset {exc.start}"
+        ) from exc
+
+
 def convert_csv(src, dst, steps_per_day: int = 288, start_weekday: int = 0) -> TrafficSeries:
-    """Convert a plain CSV (rows = steps, columns = nodes) to MHGT."""
+    """Convert a plain UTF-8 CSV (rows = steps, columns = nodes) to MHGT.
+
+    Blank lines are skipped; any other malformed line raises FormatError
+    naming it, and nothing is written.
+    """
     rows: list[list[float]] = []
-    with open(src, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+    reader = csv.reader(io.StringIO(read_utf8(src, FormatError), newline=""))
+    try:
+        for row in reader:
+            line = reader.line_num
             if not row:
                 continue
             try:
                 values = [float(v) for v in row]
             except ValueError as exc:
-                raise FormatError(f"line {lineno}: non-numeric value ({exc})") from exc
+                raise FormatError(f"line {line}: non-numeric value ({exc})") from exc
             if not all(abs(v) <= _F32_MAX for v in values):  # False for NaN too
-                raise FormatError(f"line {lineno}: value is not finite as float32")
+                raise FormatError(f"line {line}: value is not finite as float32")
+            if rows and len(values) != len(rows[0]):
+                raise FormatError(
+                    f"line {line}: ragged CSV: {len(values)} columns, "
+                    f"earlier rows have {len(rows[0])}"
+                )
             rows.append(values)
+    except csv.Error as exc:
+        raise FormatError(f"line {reader.line_num}: {exc}") from exc
     if not rows:
         raise FormatError("empty CSV file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise FormatError("ragged CSV: rows have differing column counts")
     values = np.asarray(rows, dtype=np.float64)[:, :, None]
     series = TrafficSeries(
         values=values,

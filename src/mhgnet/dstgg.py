@@ -11,8 +11,11 @@ strongest entries per row, ties going to the lower column index. With A_t
 the constant e, A_s A_t^T = e * rowsum(A_s) 1^T has constant rows, so row i
 of the fused graph is f_i = relu(tanh(beta * e * r_i)) in its first k
 columns and zero elsewhere; the row sums r come from the factors in
-O(N_p * D_s). Without a temporal graph (``no_tg``), A_s A_t^T = A_s and the
-top-k is taken per row; without a spatial graph (``no_sg``), r = 1.
+O(N_p * D_s). Such a graph is kept as the [N_p, 1] column f
+(:class:`ConstantRowSubgraph`), which propagation uses directly; its dense
+matrix is built only when read. Without a temporal graph (``no_tg``),
+A_s A_t^T = A_s and the top-k is taken per row, giving a dense
+:class:`FusedSubgraph`; without a spatial graph (``no_sg``), r = 1.
 """
 
 from __future__ import annotations
@@ -74,10 +77,25 @@ class SpatialGraph:
 
 @dataclass
 class FusedSubgraph:
-    """Sparsified fused adjacency for one cluster."""
+    """Sparsified fused adjacency for one cluster, as a dense matrix."""
 
     a_hat: Tensor  # [N_p, N_p], entries in [0, 1], <= k nonzeros per row
     members: np.ndarray  # ascending node indices
+
+
+@dataclass
+class ConstantRowSubgraph:
+    """A cluster's fused adjacency whose row i is f_i in its first k columns."""
+
+    rows: Tensor  # [N_p, 1]: f, each row's constant, in [0, 1)
+    k: int  # columns kept in every row, min(k, N_p)
+    members: np.ndarray  # ascending node indices
+
+    @property
+    def a_hat(self) -> Tensor:
+        """The dense [N_p, N_p] matrix f * [j < k], built on each read."""
+        n_p = self.members.size
+        return self.rows * Tensor((np.arange(n_p) < self.k).astype(np.float64))
 
 
 def spatial_graph(members: np.ndarray, params: ClusterGraphParams) -> SpatialGraph:
@@ -114,18 +132,20 @@ def fuse_and_sparsify(
     beta: float,
     k: int,
     members: np.ndarray,
-) -> FusedSubgraph:
+) -> FusedSubgraph | ConstantRowSubgraph:
     """Combine the two graphs and keep the k strongest entries per row.
 
     ``spatial`` is None without a spatial graph (r = 1) and ``temporal`` is
-    None without a temporal graph; one of the two must be given.
+    None without a temporal graph; one of the two must be given. With a
+    temporal graph the rows are constant and the result is a
+    :class:`ConstantRowSubgraph`; without one it is a dense
+    :class:`FusedSubgraph`.
     """
     members = np.asarray(members)
     if temporal is None:
         a_hat = topk_row_mask(relu(tanh(beta * spatial.dense())), k)
-    else:
-        n_p = members.size
-        r = spatial.row_sums() if spatial is not None else Tensor(np.ones((n_p, 1)))
-        rows = relu(tanh(beta * temporal * r))  # [N_p, 1]: each row's constant
-        a_hat = rows * Tensor((np.arange(n_p) < k).astype(np.float64))
-    return FusedSubgraph(a_hat=a_hat, members=members)
+        return FusedSubgraph(a_hat=a_hat, members=members)
+    n_p = members.size
+    r = spatial.row_sums() if spatial is not None else Tensor(np.ones((n_p, 1)))
+    rows = relu(tanh(beta * temporal * r))  # [N_p, 1]: each row's constant
+    return ConstantRowSubgraph(rows=rows, k=min(k, n_p), members=members)

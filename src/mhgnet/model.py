@@ -75,8 +75,10 @@ class ModelConfig:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigError("alpha and beta must be positive")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         if self.graph_mode not in GRAPH_MODES:
             raise ConfigError(f"graph_mode must be one of {GRAPH_MODES}")
 
@@ -199,7 +201,7 @@ class ForecastModel:
 
     def _build_graphs(
         self, tod: np.ndarray, dow: np.ndarray
-    ) -> list[dstgg.FusedSubgraph]:
+    ) -> list[dstgg.FusedSubgraph | dstgg.ConstantRowSubgraph]:
         """One fused subgraph per nonempty pool, in pool order."""
         cfg = self.cfg
         temporal = None
@@ -238,11 +240,15 @@ class ForecastModel:
         # residual), so propagation reads x_hat; the gates get their gradient
         # through the per-pattern skip means below
         graphs = self._build_graphs(tod, dow)
-        cluster_out = [
-            sie.propagate(take(x_hat, g.members, axis=2), g, self.prop_cfg)
-            for g in graphs
-        ]
-        repositioned = sie.reassemble(cluster_out, self.assignment)
+        if cfg.graph_mode == "no_tg":  # dense per-cluster graphs
+            cluster_out = [
+                sie.propagate(take(x_hat, g.members, axis=2), g, self.prop_cfg)
+                for g in graphs
+            ]
+            repositioned = sie.reassemble(cluster_out, self.assignment)
+        else:
+            merged_graph = sie.ConstantRowGraph.from_subgraphs(graphs)
+            repositioned = sie.propagate(x_hat, merged_graph, self.prop_cfg)
         x_out = sie.encode_sequence(
             repositioned, self.encoder, training=self.training, rng=self._dropout_rng
         )

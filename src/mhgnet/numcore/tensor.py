@@ -220,8 +220,10 @@ def mul(a, b) -> Tensor:
     a, b = _to_tensor(a), _to_tensor(b)
 
     def bw(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, g * a.data)
 
     return _result(a.data * b.data, (a, b), bw)
 
@@ -230,8 +232,10 @@ def div(a, b) -> Tensor:
     a, b = _to_tensor(a), _to_tensor(b)
 
     def bw(g):
-        _accum(a, g / b.data)
-        _accum(b, -g * a.data / (b.data * b.data))
+        if a.requires_grad:
+            _accum(a, g / b.data)
+        if b.requires_grad:
+            _accum(b, -g * a.data / (b.data * b.data))
 
     return _result(a.data / b.data, (a, b), bw)
 
@@ -273,13 +277,14 @@ def relu(a) -> Tensor:
 def _logistic(x: Array) -> Array:
     """Overflow-free logistic function: exp(-|x|) is in (0, 1].
 
-    Computed in place on two buffers: 1 / (1 + e) where x >= 0, else
-    e / (1 + e), with e = exp(-|x|).
+    Computed in place on two buffers as exp(min(x, 0)) / (1 + e) with
+    e = exp(-|x|): 1 / (1 + e) where x >= 0, else e / (1 + e).
     """
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
     e += 1.0
     out /= e
     return out
@@ -342,7 +347,7 @@ def mean(a, axis=None) -> Tensor:
     n = _reduced_count(a.data.shape, axis)
 
     def bw(g):
-        _accum(a, _expand_reduced(g, a.data.shape, axis) / n)
+        _accum(a, _expand_reduced(g / n, a.data.shape, axis))
 
     return _result(a.data.mean(axis=axis), (a,), bw)
 
@@ -439,7 +444,6 @@ def take(a, indices, axis: int = 0) -> Tensor:
     if idx.ndim > 1 and ax != 0:
         raise ShapeError("multi-dimensional take indices require axis=0")
     data = np.take(a.data, int(idx) if scalar else idx, axis=ax)
-    unique = idx.ndim == 1 and np.unique(idx).size == idx.size
 
     def bw(g):
         if not a.requires_grad:
@@ -448,7 +452,7 @@ def take(a, indices, axis: int = 0) -> Tensor:
         if scalar:
             sl = (slice(None),) * ax + (int(idx),)
             buf[sl] += g
-        elif unique:
+        elif idx.ndim == 1 and np.unique(idx).size == idx.size:
             view = np.moveaxis(buf, ax, 0)
             view[idx] += np.moveaxis(g, ax, 0)
         else:
@@ -496,8 +500,10 @@ def matmul(a, b) -> Tensor:
 
         def bw(g):
             g2 = g.reshape(-1, n)
-            _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
-            _accum(b, a2.T @ g2)
+            if a.requires_grad:
+                _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                _accum(b, a2.T @ g2)
 
         return _result(data, (a, b), bw)
 

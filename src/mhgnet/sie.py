@@ -1,9 +1,15 @@
 """Subgraph information extraction.
 
-Per cluster, node features are propagated over the fused adjacency with a
-gated multi-hop recurrence; cluster outputs are reassembled into original
-node order, fed through a GRU over the input window, and the stacked hidden
-states are redistributed by a pair of 1x1 projections and a learned gain.
+Node features are propagated over each cluster's fused adjacency with a
+gated multi-hop recurrence, fed through a GRU over the input window, and
+the stacked hidden states are redistributed by a pair of 1x1 projections and
+a learned gain.
+
+When every cluster's fused graph has constant rows (``full``, ``no_sg``),
+propagation runs on the whole [B, T, N, D] tensor in node order from the
+closed form of the walk, so no per-cluster walk is built and nothing needs
+reassembling. Dense per-cluster graphs (``no_tg``) are propagated one
+cluster at a time and the outputs reassembled into node order.
 """
 
 from __future__ import annotations
@@ -22,12 +28,14 @@ from .numcore import (
     matmul,
     relu,
     reshape,
+    slice_axis,
     sum_,
+    swap_last2,
     take,
     transpose,
 )
 from .clusterer import ClusterAssignment
-from .dstgg import FusedSubgraph
+from .dstgg import ConstantRowSubgraph, FusedSubgraph
 
 
 @dataclass
@@ -35,8 +43,8 @@ class PropagationConfig:
     """Gated multi-hop propagation settings.
 
     ``hops`` states are produced: the input itself plus hops-1 recurrence
-    steps; they are concatenated on the feature axis and projected back to
-    width D by ``out_proj`` of shape [hops * D, D].
+    steps; they are projected back to width D by ``out_proj`` of shape
+    [hops * D, D], whose j-th block of D rows applies to state j.
     """
 
     gamma: float  # retention weight in [0, 1]
@@ -44,13 +52,51 @@ class PropagationConfig:
     out_proj: Tensor
 
 
-def propagate(h: Tensor, graph: FusedSubgraph, cfg: PropagationConfig) -> Tensor:
-    """Run the gated propagation recurrence on one cluster.
+@dataclass
+class ConstantRowGraph:
+    """Every cluster's constant-row fused graph at once, in node order.
 
-    ``h`` is [..., N_p, D]. Self-loops are added to the adjacency, rows are
-    degree-normalized (strictly positive after self-loops), and each step
-    mixes the original features back in with weight gamma.
+    Node i's row holds f_i in the first k_i members of its own pool, so with
+    self-loops its degree is deg_i = f_i k_i + 1 and the walk (A + I) / deg
+    sends x to x_i / deg_i + (f_i / deg_i) * S_i, where S_i sums x over those
+    k_i members.
     """
+
+    rows: Tensor  # [N, 1]: f
+    kept: np.ndarray  # [N, 1]: k_i, as float
+    first: np.ndarray  # [K]: the first k_p members of every pool
+    same_pool: np.ndarray  # [K, N]: 1.0 where first[j] and node i share a pool
+
+    @classmethod
+    def from_subgraphs(cls, graphs: list[ConstantRowSubgraph]) -> "ConstantRowGraph":
+        """Merge per-cluster subgraphs whose members partition the nodes."""
+        sizes = [g.members.size for g in graphs]
+        order = np.concatenate([g.members for g in graphs])
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size)
+        rows = take(concat([g.rows for g in graphs], axis=0), inverse, axis=0)
+        pool = np.repeat(np.arange(len(graphs)), sizes)[inverse]
+        kept = np.repeat([float(g.k) for g in graphs], sizes)[inverse]
+        first = np.concatenate([g.members[: g.k] for g in graphs])
+        same_pool = (pool[first][:, None] == pool[None, :]).astype(np.float64)
+        return cls(rows, kept[:, None], first, same_pool)
+
+
+def propagate(
+    h: Tensor, graph: FusedSubgraph | ConstantRowGraph, cfg: PropagationConfig
+) -> Tensor:
+    """Run the gated propagation recurrence.
+
+    Self-loops are added to the adjacency, rows are degree-normalized
+    (strictly positive after self-loops), and each step mixes the original
+    features back in with weight gamma: next = gamma * h + (1 - gamma) *
+    walk(current). ``graph`` is either one cluster's :class:`FusedSubgraph`,
+    with ``h`` [..., N_p, D] holding that cluster's nodes, or a
+    :class:`ConstantRowGraph` of every cluster, with ``h`` [..., N, D] in
+    node order.
+    """
+    if isinstance(graph, ConstantRowGraph):
+        return _propagate_constant_rows(h, graph, cfg)
     n_p = graph.a_hat.shape[0]
     a_tilde = graph.a_hat + eye(n_p)
     degree = sum_(a_tilde, axis=1)
@@ -63,12 +109,49 @@ def propagate(h: Tensor, graph: FusedSubgraph, cfg: PropagationConfig) -> Tensor
     return matmul(concat(states, axis=-1), cfg.out_proj)
 
 
+def _propagate_constant_rows(
+    h: Tensor, graph: ConstantRowGraph, cfg: PropagationConfig
+) -> Tensor:
+    """:func:`propagate` over all clusters from the closed form of the walk.
+
+    A hop is gamma * h + a * current + spread with a = (1 - gamma) / deg.
+    The spread, (1 - gamma) * (f_i / deg_i) * S_i, is one GEMM from the K
+    gathered first-k rows through a [K, N] matrix whose column i holds
+    (1 - gamma) * f_i / deg_i in the rows of node i's pool. The hop states
+    meet ``out_proj`` one row block at a time, so they are never concatenated.
+    """
+    n, d = h.shape[-2:]
+    if graph.rows.shape[0] != n:
+        raise ShapeError(f"graph covers {graph.rows.shape[0]} nodes, features cover {n}")
+    keep = 1.0 - cfg.gamma
+    degree = graph.rows * Tensor(graph.kept) + 1.0
+    self_weight = keep / degree  # [N, 1]
+    spread_weight = Tensor(graph.same_pool) * reshape(keep * graph.rows / degree, (1, n))
+    states = [h]
+    current = h
+    for hop in range(cfg.hops - 1):
+        if hop == 0:  # current is h: fold the retention term into one product
+            step = h * (cfg.gamma + self_weight)
+        else:
+            step = cfg.gamma * h + current * self_weight
+        if graph.first.size:
+            firsts = swap_last2(take(current, graph.first, axis=-2))  # [..., D, K]
+            step = step + swap_last2(matmul(firsts, spread_weight))
+        current = step
+        states.append(current)
+    out = None
+    for j, state in enumerate(states):
+        term = matmul(state, slice_axis(cfg.out_proj, 0, j * d, (j + 1) * d))
+        out = term if out is None else out + term
+    return out
+
+
 def reassemble(cluster_outputs: list[Tensor], assignment: ClusterAssignment) -> Tensor:
     """Concatenate per-cluster outputs and restore original node order.
 
-    ``cluster_outputs`` follow nonempty pool order with nodes on the
-    second-to-last axis; the inverse permutation puts node i back at
-    position i.
+    Used for dense per-cluster graphs (``no_tg``) only. ``cluster_outputs``
+    follow nonempty pool order with nodes on the second-to-last axis; the
+    inverse permutation puts node i back at position i.
     """
     n = assignment.permutation.size
     total = sum(t.shape[-2] for t in cluster_outputs)

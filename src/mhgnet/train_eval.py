@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -152,6 +153,8 @@ class Schedule:
             raise ConfigError("warmup_epochs must be >= 0")
         if self.curriculum_length < 1:
             raise ConfigError("curriculum_length must be >= 1")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.base_lr}")
 
 
 def curriculum_horizon(epoch: int, s: Schedule) -> int:

@@ -115,6 +115,16 @@ class TestConfig:
         cfg = parse_config("# comment\n\np = 2  # trailing\n")
         assert cfg.model.p == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        ["beta = nan", "alpha = inf", "alpha = 0", "lr = nan", "lr = -1", "lr = 0",
+         "train_ratio = nan", "val_ratio = inf"],
+    )
+    def test_nonfinite_or_nonpositive_values_rejected(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"p = 2\n{line}\n")
+
     def test_booleans(self):
         assert parse_config("single_cluster = true\n").model.single_cluster
         assert not parse_config("single_cluster = false\n").model.single_cluster
@@ -172,6 +182,21 @@ class TestUsageErrors:
             fh.write(b"\x01" * 7)
         assert main(["eval", "--data", str(synth_file), "--checkpoint", str(checkpoint)]) == 1
         assert f"(at byte {size})" in capsys.readouterr().err
+
+
+    def test_undecodable_config_exits_1(self, synth_file, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(b"p = 2\nseed = \xff3\n")
+        argv = ["graph-dump", "--data", str(synth_file), "--config", str(cfg_path)]
+        assert main(argv) == 1
+        assert "line 2:" in capsys.readouterr().err
+
+    def test_undecodable_csv_exits_1(self, tmp_path, capsys):
+        csv_path, out = tmp_path / "r.csv", tmp_path / "r.mhgt"
+        csv_path.write_bytes(b"1,2\n3,4\n5,\xe96\n")
+        assert main(["convert", "--csv", str(csv_path), "--out", str(out), "--steps-per-day", "1"]) == 1
+        assert "line 3:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainEvalFlow:

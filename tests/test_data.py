@@ -144,6 +144,18 @@ class TestBinaryFormat:
         with pytest.raises(FormatError):
             convert_csv(csv_path, tmp_path / "o.mhgt")
 
+    def test_csv_reader_error_names_its_line(self, tmp_path):
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text("1\n2\n" + "3" * 200_000 + "\n")  # over csv's field size limit
+        with pytest.raises(FormatError, match="line 3:"):
+            convert_csv(csv_path, tmp_path / "o.mhgt", steps_per_day=1)
+
+    def test_csv_ragged_error_names_first_bad_line(self, tmp_path):
+        csv_path = tmp_path / "raw.csv"
+        csv_path.write_text("1,2,3\n\n4,5,6\n7,8\n9\n")
+        with pytest.raises(FormatError, match="line 4:"):
+            convert_csv(csv_path, tmp_path / "o.mhgt")
+
 
 class TestWindows:
     def test_sample_count_pems04_scale(self):

@@ -1,21 +1,20 @@
 """Fuzz tests for the two binary parsers (MHGT series, MHGC checkpoints).
 
 Any input either parses or raises FormatError with a byte offset inside the
-blob; no other exception may escape.
+blob; no other exception may escape. The example count comes from the
+Hypothesis profile (see conftest.py).
 """
 
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mhgnet.data import MAGIC, load_series, save_series, synthesize
 from mhgnet.errors import FormatError
 from mhgnet.model import CKPT_MAGIC, ForecastModel, ModelConfig, load_checkpoint, save_checkpoint
-
-EXAMPLES = settings(max_examples=40, deadline=None)
 
 
 class Format(NamedTuple):
@@ -56,21 +55,18 @@ def _parses_or_format_error(fmt: Format, blob: bytes) -> None:
         assert 0 <= exc.offset <= len(blob), (exc.offset, len(blob))
 
 
-@EXAMPLES
 @given(data=st.data())
 def test_arbitrary_bytes(fmt, data):
     prefix = data.draw(st.sampled_from([b"", fmt.magic, fmt.magic + b"\x01\x00\x00\x00"]))
     _parses_or_format_error(fmt, prefix + data.draw(st.binary(max_size=96)))
 
 
-@EXAMPLES
 @given(data=st.data())
 def test_truncated_valid_file(fmt, data):
     cut = data.draw(st.integers(0, len(fmt.valid)))
     _parses_or_format_error(fmt, fmt.valid[:cut])
 
 
-@EXAMPLES
 @given(data=st.data())
 def test_one_byte_changed(fmt, data):
     blob = bytearray(fmt.valid)

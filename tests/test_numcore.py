@@ -253,6 +253,35 @@ class TestPrimitiveGradients:
         assert err < 1e-4
 
 
+    @pytest.mark.parametrize("op", ["mul", "div", "matmul"])
+    def test_constant_operand_gets_no_gradient(self, op):
+        store = ParameterStore(SplitRng(17))
+        a = store.add("a", (3, 4), "normal(0,1)")
+        const = Tensor(np.random.default_rng(18).normal(size=(3, 4)) + 3.0)
+        square = Tensor(np.random.default_rng(19).normal(size=(4, 4)))
+        build = {
+            "mul": lambda: sum_(a * const * a + const * a),
+            "div": lambda: sum_(const / (a * a + 1.0) + a / const),
+            "matmul": lambda: sum_(matmul(a, square) * matmul(a, square)),
+        }[op]
+        assert check_gradient(build, store.parameters(), h=1e-5) < 1e-4
+        build().backward()
+        assert const.grad is None and square.grad is None
+
+
+class TestLogistic:
+    def test_matches_where_form_bitwise(self):
+        x = np.concatenate(
+            [
+                np.random.default_rng(19).normal(size=100_000),
+                [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300],
+            ]
+        )
+        e = np.exp(-np.abs(x))
+        where_form = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        assert np.array_equal(sigmoid(Tensor(x)).data, where_form)
+
+
 class TestTensorBasics:
     def test_finite_after_ops(self):
         rng = np.random.default_rng(17)

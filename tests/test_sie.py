@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from mhgnet.clusterer import ClusterAssignment, single_pool
-from mhgnet.dstgg import FusedSubgraph
+from mhgnet.dstgg import (
+    ClusterGraphParams,
+    FusedSubgraph,
+    fuse_and_sparsify,
+    spatial_graph,
+    temporal_graph,
+)
 from mhgnet.errors import ConfigError, ShapeError
 from mhgnet.numcore import (
     ParameterStore,
@@ -14,7 +20,9 @@ from mhgnet.numcore import (
     sum_,
     take,
 )
+from mhgnet.std import TimestampEmbeddings
 from mhgnet.sie import (
+    ConstantRowGraph,
     GruParams,
     PropagationConfig,
     RecurrentEncoder,
@@ -157,6 +165,119 @@ class TestPropagate:
             lambda: sum_(propagate(h, _graph(adj), cfg)), store.parameters(), h=1e-5
         )
         assert err < 1e-4
+
+
+class _ConstantRowSetup:
+    """Spatial and timestamp parameters, features and a propagation config."""
+
+    def __init__(self, n=7, d=3, hops=2, seed=30):
+        self.store = ParameterStore(SplitRng(seed))
+        add = self.store.add
+        self.params = ClusterGraphParams(
+            e1=add("graph.e1", (n, 2), "normal(0,1)"),
+            e2=add("graph.e2", (n, 2), "normal(0,1)"),
+            w1=add("graph.w1", (2, 2)),
+            w2=add("graph.w2", (2, 2)),
+            alpha=1.5,
+        )
+        self.ts = TimestampEmbeddings(
+            daily=add("time.daily", (6, 2), "normal(0,1)"),
+            weekly=add("time.weekly", (7, 2), "normal(0,1)"),
+        )
+        self.h = add("h", (2, 3, n, d), "normal(0,1)")
+        self.cfg = PropagationConfig(gamma=0.3, hops=hops, out_proj=add("prop.out_proj", (hops * d, d)))
+        # the first draw with a positive window-mean dot, so the graphs are not empty
+        rng = np.random.default_rng(seed)
+        while True:
+            self.tod, self.dow = rng.integers(0, 6, (2, 3)), rng.integers(0, 7, (2, 3))
+            if temporal_graph(self.ts, self.tod, self.dow, 0.8).item() > 0.0:
+                break
+
+    def subgraphs(self, mode, assignment, k, temporal=None):
+        if temporal is None:
+            temporal = temporal_graph(self.ts, self.tod, self.dow, 0.8)
+        return [
+            fuse_and_sparsify(
+                None if mode == "no_sg" else spatial_graph(np.asarray(pool), self.params),
+                temporal,
+                0.8,
+                k,
+                np.asarray(pool),
+            )
+            for pool in assignment.pools
+            if pool
+        ]
+
+    def fast(self, mode, assignment, k, temporal=None):
+        graph = ConstantRowGraph.from_subgraphs(self.subgraphs(mode, assignment, k, temporal))
+        return propagate(self.h, graph, self.cfg)
+
+    def dense(self, mode, assignment, k, temporal=None):
+        """The oracle: each cluster's dense walk, then reassembly."""
+        parts = [
+            propagate(take(self.h, g.members, axis=2), FusedSubgraph(g.a_hat, g.members), self.cfg)
+            for g in self.subgraphs(mode, assignment, k, temporal)
+        ]
+        return reassemble(parts, assignment)
+
+
+_LAYOUTS = {  # name: (node types, k)
+    "single_pool": ([0] * 7, 3),
+    "pool_below_k": ([1, 0, 2, 1, 0, 1, 1], 3),  # pool sizes 2, 4, 1
+    "k_zero": ([1, 0, 2, 1, 0, 1, 1], 0),
+}
+
+
+class TestConstantRowPropagate:
+    """Whole-tensor propagation against the dense per-cluster walk."""
+
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["full", "no_sg"])
+    def test_matches_dense_per_cluster(self, mode, hops, layout):
+        types, k = _LAYOUTS[layout]
+        setup = _ConstantRowSetup(hops=hops)
+        asg = ClusterAssignment.from_types(np.array(types), max(types) + 1)
+        if k:
+            assert any(g.rows.data.any() for g in setup.subgraphs(mode, asg, k))
+        fast = setup.fast(mode, asg, k).data
+        dense = setup.dense(mode, asg, k).data
+        assert np.max(np.abs(fast - dense)) < 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("mode", ["full", "no_sg"])
+    def test_all_zero_rows_leave_self_loops(self, mode):
+        setup = _ConstantRowSetup(hops=3)
+        asg = ClusterAssignment.from_types(np.array([1, 0, 2, 1, 0, 1, 1]), 3)
+        zero = Tensor(0.0)
+        assert not any(g.rows.data.any() for g in setup.subgraphs(mode, asg, 3, zero))
+        fast = setup.fast(mode, asg, 3, zero).data
+        assert np.max(np.abs(fast - setup.dense(mode, asg, 3, zero).data)) < 1e-12
+        # every walk is the identity, so each hop state equals h
+        hop_sum = sum(np.split(setup.cfg.out_proj.data, 3, axis=0))
+        assert np.max(np.abs(fast - setup.h.data @ hop_sum)) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["full", "no_sg"])
+    def test_gradient(self, mode):
+        setup = _ConstantRowSetup(n=5, d=2, hops=3, seed=31)
+        asg = ClusterAssignment.from_types(np.array([0, 1, 0, 0, 1]), 2)
+        weights = Tensor(np.random.default_rng(32).normal(size=(2, 3, 5, 2)))
+        params = setup.store.parameters()
+        if mode == "no_sg":
+            params = [p for p in params if not p.name.startswith("graph.")]
+        assert len(params) == (8 if mode == "full" else 4)
+        err = check_gradient(lambda: sum_(setup.fast(mode, asg, 2) * weights), params, h=1e-5)
+        assert err < 1e-6
+
+    def test_batch_rows_independent(self):
+        setup = _ConstantRowSetup()
+        asg = ClusterAssignment.from_types(np.array([1, 0, 2, 1, 0, 1, 1]), 3)
+        graph = ConstantRowGraph.from_subgraphs(setup.subgraphs("full", asg, 3))
+        base = propagate(setup.h, graph, setup.cfg).data
+        other = setup.h.data.copy()
+        other[1] = np.random.default_rng(33).normal(size=other[1].shape)
+        changed = propagate(Tensor(other), graph, setup.cfg).data
+        assert np.array_equal(changed[0], base[0])
+        assert not np.array_equal(changed[1], base[1])
 
 
 class TestReassemble:
