@@ -2,8 +2,9 @@
 
 A run configuration is a :class:`ModelConfig`, a :class:`Schedule` and the
 training-loop settings; the file keys and their defaults come from those
-dataclasses. Unknown keys are rejected with their line number; values render
-with full precision so ``parse(render(cfg)) == cfg`` holds exactly.
+dataclasses. Unknown keys and invalid values are rejected with their line
+number; values render with full precision so ``parse(render(cfg)) == cfg``
+holds exactly.
 """
 
 from __future__ import annotations
@@ -50,10 +51,13 @@ class RunConfig:
 
 
 # Schedule fields whose file key reads differently.
-_RENAMED = {
-    "base_lr": "lr",
-    "lr_ramp": "warmup_lr_ramp",
-    "horizon_floor": "warmup_horizon_floor",
+_RENAMED = {"base_lr": "lr"}
+# Retired keys and the one value they held; older run directories still list them.
+_RETIRED = {
+    "refresh_per_batch": False,
+    "rnn_width_multiplier": 1,
+    "warmup_lr_ramp": True,
+    "warmup_horizon_floor": True,
 }
 # Not keys: they come from the data file and from t_f.
 _DERIVED = {"steps_per_day", "max_horizon"}
@@ -103,11 +107,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key == "refresh_per_batch":  # retired; older run directories hold "= false"
-            if raw.strip() != "false":
+        if key in _RETIRED:
+            old = _RETIRED[key]
+            if _parse_value(key, type(old), raw, lineno) != old:
                 raise ConfigError(
                     f"line {lineno}: key {key!r} was retired; "
-                    "only 'refresh_per_batch = false' is accepted"
+                    f"only '{key} = {str(old).lower()}' is accepted"
                 )
             continue
         if key not in _KEYS:
@@ -115,7 +120,10 @@ def parse_config(text: str) -> RunConfig:
         section, name = _KEYS[key]
         owner = _owner(cfg, section)
         setattr(owner, name, _parse_value(key, type(getattr(owner, name)), raw, lineno))
-    cfg.validate()
+        try:  # every check reads one field, so the first line that fails is at fault
+            cfg.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
     return cfg
 
 

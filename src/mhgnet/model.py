@@ -53,7 +53,6 @@ class ModelConfig:
     gamma: float = 0.05  # feature retention during propagation
     alpha: float = 3.0  # spatial graph saturation scale
     beta: float = 0.5  # temporal/fusion scale
-    rnn_width_multiplier: int = 1
     dropout: float = 0.15
     seed: int = 1
     steps_per_day: int = 288
@@ -63,9 +62,7 @@ class ModelConfig:
     def validate(self) -> None:
         if self.n < 0:
             raise ConfigError(f"n must be >= 0 (0 = infer from data), got {self.n}")
-        for name in (
-            "p", "d", "d_s", "d_t", "t_h", "t_f", "hops", "rnn_width_multiplier", "steps_per_day"
-        ):
+        for name in ("p", "d", "d_s", "d_t", "t_h", "t_f", "hops", "steps_per_day"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
@@ -104,7 +101,7 @@ class ForecastModel:
     def _register(self) -> None:
         cfg = self.cfg
         add = self.store.add
-        width = cfg.rnn_width_multiplier * cfg.d
+        width = cfg.d
 
         self.embed_w = add("embed.weight", (1, cfg.d))
         self.embed_b = add("embed.bias", (cfg.d,), "zeros")
@@ -177,9 +174,6 @@ class ForecastModel:
     def parameters(self):
         return self.store.parameters()
 
-    def parameter_count(self) -> int:
-        return self.store.count_values()
-
     def zero_grad(self) -> None:
         self.store.zero_grad()
 
@@ -247,7 +241,7 @@ class ForecastModel:
             ]
             repositioned = sie.reassemble(cluster_out, self.assignment)
         else:
-            merged_graph = sie.ConstantRowGraph.from_subgraphs(graphs)
+            merged_graph = sie.ConstantRowGraph.from_subgraphs(graphs, self.assignment)
             repositioned = sie.propagate(x_hat, merged_graph, self.prop_cfg)
         x_out = sie.encode_sequence(
             repositioned, self.encoder, training=self.training, rng=self._dropout_rng
@@ -400,8 +394,7 @@ def restore(model: ForecastModel, path) -> None:
             offset=types_offset + 4 * i,
         )
     model.store.load_state(state)
-    num_types = int(types.max()) + 1 if types.size else 1
-    model.set_assignment(ClusterAssignment.from_types(types, num_types))
+    model.set_assignment(ClusterAssignment.from_types(types, model.cfg.p))
 
 
 # ablation variant name -> ModelConfig overrides

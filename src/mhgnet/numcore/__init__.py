@@ -7,7 +7,6 @@ from .tensor import (
     abs_,
     broadcast_to,
     concat,
-    eye,
     gru_sequence,
     matmul,
     mean,
@@ -16,7 +15,6 @@ from .tensor import (
     reshape,
     sigmoid,
     slice_axis,
-    stack,
     sum_,
     swap_last2,
     take,
@@ -34,7 +32,6 @@ __all__ = [
     "broadcast_to",
     "check_gradient",
     "concat",
-    "eye",
     "gru_sequence",
     "matmul",
     "mean",
@@ -43,7 +40,6 @@ __all__ = [
     "reshape",
     "sigmoid",
     "slice_axis",
-    "stack",
     "sum_",
     "swap_last2",
     "take",

@@ -70,17 +70,8 @@ class ParameterStore:
         self._params[name] = Parameter(name, t, spec)
         return t
 
-    def __getitem__(self, name: str) -> Parameter:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def parameters(self) -> list[Parameter]:
         return list(self._params.values())
-
-    def count_values(self) -> int:
-        return sum(p.tensor.size for p in self._params.values())
 
     def zero_grad(self) -> None:
         for p in self._params.values():

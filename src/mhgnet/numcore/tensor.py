@@ -54,10 +54,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -75,9 +71,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -89,24 +82,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None):
-        return sum_(self, axis)
-
-    def mean(self, axis=None):
-        return mean(self, axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar w.r.t. every graph leaf."""
@@ -238,15 +213,6 @@ def div(a, b) -> Tensor:
             _accum(b, -g * a.data / (b.data * b.data))
 
     return _result(a.data / b.data, (a, b), bw)
-
-
-def neg(a) -> Tensor:
-    a = _to_tensor(a)
-
-    def bw(g):
-        _accum(a, -g)
-
-    return _result(-a.data, (a,), bw)
 
 
 def abs_(a) -> Tensor:
@@ -412,19 +378,6 @@ def concat(parts: Iterable, axis: int = -1) -> Tensor:
             sl = [slice(None)] * g.ndim
             sl[ax] = slice(lo, hi)
             _accum(p, g[tuple(sl)])
-
-    return _result(data, parts, bw)
-
-
-def stack(parts: Iterable, axis: int = 0) -> Tensor:
-    parts = [_to_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("stack of an empty sequence")
-    data = np.stack([p.data for p in parts], axis=axis)
-
-    def bw(g):
-        for i, p in enumerate(parts):
-            _accum(p, np.take(g, i, axis=axis))
 
     return _result(data, parts, bw)
 
@@ -622,7 +575,3 @@ def topk_row_mask(a, k: int) -> Tensor:
         _accum(a, g * mask)
 
     return _result(a.data * mask, (a,), bw)
-
-
-def eye(n: int) -> Tensor:
-    return Tensor(np.eye(n))

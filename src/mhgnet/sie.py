@@ -23,7 +23,6 @@ from .numcore import (
     SplitRng,
     Tensor,
     concat,
-    eye,
     gru_sequence,
     matmul,
     relu,
@@ -68,17 +67,16 @@ class ConstantRowGraph:
     same_pool: np.ndarray  # [K, N]: 1.0 where first[j] and node i share a pool
 
     @classmethod
-    def from_subgraphs(cls, graphs: list[ConstantRowSubgraph]) -> "ConstantRowGraph":
-        """Merge per-cluster subgraphs whose members partition the nodes."""
-        sizes = [g.members.size for g in graphs]
-        order = np.concatenate([g.members for g in graphs])
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
+    def from_subgraphs(
+        cls, graphs: list[ConstantRowSubgraph], assignment: ClusterAssignment
+    ) -> "ConstantRowGraph":
+        """Merge the subgraphs of ``assignment``'s nonempty pools, in pool order."""
+        inverse, types = assignment.inverse_permutation, assignment.types
         rows = take(concat([g.rows for g in graphs], axis=0), inverse, axis=0)
-        pool = np.repeat(np.arange(len(graphs)), sizes)[inverse]
+        sizes = [g.members.size for g in graphs]
         kept = np.repeat([float(g.k) for g in graphs], sizes)[inverse]
         first = np.concatenate([g.members[: g.k] for g in graphs])
-        same_pool = (pool[first][:, None] == pool[None, :]).astype(np.float64)
+        same_pool = (types[first][:, None] == types[None, :]).astype(np.float64)
         return cls(rows, kept[:, None], first, same_pool)
 
 
@@ -98,7 +96,7 @@ def propagate(
     if isinstance(graph, ConstantRowGraph):
         return _propagate_constant_rows(h, graph, cfg)
     n_p = graph.a_hat.shape[0]
-    a_tilde = graph.a_hat + eye(n_p)
+    a_tilde = graph.a_hat + np.eye(n_p)
     degree = sum_(a_tilde, axis=1)
     walk = a_tilde / reshape(degree, (n_p, 1))  # row-stochastic
     states = [h]

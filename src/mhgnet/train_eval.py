@@ -13,7 +13,7 @@ from .clusterer import ClusterAssignment
 from .data import DataBundle, Scaler, TrafficSeries, WindowedDataset, make_bundle
 from .errors import ConfigError, DivergenceError, MetricsError
 from .model import ForecastModel, ModelConfig, apply_variant
-from .numcore import Parameter, SplitRng, Tensor, abs_, no_grad, sum_, take
+from .numcore import Parameter, SplitRng, Tensor, abs_, no_grad, slice_axis, sum_
 
 MASK_THRESHOLD = 1e-4  # readings at or below this magnitude are sentinels
 
@@ -142,8 +142,6 @@ class Schedule:
     curriculum_length: int = 3
     max_horizon: int = 12
     base_lr: float = 0.006
-    lr_ramp: bool = True  # ramp lr linearly across the warm-up epochs
-    horizon_floor: bool = True  # pin the supervised horizon to 1 during warm-up
 
     def __post_init__(self):
         self.validate()
@@ -160,17 +158,14 @@ class Schedule:
 def curriculum_horizon(epoch: int, s: Schedule) -> int:
     """Supervised horizon for an epoch: floor at 1 during warm-up, then one
     extra step every ``curriculum_length`` epochs, capped at the full horizon."""
-    if s.horizon_floor:
-        if epoch < s.warmup_epochs:
-            return 1
-        grown = 2 + (epoch - s.warmup_epochs) // s.curriculum_length
-    else:
-        grown = 1 + epoch // s.curriculum_length
-    return min(s.max_horizon, grown)
+    if epoch < s.warmup_epochs:
+        return 1
+    return min(s.max_horizon, 2 + (epoch - s.warmup_epochs) // s.curriculum_length)
 
 
 def learning_rate(epoch: int, s: Schedule) -> float:
-    if s.lr_ramp and s.warmup_epochs > 0:
+    """The base rate, ramped linearly across the warm-up epochs."""
+    if s.warmup_epochs > 0:
         return s.base_lr * min(1.0, (epoch + 1) / s.warmup_epochs)
     return s.base_lr
 
@@ -243,7 +238,11 @@ def train(
     batch_size: int = 64,
     log_path=None,
 ) -> TrainResult:
-    """Adam training with per-epoch cluster refresh and best-val tracking."""
+    """Adam training with per-epoch cluster refresh and best-val tracking.
+
+    ``log_path`` is rewritten after every epoch, so a run that stops early
+    keeps the log of the epochs it finished.
+    """
     result = TrainResult()
     if epochs <= 0:
         return result
@@ -263,7 +262,7 @@ def train(
             x = data.scaler.apply(data.train.inputs[idx][..., :1])
             pred = model.forward(x, data.train.tod_index[idx], data.train.dow_index[idx])
             target = data.train.targets[idx][:, :horizon]
-            loss = masked_mae_loss(_first_steps(pred, horizon), target, data.scaler)
+            loss = masked_mae_loss(slice_axis(pred, 1, 0, horizon), target, data.scaler)
             value = loss.item()
             if not np.isfinite(value):
                 raise DivergenceError(
@@ -286,21 +285,14 @@ def train(
             seconds=time.perf_counter() - started,
         )
         result.log.append(record)
+        if log_path is not None:
+            write_log(result.log, log_path)
         if report.mae < result.best_val_mae:
             result.best_val_mae = report.mae
             result.best_epoch = epoch
             result.best_state = model.store.state()
             result.best_assignment = model.assignment
-
-    if log_path is not None:
-        write_log(result.log, log_path)
     return result
-
-
-def _first_steps(pred: Tensor, horizon: int) -> Tensor:
-    if horizon >= pred.shape[1]:
-        return pred
-    return take(pred, np.arange(horizon), axis=1)
 
 
 def write_log(log: list[EpochRecord], path) -> None:

@@ -96,6 +96,21 @@ class TestConfig:
             parse_config("p = 2\nrefresh_per_batch = true\n")
         assert "line 2" in str(exc.value) and "retired" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "key,old,other",
+        [
+            ("refresh_per_batch", "no", "true"),
+            ("rnn_width_multiplier", "1", "2"),
+            ("warmup_lr_ramp", "yes", "false"),
+            ("warmup_horizon_floor", "1", "0"),
+        ],
+    )
+    def test_retired_keys(self, key, old, other):
+        assert parse_config(f"p = 2\n{key} = {old}\n") == parse_config("p = 2\n")
+        for value in (other, "x"):
+            with pytest.raises(ConfigError, match="line 2:"):
+                parse_config(f"p = 2\n{key} = {value}\n")
+
     def test_model_settings_checked_at_parse_time(self):
         with pytest.raises(ConfigError) as exc:
             parse_config("hops = 0\n")
@@ -110,6 +125,13 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config("epochs = soon\n")
         assert "line 1" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "line", ["hops = 0", "graph_mode = bogus", "alpha = nan", "train_ratio = inf", "lr = -1"]
+    )
+    def test_invalid_value_names_its_line(self, line):
+        with pytest.raises(ConfigError, match="^line 2: "):
+            parse_config(f"p = 2\n{line}\n")
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# comment\n\np = 2  # trailing\n")

@@ -106,6 +106,25 @@ class TestAssign:
             asg.inverse_permutation[asg.permutation], np.arange(n)
         )
 
+    @given(st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loop_scan(self, n, p, seed):
+        # coarse values make ties between types common
+        ratios = np.random.default_rng(seed).integers(-2, 3, size=(n, p)) / 2.0
+        fs = FeatureSpace.from_ratios(ratios)
+        types, comparisons = [], 0
+        for i in range(n):
+            best, best_dist = 0, abs(ratios[i, 0] - fs.limits[0])
+            comparisons += 1
+            for j in range(1, p):
+                dist = abs(ratios[i, j] - fs.limits[j])
+                comparisons += 2  # one distance evaluation, one comparison
+                if dist < best_dist:
+                    best, best_dist = j, dist
+            types.append(best)
+        asg = assign(fs)
+        assert np.array_equal(asg.types, types) and asg.comparisons == comparisons
+
     def test_linear_comparison_scaling(self):
         rng = np.random.default_rng(5)
         counts = {}

@@ -191,6 +191,13 @@ class TestCheckpoint:
             )
         assert np.array_equal(other.assignment.types, bundle_types)
 
+    def test_restore_builds_p_pools(self, tmp_path):
+        model = ForecastModel(_tiny_cfg())
+        path = tmp_path / "m.mhgc"
+        save_checkpoint(path, model.store.state(), ClusterAssignment.from_types(np.zeros(6), 1))
+        restore(model, path)
+        assert model.assignment.pools == [list(range(6)), []]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mhgc"
         path.write_bytes(b"NOPE" + b"\0" * 16)
@@ -208,12 +215,6 @@ class TestCheckpoint:
 
 
 class TestParameterCount:
-    def test_count_matches_registry(self):
-        cfg = _tiny_cfg()
-        model = ForecastModel(cfg)
-        total = sum(p.tensor.size for p in model.parameters())
-        assert model.parameter_count() == total
-
     def test_seeded_rebuild_identical(self):
         a = ForecastModel(_tiny_cfg())
         b = ForecastModel(_tiny_cfg())

@@ -9,16 +9,18 @@ from mhgnet.numcore import (
     SplitRng,
     Tensor,
     abs_,
+    broadcast_to,
     check_gradient,
     concat,
     matmul,
     mean,
     no_grad,
     relu,
+    reshape,
     sigmoid,
     slice_axis,
-    stack,
     sum_,
+    swap_last2,
     take,
     tanh,
     topk_row_mask,
@@ -145,6 +147,9 @@ class TestPrimitiveGradients:
     def test_add(self):
         self.check(lambda a, b: sum_(a + b), ((3, 4), "normal(0,1)"), ((3, 4), "normal(0,1)"))
 
+    def test_sub(self):
+        self.check(lambda a, b: sum_((a - b) * (a - b) * a), ((3, 4), "normal(0,1)"), ((4,), "normal(0,1)"))
+
     def test_add_broadcast(self):
         self.check(lambda a, b: sum_((a + b) * (a + b)), ((3, 4), "normal(0,1)"), ((4,), "normal(0,1)"))
 
@@ -191,7 +196,7 @@ class TestPrimitiveGradients:
         self.check(lambda a: sum_(sigmoid(a) * tanh(a)), ((4, 4), "normal(0,1)"))
 
     def test_mean_reduce(self):
-        self.check(lambda a: mean(a * a, axis=1).sum(), ((3, 5), "normal(0,1)"))
+        self.check(lambda a: sum_(mean(a * a, axis=1)), ((3, 5), "normal(0,1)"))
 
     def test_mean_all(self):
         self.check(lambda a: mean(a * a), ((3, 5), "normal(0,1)"))
@@ -204,18 +209,32 @@ class TestPrimitiveGradients:
         idx = np.array([1, 3])
         self.check(lambda a: sum_(take(a, idx, axis=1) * take(a, idx, axis=1)), ((3, 5), "normal(0,1)"))
 
+    def test_gather_scalar_index(self):
+        self.check(lambda a: sum_(take(a, 2, axis=1) * take(a, 0, axis=1)), ((3, 4, 2), "normal(0,1)"))
+
+    def test_gather_2d_index_with_repeats(self):
+        # the timestamp-row lookup: a [B, T] index array into a table's rows
+        idx = np.array([[0, 2, 2], [1, 2, 0]])
+        weights = Tensor(np.random.default_rng(20).normal(size=(2, 3, 4)))
+        self.check(lambda a: sum_(take(a, idx, axis=0) * weights), ((3, 4), "normal(0,1)"))
+
     def test_slice_axis(self):
         self.check(lambda a: sum_(slice_axis(a, 1, 1, 3) * 2.0), ((3, 5), "normal(0,1)"))
 
-    def test_stack(self):
-        self.check(
-            lambda a, b: sum_(stack([a, b], axis=1) * stack([b, a], axis=1)),
-            ((3, 2), "normal(0,1)"),
-            ((3, 2), "normal(0,1)"),
-        )
-
     def test_transpose(self):
         self.check(lambda a: sum_(transpose(a, (1, 0)) * 3.0), ((3, 5), "normal(0,1)"))
+
+    def test_reshape(self):
+        weights = Tensor(np.random.default_rng(21).normal(size=(5, 3)))
+        self.check(lambda a: sum_(reshape(a, (5, 3)) * reshape(a, (5, 3)) * weights), ((3, 5), "normal(0,1)"))
+
+    def test_swap_last2(self):
+        weights = Tensor(np.random.default_rng(22).normal(size=(2, 4, 3)))
+        self.check(lambda a: sum_(swap_last2(a) * swap_last2(a) * weights), ((2, 3, 4), "normal(0,1)"))
+
+    def test_broadcast_to(self):
+        weights = Tensor(np.random.default_rng(23).normal(size=(2, 3, 4)))
+        self.check(lambda a: sum_(broadcast_to(a, (2, 3, 4)) * weights), ((3, 1), "normal(0,1)"))
 
     def test_abs(self):
         # keep values away from the kink at zero
@@ -343,7 +362,7 @@ class TestRngAndParameters:
         s1.add("y", (8,), "normal(0,1)")
         s2 = ParameterStore(SplitRng(9))
         s2.add("y", (8,), "normal(0,1)")
-        assert np.array_equal(s1["y"].tensor.data, s2["y"].tensor.data)
+        assert np.array_equal(s1.state()["y"], s2.state()["y"])
 
     def test_zeros_ones_specs(self):
         store = ParameterStore(SplitRng(10))
@@ -356,4 +375,4 @@ class TestRngAndParameters:
         snapshot = store.state()
         w.data = w.data * 0.0
         store.load_state(snapshot)
-        assert np.array_equal(store["w"].tensor.data, snapshot["w"])
+        assert np.array_equal(w.data, snapshot["w"])

@@ -16,7 +16,6 @@ from mhgnet.numcore import (
     Tensor,
     check_gradient,
     no_grad,
-    stack,
     sum_,
     take,
 )
@@ -209,7 +208,9 @@ class _ConstantRowSetup:
         ]
 
     def fast(self, mode, assignment, k, temporal=None):
-        graph = ConstantRowGraph.from_subgraphs(self.subgraphs(mode, assignment, k, temporal))
+        graph = ConstantRowGraph.from_subgraphs(
+            self.subgraphs(mode, assignment, k, temporal), assignment
+        )
         return propagate(self.h, graph, self.cfg)
 
     def dense(self, mode, assignment, k, temporal=None):
@@ -225,6 +226,7 @@ _LAYOUTS = {  # name: (node types, k)
     "single_pool": ([0] * 7, 3),
     "pool_below_k": ([1, 0, 2, 1, 0, 1, 1], 3),  # pool sizes 2, 4, 1
     "k_zero": ([1, 0, 2, 1, 0, 1, 1], 0),
+    "empty_pool": ([2, 0, 2, 2, 0, 0, 2], 2),  # pool 1 is empty
 }
 
 
@@ -271,7 +273,7 @@ class TestConstantRowPropagate:
     def test_batch_rows_independent(self):
         setup = _ConstantRowSetup()
         asg = ClusterAssignment.from_types(np.array([1, 0, 2, 1, 0, 1, 1]), 3)
-        graph = ConstantRowGraph.from_subgraphs(setup.subgraphs("full", asg, 3))
+        graph = ConstantRowGraph.from_subgraphs(setup.subgraphs("full", asg, 3), asg)
         base = propagate(setup.h, graph, setup.cfg).data
         other = setup.h.data.copy()
         other[1] = np.random.default_rng(33).normal(size=other[1].shape)
@@ -313,14 +315,14 @@ class TestEncodeSequence:
     def test_zero_fixed_point(self):
         store = ParameterStore(SplitRng(9))
         enc = _encoder(d=3, width=3, t=4, store=store)
-        steps = stack([Tensor(np.zeros((2, 5, 3))) for _ in range(4)], axis=1)
+        steps = Tensor(np.zeros((2, 4, 5, 3)))
         out = encode_sequence(steps, enc)
         assert np.array_equal(out.data, np.zeros((2, 5, 3)))
 
     def test_single_step(self):
         store = ParameterStore(SplitRng(10))
         enc = _encoder(d=2, width=4, t=1, store=store)
-        steps = stack([Tensor(np.random.default_rng(11).normal(size=(2, 3, 2)))], axis=1)
+        steps = Tensor(np.random.default_rng(11).normal(size=(2, 1, 3, 2)))
         out = encode_sequence(steps, enc)
         assert out.shape == (2, 3, 4)
 
@@ -365,9 +367,7 @@ class TestEncodeSequence:
     def test_eval_mode_deterministic(self):
         store = ParameterStore(SplitRng(15))
         enc = _encoder(d=3, width=3, t=3, store=store, dropout=0.5)
-        steps = stack(
-            [Tensor(np.random.default_rng(16).normal(size=(2, 4, 3))) for _ in range(3)], axis=1
-        )
+        steps = Tensor(np.random.default_rng(16).normal(size=(2, 3, 4, 3)))
         a = encode_sequence(steps, enc, training=False)
         b = encode_sequence(steps, enc, training=False)
         assert np.array_equal(a.data, b.data)
@@ -375,7 +375,7 @@ class TestEncodeSequence:
     def test_dropout_needs_rng_in_training(self):
         store = ParameterStore(SplitRng(17))
         enc = _encoder(d=2, width=2, t=2, store=store, dropout=0.3)
-        steps = stack([Tensor(np.zeros((1, 2, 2))) for _ in range(2)], axis=1)
+        steps = Tensor(np.zeros((1, 2, 2, 2)))
         with pytest.raises(ConfigError):
             encode_sequence(steps, enc, training=True, rng=None)
 
@@ -393,9 +393,7 @@ class TestEncodeSequence:
                 propagate(piece, _graph(adj[: piece.shape[-2], : piece.shape[-2]]), cfg)
                 for piece in _split(h, asg)
             ]
-            merged = reassemble(parts, asg)
-            steps = stack([take(merged, j, axis=1) for j in range(3)], axis=1)
-            return sum_(encode_sequence(steps, enc))
+            return sum_(encode_sequence(reassemble(parts, asg), enc))
 
         err = check_gradient(loss, store.parameters(), h=1e-5)
         assert err < 1e-4

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from mhgnet import train_eval
 from mhgnet.data import make_bundle, synthesize
-from mhgnet.errors import ConfigError, MetricsError
+from mhgnet.errors import ConfigError, DivergenceError, MetricsError
 from mhgnet.model import ForecastModel, ModelConfig
-from mhgnet.numcore import ParameterStore, SplitRng, Tensor
+from mhgnet.numcore import ParameterStore, SplitRng, Tensor, sum_
 from mhgnet.train_eval import (
     Adam,
     Schedule,
@@ -101,18 +102,12 @@ class TestCurriculum:
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert max(values) <= 8
 
-    def test_floor_disabled(self):
-        s = Schedule(warmup_epochs=20, curriculum_length=3, max_horizon=12, horizon_floor=False)
-        assert curriculum_horizon(0, s) == 1
-        assert curriculum_horizon(3, s) == 2
-
     def test_lr_ramp(self):
         s = Schedule(warmup_epochs=10, base_lr=0.01)
         assert abs(learning_rate(0, s) - 0.001) < 1e-15
         assert abs(learning_rate(9, s) - 0.01) < 1e-15
         assert abs(learning_rate(50, s) - 0.01) < 1e-15
-        flat = Schedule(warmup_epochs=10, base_lr=0.01, lr_ramp=False)
-        assert learning_rate(0, flat) == 0.01
+        assert learning_rate(0, Schedule(warmup_epochs=0, base_lr=0.01)) == 0.01
 
 
 class TestAdam:
@@ -145,7 +140,7 @@ class TestAdam:
         opt = Adam(store.parameters(), lr=0.05, weight_decay=0.0)
         for _ in range(200):
             t.grad = None
-            loss = ((t * t).sum())
+            loss = sum_(t * t)
             loss.backward()
             opt.step()
         assert float((t.data ** 2).sum()) < 1e-2
@@ -193,6 +188,25 @@ class TestTrainLoop:
         header = path.read_text().splitlines()[0]
         assert header == "epoch,horizon,lr,train_mae,val_mae,val_rmse,val_mape,seconds"
         assert result.best_epoch >= 0 and result.best_state is not None
+
+    def test_log_kept_when_a_later_epoch_diverges(self, tmp_path, monkeypatch):
+        series, bundle = _small_bundle()
+        model = ForecastModel(_small_cfg())
+        finite_loss = train_eval.masked_mae_loss
+        calls = []
+
+        def loss_nan_from_epoch_1(pred, target, scaler):  # one batch per epoch
+            calls.append(None)
+            loss = finite_loss(pred, target, scaler)
+            return loss if len(calls) == 1 else loss * float("nan")
+
+        monkeypatch.setattr(train_eval, "masked_mae_loss", loss_nan_from_epoch_1)
+        path = tmp_path / "log.csv"
+        with pytest.raises(DivergenceError):
+            train(model, bundle, Schedule(max_horizon=6), epochs=3,
+                  batch_size=len(bundle.train), log_path=path)
+        rows = path.read_text().splitlines()
+        assert len(calls) == 2 and len(rows) == 2 and rows[1].startswith("0,")
 
     @pytest.mark.slow
     def test_loss_nonincreasing_first_epochs(self):
