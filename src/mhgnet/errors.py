@@ -36,3 +36,7 @@ class EvaluationError(MhgnetError, ArithmeticError):
 
 class DivergenceError(MhgnetError, RuntimeError):
     """Training produced a non-finite loss; carries diagnostic context."""
+
+
+class GraphReleasedError(MhgnetError, RuntimeError):
+    """A backward walk reached a graph that an earlier walk already consumed."""

@@ -227,12 +227,16 @@ class ForecastModel:
             )
 
         x_hat = std.embed_input(x, self.embed_w, self.embed_b)
-        pattern_set = std.decouple(
-            x_hat, tod, dow, self.node_embedding, self.timestamps, self.gates
-        )
         # the patterns sum back to x_hat by construction (the last one is the
         # residual), so propagation reads x_hat; the gates get their gradient
-        # through the per-pattern skip means below
+        # through these per-pattern skip means. Only the means are kept, so a
+        # no_grad forward frees the patterns and gates before propagation.
+        pattern_means = [
+            mean(piece, axis=1)
+            for piece in std.decouple(
+                x_hat, tod, dow, self.node_embedding, self.timestamps, self.gates
+            ).patterns
+        ]
         graphs = self._build_graphs(tod, dow)
         if cfg.graph_mode == "no_tg":  # dense per-cluster graphs
             cluster_out = [
@@ -247,8 +251,7 @@ class ForecastModel:
             repositioned, self.encoder, training=self.training, rng=self._dropout_rng
         )
 
-        skip = [x_out, mean(x_hat, axis=1)]
-        skip.extend(mean(piece, axis=1) for piece in pattern_set.patterns)
+        skip = [x_out, mean(x_hat, axis=1), *pattern_means]
         d_last, w_last = self.timestamps.rows(tod[:, -1], dow[:, -1])  # [B, D_t]
         for rows in (d_last, w_last):
             skip.append(

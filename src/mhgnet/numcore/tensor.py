@@ -2,7 +2,8 @@
 
 Values are stored as numpy arrays; every differentiable operation records a
 backward closure so that :meth:`Tensor.backward` can accumulate gradients
-through the computation graph. Graph construction can be suspended with
+through the computation graph. That walk consumes the graph, so afterwards
+only leaves keep ``.grad``. Graph construction can be suspended with
 :func:`no_grad` for evaluation-only passes.
 """
 
@@ -13,13 +14,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import GraphReleasedError, ShapeError
 
 Array = np.ndarray
 
 
 class _GradMode:
     enabled = True
+
+
+# stands in for the closure of an interior node that a backward walk has run
+_consumed = object()
 
 
 @contextmanager
@@ -36,7 +41,9 @@ def no_grad():
 class Tensor:
     """A dense float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "_grad_owned")
+    __slots__ = (
+        "data", "requires_grad", "grad", "_backward", "_parents", "_grad_owned", "__weakref__"
+    )
 
     def __init__(self, data, requires_grad: bool = False):
         self.data: Array = np.asarray(data, dtype=np.float64)
@@ -84,7 +91,17 @@ class Tensor:
         return div(other, self)
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar w.r.t. every graph leaf."""
+        """Accumulate gradients of this scalar w.r.t. every graph leaf.
+
+        The walk consumes the graph. Nodes run in reverse topological order,
+        and once a node's closure has run it drops its ``grad``, its closure
+        (with the arrays the closure captured) and its parent links, so saved
+        activations and interior gradients are freed as the walk passes them.
+        Only leaves keep ``.grad``. A later ``backward()`` that reaches a
+        consumed node, from this root or from a new loss built on a tensor of
+        this graph, raises :class:`GraphReleasedError` before any gradient
+        is accumulated: run the forward pass again instead.
+        """
         if self.data.size != 1:
             raise ShapeError(
                 f"backward requires a scalar, got shape {self.shape}"
@@ -99,6 +116,11 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                raise GraphReleasedError(
+                    f"backward reached {node!r} of a graph an earlier backward() "
+                    "already consumed; run the forward pass again"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -106,9 +128,15 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         self._grad_owned = True
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()  # the list's reference goes with the node
+            if node._backward is None:
+                continue  # a leaf or a constant
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _consumed
+            node._parents = ()
 
 
 def _to_tensor(x) -> Tensor:

@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from mhgnet import sie, std
 from mhgnet.clusterer import ClusterAssignment
 from mhgnet.data import make_bundle, synthesize
 from mhgnet.errors import ConfigError, FormatError
@@ -12,7 +15,8 @@ from mhgnet.model import (
     restore,
     save_checkpoint,
 )
-from mhgnet.numcore import check_gradient, sum_
+from mhgnet.numcore import check_gradient, no_grad, slice_axis, sum_
+from mhgnet.train_eval import masked_mae_loss
 
 
 def _tiny_cfg(**kw):
@@ -220,3 +224,76 @@ class TestParameterCount:
         b = ForecastModel(_tiny_cfg())
         for x, y in zip(a.parameters(), b.parameters()):
             assert np.array_equal(x.tensor.data, y.tensor.data)
+
+
+def _keeping_backward(root):
+    """The walk that keeps the graph: every node keeps its grad, closure and links."""
+    topo, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    root.grad = np.ones_like(root.data)
+    root._grad_owned = True
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+class TestGraphLifetime:
+    @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
+    def test_consuming_walk_matches_keeping_walk(self, mode):
+        # one train step at the test shapes (B=64, N=24, T=12) on two
+        # identically built graphs; every leaf gradient must match bit for bit
+        bundle = make_bundle(synthesize(nodes=24, days=3, patterns=3, seed=4), 12, 12)
+        idx = np.arange(64)
+        x = bundle.scaler.apply(bundle.train.inputs[idx][..., :1])
+        target = bundle.train.targets[idx][:, :6]
+        models, losses = [], []
+        for _ in range(2):
+            model = ForecastModel(ModelConfig(n=24, graph_mode=mode, seed=1))
+            model.refresh_clusters(bundle.train, bundle.scaler)
+            model.train_mode()
+            pred = model.forward(x, bundle.train.tod_index[idx], bundle.train.dow_index[idx])
+            losses.append(masked_mae_loss(slice_axis(pred, 1, 0, 6), target, bundle.scaler))
+            models.append(model)
+        assert sum(1 for pool in models[0].assignment.pools if pool) > 1
+        losses[0].backward()
+        _keeping_backward(losses[1])
+        assert losses[0]._parents == () and losses[1]._parents != ()
+        for consumed, kept in zip(models[0].parameters(), models[1].parameters()):
+            assert (consumed.tensor.grad is None) == (kept.tensor.grad is None), consumed.name
+            if kept.tensor.grad is not None:
+                assert np.array_equal(consumed.tensor.grad, kept.tensor.grad), consumed.name
+
+    @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
+    def test_no_grad_forward_frees_patterns_before_propagation(self, mode, monkeypatch):
+        cfg = _tiny_cfg(p=3, graph_mode=mode)
+        model = ForecastModel(cfg)
+        model.eval_mode()
+        decoupled = []  # weakrefs to the pattern and gate tensors
+        alive = []  # how many of them each propagate call saw alive
+        decouple, propagate = std.decouple, sie.propagate
+
+        def recording_decouple(*args, **kwargs):
+            out = decouple(*args, **kwargs)
+            decoupled.extend(weakref.ref(t) for t in out.patterns + out.gates)
+            return out
+
+        def counting_propagate(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in decoupled))
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(std, "decouple", recording_decouple)
+        monkeypatch.setattr(sie, "propagate", counting_propagate)
+        with no_grad():
+            model.forward(*_inputs(cfg))
+        assert len(decoupled) == 5 and alive and set(alive) == {0}

@@ -1,9 +1,17 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhgnet.errors import ConfigError, EvaluationError, ShapeError
+from mhgnet.errors import (
+    ConfigError,
+    EvaluationError,
+    GraphReleasedError,
+    MhgnetError,
+    ShapeError,
+)
 from mhgnet.numcore import (
     ParameterStore,
     SplitRng,
@@ -331,6 +339,49 @@ class TestTensorBasics:
         loss = sum_(b * a + b)  # d/da (3a^2 + 3a) = 6a + 3 = 15
         loss.backward()
         assert abs(a.grad[0] - 15.0) < 1e-12
+
+
+class TestGraphRelease:
+    def _graph(self):
+        a = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+        w = Tensor(np.array([[1.5], [0.5]]), requires_grad=True)
+        hidden = sigmoid(a * 3.0)
+        out = matmul(reshape(hidden, (1, 2)), w)
+        return a, w, hidden, out
+
+    def test_interior_released_leaves_keep_grads(self):
+        a, w, hidden, out = self._graph()
+        loss = sum_(out * out)
+        interior = weakref.ref(out._parents[0])  # the reshape, held by nothing else
+        loss.backward()
+        for t in (hidden, out, loss):
+            assert t.grad is None and t._parents == ()
+        assert interior() is None  # freed while ``loss`` is still referenced
+        s = 1.0 / (1.0 + np.exp(-a.data * 3.0))
+        y = s @ w.data[:, 0]
+        assert np.allclose(w.grad[:, 0], 2.0 * y * s, rtol=0, atol=1e-15)
+        assert np.allclose(a.grad, 2.0 * y * w.data[:, 0] * s * (1 - s) * 3.0, rtol=0, atol=1e-15)
+
+    def test_second_backward_from_same_root_raises(self):
+        a, w, _, out = self._graph()
+        loss = sum_(out)
+        loss.backward()
+        grads = a.grad.copy(), w.grad.copy()
+        with pytest.raises(GraphReleasedError, match="already consumed"):
+            loss.backward()
+        assert np.array_equal(a.grad, grads[0]) and np.array_equal(w.grad, grads[1])
+
+    def test_new_loss_on_consumed_graph_raises(self):
+        # two losses from one forward output: unchecked, the second walk would
+        # stop at the consumed ``out`` and leave the leaves' gradients partial
+        a, w, _, out = self._graph()
+        sum_(out).backward()
+        grads = a.grad.copy(), w.grad.copy()
+        second = sum_(out * out)
+        with pytest.raises(GraphReleasedError) as info:
+            second.backward()
+        assert isinstance(info.value, MhgnetError)
+        assert np.array_equal(a.grad, grads[0]) and np.array_equal(w.grad, grads[1])
 
 
 class TestRngAndParameters:

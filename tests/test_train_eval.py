@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,26 @@ class TestTrainLoop:
                   batch_size=len(bundle.train), log_path=path)
         rows = path.read_text().splitlines()
         assert len(calls) == 2 and len(rows) == 2 and rows[1].startswith("0,")
+
+    def test_step_graphs_do_not_coexist(self, monkeypatch):
+        series, bundle = _small_bundle()
+        model = ForecastModel(_small_cfg())
+        forward = ForecastModel.forward
+        previous = []  # a weakref to an interior tensor of the last step's graph
+        steps = []
+
+        def watching_forward(self, *args, **kwargs):
+            if previous:
+                assert previous.pop()() is None, "the last step's graph is still alive"
+            out = forward(self, *args, **kwargs)
+            if out._parents:  # a train step; evaluation runs under no_grad
+                previous.append(weakref.ref(out._parents[0]))
+                steps.append(None)
+            return out
+
+        monkeypatch.setattr(ForecastModel, "forward", watching_forward)
+        train(model, bundle, Schedule(max_horizon=6), epochs=2, batch_size=16)
+        assert len(steps) >= 4
 
     @pytest.mark.slow
     def test_loss_nonincreasing_first_epochs(self):
