@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 RATIO_EPS = 1e-8
 
@@ -48,12 +48,11 @@ class ClusterAssignment:
     @classmethod
     def from_types(cls, types: np.ndarray, num_types: int, comparisons: int = 0):
         types = np.asarray(types, dtype=np.int64)
-        pools: list[list[int]] = [[] for _ in range(num_types)]
-        for i, t in enumerate(types):
-            pools[int(t)].append(i)
-        permutation = np.array(
-            [i for pool in pools for i in pool], dtype=np.int64
-        )
+        if types.size and not 0 <= types.min() <= types.max() < num_types:
+            raise ConfigError(f"node types must lie in [0, {num_types})")
+        permutation = np.argsort(types, kind="stable")  # by type, then by node
+        ends = np.cumsum(np.bincount(types, minlength=num_types))[:-1]
+        pools = [pool.tolist() for pool in np.split(permutation, ends)]
         inverse = np.empty_like(permutation)
         inverse[permutation] = np.arange(permutation.size)
         return cls(

@@ -136,39 +136,67 @@ def save_series(series: TrafficSeries, path) -> None:
         fh.write(series.values.astype("<f4").tobytes())
 
 
+class BinaryReader:
+    """Reads a little-endian container that starts with a magic and a u32 version.
+
+    A fault raises FormatError at a byte offset: 0 for the magic, 4 for the
+    version, the start of a field cut short, a non-finite value's own offset,
+    and the end of the last field for trailing bytes. ``field`` is where the
+    last field read starts, for faults found after reading it.
+    """
+
+    def __init__(self, blob: bytes, magic: bytes, version: int, kind: str):
+        self.blob, self.kind, self.field, self.offset = blob, kind, 0, 4
+        if blob[:4] != magic:
+            raise FormatError(f"bad {kind} magic {blob[:4]!r}, expected {magic!r}", offset=0)
+        (found,) = self.unpack("<I", "version")
+        if found != version:
+            raise FormatError(f"unsupported {kind} version {found}", offset=4)
+
+    def _claim(self, nbytes: int, what: str) -> int:
+        """Advance over the next ``nbytes``; returns where they start."""
+        left = len(self.blob) - self.offset
+        if nbytes > left:
+            raise FormatError(
+                f"truncated {what}: expected {nbytes} bytes, found {left}", offset=self.offset
+            )
+        self.field, self.offset = self.offset, self.offset + nbytes
+        return self.field
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        """The fields of the ``struct`` format ``fmt`` at the current offset."""
+        return struct.unpack_from(fmt, self.blob, self._claim(struct.calcsize(fmt), what))
+
+    def array(self, count: int, dtype: str, what: str) -> np.ndarray:
+        """``count`` values of ``dtype`` as a view into the blob; all must be finite.
+
+        They are tested before any cast, which would warn on a signaling NaN.
+        """
+        size = np.dtype(dtype).itemsize
+        values = np.frombuffer(self.blob, dtype, count, self._claim(count * size, what))
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = int(bad[0])
+            raise FormatError(f"non-finite value {values[i]} in {what}", offset=self.field + size * i)
+        return values
+
+    def finish(self) -> None:
+        """Reject bytes after the last field."""
+        if self.offset != len(self.blob):
+            extra = len(self.blob) - self.offset
+            raise FormatError(f"{extra} trailing bytes after the {self.kind}", offset=self.offset)
+
+
 def load_series(path) -> TrafficSeries:
     """Read an MHGT file; raises FormatError with a byte offset on damage."""
     path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < 4 or blob[:4] != MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}", offset=0)
-    if len(blob) < 8:
-        raise FormatError("truncated header: missing version", offset=4)
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
-    if len(blob) < 8 + _HEADER.size:
-        raise FormatError("truncated header: missing dimensions", offset=8)
-    steps, nodes, channels, steps_per_day, start_weekday = _HEADER.unpack_from(blob, 8)
-    payload_offset = 8 + _HEADER.size
-    expected = steps * nodes * channels * 4
-    if len(blob) - payload_offset < expected:
-        raise FormatError(
-            f"truncated payload: expected {expected} bytes, found {len(blob) - payload_offset}",
-            offset=payload_offset,
-        )
-    end = payload_offset + expected
-    if end != len(blob):
-        raise FormatError(f"{len(blob) - end} trailing bytes after the payload", offset=end)
-    raw = np.frombuffer(blob, dtype="<f4", count=steps * nodes * channels, offset=payload_offset)
-    bad = np.flatnonzero(~np.isfinite(raw))  # before the cast, which warns on a signaling NaN
-    if bad.size:
-        i = int(bad[0])
-        raise FormatError(f"non-finite value {raw[i]}", offset=payload_offset + 4 * i)
-    values = raw.astype(np.float64)
+    reader = BinaryReader(path.read_bytes(), MAGIC, VERSION, "series")
+    steps, nodes, channels, steps_per_day, start_weekday = reader.unpack(_HEADER.format, "header")
+    values = reader.array(steps * nodes * channels, "<f4", "payload")
+    reader.finish()
     try:
         return TrafficSeries(
-            values=values.reshape(steps, nodes, channels),
+            values=values.astype(np.float64).reshape(steps, nodes, channels),
             steps_per_day=steps_per_day,
             start_weekday=start_weekday,
             name=path.stem,

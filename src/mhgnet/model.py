@@ -13,7 +13,7 @@ import numpy as np
 
 from . import clusterer, dstgg, sie, std
 from .clusterer import ClusterAssignment
-from .data import Scaler, WindowedDataset
+from .data import BinaryReader, Scaler, WindowedDataset
 from .errors import ConfigError, FormatError
 from .numcore import (
     ParameterStore,
@@ -157,7 +157,6 @@ class ForecastModel:
             redist_w2=add("redist.w2", (width, width)),
             gain=add("redist.gain", (width,), "ones"),
             dropout=cfg.dropout,
-            width=width,
         )
 
         skip_width = width + cfg.d + cfg.p * cfg.d + 2 * cfg.d_t
@@ -235,7 +234,7 @@ class ForecastModel:
             mean(piece, axis=1)
             for piece in std.decouple(
                 x_hat, tod, dow, self.node_embedding, self.timestamps, self.gates
-            ).patterns
+            )
         ]
         graphs = self._build_graphs(tod, dow)
         if cfg.graph_mode == "no_tg":  # dense per-cluster graphs
@@ -285,16 +284,12 @@ class ForecastModel:
         x = scaler.apply(probe.inputs[..., :1])
         with no_grad():
             x_hat = std.embed_input(Tensor(x), self.embed_w, self.embed_b)
-            pattern_set = std.decouple(
-                x_hat,
-                probe.tod_index,
-                probe.dow_index,
-                self.node_embedding,
-                self.timestamps,
-                self.gates,
+            patterns = std.decouple(
+                x_hat, probe.tod_index, probe.dow_index,
+                self.node_embedding, self.timestamps, self.gates,
             )
             return clusterer.build_feature_space(
-                [p.data for p in pattern_set.patterns],
+                [p.data for p in patterns],
                 x_hat.data,
                 [w.data for w in self.ratio_weights],
                 self.ratio_total.data,
@@ -335,51 +330,27 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
     The types are not checked against a pattern count here; :func:`restore`
     does that before any pool is built.
     """
-    blob = Path(path).read_bytes()
-    if blob[:4] != CKPT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {blob[:4]!r}", offset=0)
-    offset = 4
+    reader = BinaryReader(Path(path).read_bytes(), CKPT_MAGIC, CKPT_VERSION, "checkpoint")
     state: dict[str, np.ndarray] = {}
     try:
-        version, count = struct.unpack_from("<II", blob, offset)
-        if version != CKPT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}", offset=4)
-        offset = 12
+        (count,) = reader.unpack("<I", "parameter count")
         for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            if offset + name_len > len(blob):
-                raise FormatError("truncated parameter name", offset=offset)
-            name = blob[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{rank}I", blob, offset)
-            offset += 4 * rank
-            size = math.prod(dims)
-            if 4 * size > len(blob) - offset:
-                raise FormatError(f"truncated values of {name!r}", offset=offset)
-            values = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise FormatError(
-                    f"non-finite value in {name!r}", offset=offset + 4 * int(bad[0])
-                )
-            offset += 4 * size
+            (name_len,) = reader.unpack("<H", "parameter name length")
+            (encoded,) = reader.unpack(f"<{name_len}s", "parameter name")
+            name = encoded.decode("utf-8")
+            (rank,) = reader.unpack("<B", f"rank of {name!r}")
+            dims = reader.unpack(f"<{rank}I", f"dims of {name!r}")
+            values = reader.array(math.prod(dims), "<f4", f"values of {name!r}")
             state[name] = values.astype(np.float64).reshape(dims)
-        (n,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        types = np.frombuffer(blob, dtype="<u4", count=n, offset=offset).astype(
-            np.int64
-        )
+        (n,) = reader.unpack("<I", "node count")
+        types_offset = reader.offset
+        types = reader.array(n, "<u4", "node types").astype(np.int64)
     except FormatError:
         raise
     except (struct.error, ValueError) as exc:  # includes UnicodeDecodeError
-        raise FormatError(f"malformed checkpoint: {exc}", offset=offset) from exc
-    end = offset + 4 * n
-    if end != len(blob):
-        raise FormatError(f"{len(blob) - end} trailing bytes after the checkpoint", offset=end)
-    return state, types, offset
+        raise FormatError(f"malformed checkpoint: {exc}", offset=reader.field) from exc
+    reader.finish()
+    return state, types, types_offset
 
 
 def restore(model: ForecastModel, path) -> None:

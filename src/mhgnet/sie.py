@@ -189,19 +189,15 @@ class RecurrentEncoder:
     redist_w2: Tensor  # [width, width]
     gain: Tensor  # [width]
     dropout: float
-    width: int  # hidden width M * D
 
 
-def gru_scan(steps_stacked: Tensor, gru: GruParams, width: int) -> Tensor:
+def gru_scan(steps_stacked: Tensor, gru: GruParams) -> Tensor:
     """Run the GRU over axis 1 of [B, T, N, D]; returns stacked states.
 
     The input-side projections for all steps are computed up front, with
     the update and reset gates sharing one fused projection; the recurrence
-    itself is the single op :func:`gru_sequence`. ``width`` is the hidden
-    width of ``gru``.
+    itself is the single op :func:`gru_sequence`, which checks the shapes.
     """
-    if gru.cand_h.shape != (width, width):
-        raise ShapeError(f"GRU hidden weights {gru.cand_h.shape} do not match width {width}")
     w_zr_x = concat([gru.update_x, gru.reset_x], axis=1)
     w_zr_h = concat([gru.update_h, gru.reset_h], axis=1)
     b_zr = concat([gru.update_b, gru.reset_b], axis=0)
@@ -222,16 +218,14 @@ def encode_sequence(
     only), then the time axis is collapsed by two ReLU-separated
     projections and the result is gated elementwise.
     """
-    b, t, n, _ = steps.shape
-    h_out = gru_scan(steps, enc.gru, enc.width)
+    h_out = gru_scan(steps, enc.gru)
+    b, t, n, width = h_out.shape
     if training and enc.dropout > 0.0:
         if rng is None:
             raise ConfigError("training-mode dropout needs an rng")
         keep = 1.0 - enc.dropout
         mask = (rng.random(h_out.shape) < keep).astype(np.float64) / keep
         h_out = h_out * Tensor(mask)
-    stacked = reshape(
-        transpose(h_out, (0, 2, 1, 3)), (b, n, t * enc.width)
-    )
+    stacked = reshape(transpose(h_out, (0, 2, 1, 3)), (b, n, t * width))
     squeezed = matmul(relu(matmul(stacked, enc.redist_w1)), enc.redist_w2)
     return squeezed * enc.gain

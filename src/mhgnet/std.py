@@ -46,14 +46,6 @@ class GateParams:
     b2: Tensor  # [D]
 
 
-@dataclass
-class PatternSet:
-    """P decoupled pattern tensors plus the P-1 gates that produced them."""
-
-    patterns: list[Tensor]  # each [B, T_h, N, D]
-    gates: list[Tensor]  # each [B, T_h, N, D], values in (0, 1)
-
-
 def embed_input(x, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine channel lift of the scaled target channel, 1 -> D."""
     x = x if isinstance(x, Tensor) else Tensor(x)
@@ -83,7 +75,7 @@ def decouple(
     node_embedding: Tensor,
     ts: TimestampEmbeddings,
     gate_params: list[GateParams],
-) -> PatternSet:
+) -> list[Tensor]:
     """Split the hidden tensor into len(gate_params) + 1 pattern tensors.
 
     Gate n is sigmoid((features @ w1 + b1) @ w2 + b2); pattern n multiplies
@@ -96,8 +88,7 @@ def decouple(
     """
     if gate_params is None:
         raise ConfigError("gate_params must be a list (possibly empty)")
-    patterns: list[Tensor] = []
-    gates: list[Tensor] = []
+    patterns: list[Tensor] = []  # each [B, T_h, N, D]
     remaining = x_hat
     if gate_params:
         daily, weekly, emb = gate_features(tod, dow, node_embedding, ts)
@@ -113,7 +104,6 @@ def decouple(
             gate = sigmoid(reshape(per_step, (b, t, 1, d)) + per_node)
             piece = remaining * gate
             patterns.append(piece)
-            gates.append(gate)
             remaining = remaining - piece
     patterns.append(remaining)
-    return PatternSet(patterns=patterns, gates=gates)
+    return patterns

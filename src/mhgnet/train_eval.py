@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -51,30 +51,21 @@ def masked_metrics(pred: np.ndarray, target: np.ndarray) -> MetricsReport:
     if count == 0:
         raise MetricsError("all target entries are masked; metrics undefined")
     diff = np.abs(pred - target)
-    mae = float(diff[mask].mean())
-    rmse = float(np.sqrt((diff[mask] ** 2).mean()))
-    mape = float((diff[mask] / np.abs(target[mask])).mean() * 100.0)
+    mae, rmse, mape = _errors(diff, target, mask)
+    per_step = [_errors(diff[:, h], target[:, h], mask[:, h]) for h in range(pred.shape[1])]
+    h_mae, h_rmse, h_mape = (list(col) for col in zip(*per_step))
+    return MetricsReport(mae, rmse, mape, h_mae, h_rmse, h_mape, mask_count=count)
 
-    h_mae, h_rmse, h_mape = [], [], []
-    for h in range(pred.shape[1]):
-        m = mask[:, h]
-        if not m.any():
-            h_mae.append(float("nan"))
-            h_rmse.append(float("nan"))
-            h_mape.append(float("nan"))
-            continue
-        d = diff[:, h][m]
-        h_mae.append(float(d.mean()))
-        h_rmse.append(float(np.sqrt((d ** 2).mean())))
-        h_mape.append(float((d / np.abs(target[:, h][m])).mean() * 100.0))
-    return MetricsReport(
-        mae=mae,
-        rmse=rmse,
-        mape=mape,
-        horizon_mae=h_mae,
-        horizon_rmse=h_rmse,
-        horizon_mape=h_mape,
-        mask_count=count,
+
+def _errors(diff: np.ndarray, target: np.ndarray, mask: np.ndarray) -> tuple[float, float, float]:
+    """MAE, RMSE and MAPE (percent) over the masked entries; nan when none are."""
+    if not mask.any():
+        return float("nan"), float("nan"), float("nan")
+    d = diff[mask]
+    return (
+        float(d.mean()),
+        float(np.sqrt((d ** 2).mean())),
+        float((d / np.abs(target[mask])).mean() * 100.0),
     )
 
 
@@ -127,7 +118,7 @@ class Adam:
             m += (1.0 - b1) * grad
             v *= b2
             v += (1.0 - b2) * grad * grad
-            t.data = t.data - lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +287,11 @@ def train(
 
 
 def write_log(log: list[EpochRecord], path) -> None:
+    """One CSV row per epoch, one column per :class:`EpochRecord` field."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "horizon", "lr", "train_mae", "val_mae", "val_rmse", "val_mape", "seconds"]
-        )
-        for r in log:
-            writer.writerow(
-                [r.epoch, r.horizon, r.lr, r.train_mae, r.val_mae, r.val_rmse, r.val_mape, r.seconds]
-            )
+        writer.writerow(f.name for f in fields(EpochRecord))
+        writer.writerows(astuple(r) for r in log)
 
 
 # ---------------------------------------------------------------------------

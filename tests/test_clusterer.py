@@ -10,6 +10,7 @@ from mhgnet.clusterer import (
     build_feature_space,
     single_pool,
 )
+from mhgnet.errors import ConfigError
 
 
 def _loop_feature_space(patterns, x_hat, weights, total_weight, eps=1e-8):
@@ -147,6 +148,11 @@ class TestAssign:
         asg = single_pool(5)
         assert asg.pools == [list(range(5))]
         assert np.array_equal(asg.permutation, np.arange(5))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_types_outside_range_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            ClusterAssignment.from_types(np.array([0, bad, 1]), 3)
 
     def test_empty_pools_permitted(self):
         asg = ClusterAssignment.from_types(np.array([2, 2, 2]), 3)

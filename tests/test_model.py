@@ -208,6 +208,20 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    def test_rank_40_entry_with_a_zero_dim_gives_format_error(self, tmp_path):
+        # 0 values, but the other 39 dims describe an array numpy cannot shape
+        name = b"w"
+        dims = [0] + [0xFFFFFFFF] * 39
+        blob = b"MHGC" + np.array([1, 1], "<u4").tobytes()
+        blob += len(name).to_bytes(2, "little") + name + bytes([len(dims)])
+        blob += np.array(dims, "<u4").tobytes()
+        values_at = len(blob)
+        path = tmp_path / "rank40.mhgc"
+        path.write_bytes(blob + np.array([0], "<u4").tobytes())
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == values_at
+
     def test_name_mismatch_rejected(self, tmp_path):
         cfg = _tiny_cfg()
         model = ForecastModel(cfg)
@@ -281,11 +295,16 @@ class TestGraphLifetime:
         model.eval_mode()
         decoupled = []  # weakrefs to the pattern and gate tensors
         alive = []  # how many of them each propagate call saw alive
-        decouple, propagate = std.decouple, sie.propagate
+        decouple, sigmoid, propagate = std.decouple, std.sigmoid, sie.propagate
 
         def recording_decouple(*args, **kwargs):
             out = decouple(*args, **kwargs)
-            decoupled.extend(weakref.ref(t) for t in out.patterns + out.gates)
+            decoupled.extend(weakref.ref(t) for t in out)
+            return out
+
+        def recording_sigmoid(*args, **kwargs):  # std's gates are its sigmoids
+            out = sigmoid(*args, **kwargs)
+            decoupled.append(weakref.ref(out))
             return out
 
         def counting_propagate(*args, **kwargs):
@@ -293,6 +312,7 @@ class TestGraphLifetime:
             return propagate(*args, **kwargs)
 
         monkeypatch.setattr(std, "decouple", recording_decouple)
+        monkeypatch.setattr(std, "sigmoid", recording_sigmoid)
         monkeypatch.setattr(sie, "propagate", counting_propagate)
         with no_grad():
             model.forward(*_inputs(cfg))

@@ -98,7 +98,6 @@ def _encoder(d, width, t, store, dropout=0.0):
         redist_w2=store.add("redist.w2", (width, width)),
         gain=store.add("redist.gain", (width,), "ones"),
         dropout=dropout,
-        width=width,
     )
 
 
@@ -332,7 +331,7 @@ class TestEncodeSequence:
         store = ParameterStore(SplitRng(12))
         p = _gru_params(d=2, width=3, store=store)
         x = np.random.default_rng(13).normal(size=(2, 2, 2, 2))
-        out = gru_scan(Tensor(x), p, width=3)
+        out = gru_scan(Tensor(x), p)
         oracle = _oracle_gru(x, p, width=3)
         assert np.max(np.abs(out.data - oracle)) < 1e-10
 
@@ -346,7 +345,7 @@ class TestEncodeSequence:
         x = store.add("x", (2, 4, 2, 2), "normal(0,1)")  # T = 4, D = 2, width = 3
         weights = Tensor(np.random.default_rng(22).normal(size=(2, 4, 2, 3)))
         err = check_gradient(
-            lambda: sum_(gru_scan(x, p, width=3) * weights), store.parameters(), h=1e-5
+            lambda: sum_(gru_scan(x, p) * weights), store.parameters(), h=1e-5
         )
         assert err < 1e-6
         assert len(store.parameters()) == 10
@@ -357,10 +356,10 @@ class TestEncodeSequence:
         store = ParameterStore(SplitRng(23))
         p = _gru_params(d=2, width=3, store=store)
         x = np.random.default_rng(24).normal(size=(2, 5, 3, 2))
-        tracked = gru_scan(Tensor(x), p, width=3)
+        tracked = gru_scan(Tensor(x), p)
         assert tracked.requires_grad
         with no_grad():
-            untracked = gru_scan(Tensor(x), p, width=3)
+            untracked = gru_scan(Tensor(x), p)
         assert not untracked.requires_grad
         assert np.array_equal(tracked.data, untracked.data)
 

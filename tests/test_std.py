@@ -54,45 +54,60 @@ class TestEmbedInput:
         assert err < 1e-4
 
 
+def _gates_of(patterns, x_hat):
+    """Each gate as its pattern over the residual it gated, where that is nonzero."""
+    gates, remaining = [], x_hat.data
+    for piece in patterns[:-1]:
+        nonzero = remaining != 0.0
+        gates.append(piece.data[nonzero] / remaining[nonzero])
+        remaining = remaining - piece.data
+    return gates
+
+
 class TestDecouple:
     def test_single_pattern_is_identity(self):
         store, ts, emb, gates, x_hat, tod, dow = _setup(p=1)
-        ps = decouple(x_hat, tod, dow, emb, ts, gates)
-        assert len(ps.patterns) == 1 and not ps.gates
-        assert np.array_equal(ps.patterns[0].data, x_hat.data)
+        patterns = decouple(x_hat, tod, dow, emb, ts, gates)
+        assert len(patterns) == 1
+        assert np.array_equal(patterns[0].data, x_hat.data)
 
     def test_forced_half_gate(self):
         store, ts, emb, gates, x_hat, tod, dow = _setup(p=2)
         gates[0].w2.data = np.zeros_like(gates[0].w2.data)
         gates[0].b2.data = np.zeros_like(gates[0].b2.data)
-        ps = decouple(x_hat, tod, dow, emb, ts, gates)
-        assert np.allclose(ps.gates[0].data, 0.5)
-        assert np.allclose(ps.patterns[0].data, 0.5 * x_hat.data)
-        assert np.allclose(ps.patterns[1].data, 0.5 * x_hat.data)
+        patterns = decouple(x_hat, tod, dow, emb, ts, gates)
+        assert np.allclose(_gates_of(patterns, x_hat)[0], 0.5)
+        assert np.allclose(patterns[0].data, 0.5 * x_hat.data)
+        assert np.allclose(patterns[1].data, 0.5 * x_hat.data)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_conservation(self, p):
         store, ts, emb, gates, x_hat, tod, dow = _setup(p=p, seed=p)
-        ps = decouple(x_hat, tod, dow, emb, ts, gates)
-        total = sum(piece.data for piece in ps.patterns)
+        patterns = decouple(x_hat, tod, dow, emb, ts, gates)
+        assert len(patterns) == p
+        total = sum(piece.data for piece in patterns)
         assert np.max(np.abs(total - x_hat.data)) < 1e-12
 
     def test_gate_range_open_interval(self):
         store, ts, emb, gates, x_hat, tod, dow = _setup(p=3, seed=5)
-        ps = decouple(x_hat, tod, dow, emb, ts, gates)
-        for gate in ps.gates:
-            assert (gate.data > 0.0).all() and (gate.data < 1.0).all()
+        patterns = decouple(x_hat, tod, dow, emb, ts, gates)
+        ratios = _gates_of(patterns, x_hat)
+        assert len(ratios) == 2 and all(r.size == x_hat.data.size for r in ratios)
+        for gate in ratios:
+            assert (gate > 0.0).all() and (gate < 1.0).all()
 
     def test_time_shift_equivariance(self):
-        # identical (tod, dow) index sequences receive identical gates
+        # identical (tod, dow) index sequences receive identical gates, and the
+        # gates ignore the values: on an all-ones input the first pattern is the
+        # gate itself, and any other input is scaled by exactly that gate
         store, ts, emb, gates, x_hat, tod, dow = _setup(p=2, b=2, seed=6)
         tod[1] = tod[0]
         dow[1] = dow[0]
-        rng = np.random.default_rng(99)
-        x2 = Tensor(rng.normal(size=x_hat.shape))  # gates ignore the values
-        ps = decouple(x2, tod, dow, emb, ts, gates)
-        gate = ps.gates[0].data
+        gate = decouple(Tensor(np.ones(x_hat.shape)), tod, dow, emb, ts, gates)[0].data
         assert np.array_equal(gate[0], gate[1])
+        x2 = Tensor(np.random.default_rng(99).normal(size=x_hat.shape))
+        patterns = decouple(x2, tod, dow, emb, ts, gates)
+        assert np.array_equal(patterns[0].data, x2.data * gate)
 
     def test_gradients_through_decouple(self):
         store, ts, emb, gates, x_hat, tod, dow = _setup(p=3, b=1, t=2, n=3, seed=7)
@@ -101,9 +116,9 @@ class TestDecouple:
         ]
 
         def loss():
-            ps = decouple(x_hat, tod, dow, emb, ts, gates)
-            out = sum_(ps.patterns[0] * weights[0])
-            for piece, w in zip(ps.patterns[1:], weights[1:]):
+            patterns = decouple(x_hat, tod, dow, emb, ts, gates)
+            out = sum_(patterns[0] * weights[0])
+            for piece, w in zip(patterns[1:], weights[1:]):
                 out = out + sum_(piece * w)
             return out
 
@@ -117,9 +132,9 @@ class TestDecouple:
 
     def test_gates_match_concatenated_features_oracle(self):
         # reference: both gate layers applied to the broadcast [B, T, N, 2*D_t + D_s]
-        # concatenation of ReLU(T_D || T_W || E)
+        # concatenation of ReLU(T_D || T_W || E), each gate applied to the residual
         store, ts, emb, gates, x_hat, tod, dow = _setup(p=3, seed=8)
-        ps = decouple(x_hat, tod, dow, emb, ts, gates)
+        patterns = decouple(x_hat, tod, dow, emb, ts, gates)
         b, t, n, _ = x_hat.shape
         d_t, d_s = ts.daily.shape[1], emb.shape[1]
         feats = np.maximum(
@@ -133,10 +148,13 @@ class TestDecouple:
             ),
             0.0,
         )
-        for gp, gate in zip(gates, ps.gates):
+        remaining = x_hat.data
+        for gp, piece in zip(gates, patterns):
             hidden = feats @ gp.w1.data + gp.b1.data
-            oracle = 1.0 / (1.0 + np.exp(-(hidden @ gp.w2.data + gp.b2.data)))
-            assert np.max(np.abs(gate.data - oracle)) < 1e-12
+            oracle = remaining / (1.0 + np.exp(-(hidden @ gp.w2.data + gp.b2.data)))
+            assert np.max(np.abs(piece.data - oracle)) < 1e-12
+            remaining = remaining - oracle
+        assert np.max(np.abs(patterns[-1].data - remaining)) < 1e-12
 
     def test_none_gate_params_rejected(self):
         store, ts, emb, gates, x_hat, tod, dow = _setup(p=1)

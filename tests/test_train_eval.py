@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -147,6 +148,29 @@ class TestAdam:
             opt.step()
         assert float((t.data ** 2).sum()) < 1e-2
 
+    def test_step_updates_in_place_bit_equal_to_out_of_place(self):
+        store = ParameterStore(SplitRng(3))
+        params = [store.add("w", (3, 4), "normal(0,1)"), store.add("b", (4,), "normal(0,1)")]
+        opt = Adam(store.parameters(), lr=0.01, weight_decay=1e-3)
+        rng = np.random.default_rng(4)
+        expected = [t.data.copy() for t in params]
+        m = [np.zeros_like(e) for e in expected]
+        v = [np.zeros_like(e) for e in expected]
+        for step in range(1, 4):
+            arrays = [t.data for t in params]
+            for i, t in enumerate(params):
+                t.grad = rng.normal(size=t.shape)
+                # reference: the out-of-place update, t.data = t.data - ...
+                grad = t.grad + 1e-3 * expected[i]
+                m[i] = 0.9 * m[i] + (1.0 - 0.9) * grad
+                v[i] = 0.999 * v[i] + (1.0 - 0.999) * grad * grad
+                m_hat, v_hat = m[i] / (1.0 - 0.9 ** step), v[i] / (1.0 - 0.999 ** step)
+                expected[i] = expected[i] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            opt.step()
+            for t, array, e in zip(params, arrays, expected):
+                assert t.data is array
+                assert np.array_equal(t.data, e)
+
 
 def _small_bundle(days=4, nodes=8, seed=2, spd=24):
     series = synthesize(nodes=nodes, days=days, patterns=2, seed=seed, steps_per_day=spd)
@@ -190,6 +214,14 @@ class TestTrainLoop:
         header = path.read_text().splitlines()[0]
         assert header == "epoch,horizon,lr,train_mae,val_mae,val_rmse,val_mape,seconds"
         assert result.best_epoch >= 0 and result.best_state is not None
+
+    def test_log_header_is_record_fields(self, tmp_path):
+        path = tmp_path / "log.csv"
+        records = [train_eval.EpochRecord(e, 1 + e, 0.5, 2.0, 3.0, 4.0, 5.0, 0.25) for e in range(2)]
+        train_eval.write_log(records, path)
+        header, *rows = path.read_text().splitlines()
+        assert header.split(",") == [f.name for f in dataclasses.fields(train_eval.EpochRecord)]
+        assert rows == ["0,1,0.5,2.0,3.0,4.0,5.0,0.25", "1,2,0.5,2.0,3.0,4.0,5.0,0.25"]
 
     def test_log_kept_when_a_later_epoch_diverges(self, tmp_path, monkeypatch):
         series, bundle = _small_bundle()
