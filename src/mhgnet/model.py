@@ -227,27 +227,30 @@ class ForecastModel:
 
         x_hat = std.embed_input(x, self.embed_w, self.embed_b)
         # the patterns sum back to x_hat by construction (the last one is the
-        # residual), so propagation reads x_hat; the gates get their gradient
-        # through these per-pattern skip means. Only the means are kept, so a
-        # no_grad forward frees the patterns and gates before propagation.
+        # residual); the gates get their gradient through these per-pattern
+        # skip means. Only the means are kept, so a no_grad forward frees the
+        # patterns and gates before propagation.
         pattern_means = [
             mean(piece, axis=1)
             for piece in std.decouple(
                 x_hat, tod, dow, self.node_embedding, self.timestamps, self.gates
             )
         ]
+        # propagation reads the scalar x; hop_lift carries its hop states to
+        # the D-wide features that propagating x_hat would give
         graphs = self._build_graphs(tod, dow)
         if cfg.graph_mode == "no_tg":  # dense per-cluster graphs
-            cluster_out = [
-                sie.propagate(take(x_hat, g.members, axis=2), g, self.prop_cfg)
+            cluster_states = [
+                sie.propagate(take(x, g.members, axis=2), g, self.prop_cfg)
                 for g in graphs
             ]
-            repositioned = sie.reassemble(cluster_out, self.assignment)
+            states = sie.reassemble(cluster_states, self.assignment)
         else:
             merged_graph = sie.ConstantRowGraph.from_subgraphs(graphs, self.assignment)
-            repositioned = sie.propagate(x_hat, merged_graph, self.prop_cfg)
+            states = sie.propagate(x, merged_graph, self.prop_cfg)
+        lift = sie.hop_lift(self.embed_w, self.embed_b, self.prop_cfg)
         x_out = sie.encode_sequence(
-            repositioned, self.encoder, training=self.training, rng=self._dropout_rng
+            states, lift, self.encoder, training=self.training, rng=self._dropout_rng
         )
 
         skip = [x_out, mean(x_hat, axis=1), *pattern_means]

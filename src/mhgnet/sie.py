@@ -5,11 +5,20 @@ gated multi-hop recurrence, fed through a GRU over the input window, and
 the stacked hidden states are redistributed by a pair of 1x1 projections and
 a learned gain.
 
+What is propagated is the scalar input x [B, T, N, 1], not its D-wide lift
+x_hat = x * w + b. This is exact: every walk is linear and row-stochastic
+(its rows are divided by their degree), so it maps a constant field to
+itself, and hop j of x_hat is hop j of x times w plus b. The D-wide
+features the GRU reads, the hop states of x_hat through ``out_proj``, are
+then the [B, T, N, hops] hop states of x through the [hops + 1, D] matrix
+of :func:`hop_lift`, which :func:`gru_scan` folds into the GRU's input
+weights. No [B, T, N, D] tensor is propagated or projected.
+
 When every cluster's fused graph has constant rows (``full``, ``no_sg``),
-propagation runs on the whole [B, T, N, D] tensor in node order from the
-closed form of the walk, so no per-cluster walk is built and nothing needs
-reassembling. Dense per-cluster graphs (``no_tg``) are propagated one
-cluster at a time and the outputs reassembled into node order.
+propagation runs on the whole tensor in node order from the closed form of
+the walk, so no per-cluster walk is built and nothing needs reassembling.
+Dense per-cluster graphs (``no_tg``) are propagated one cluster at a time
+and the hop states reassembled into node order.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ from .numcore import (
     matmul,
     relu,
     reshape,
-    slice_axis,
     sum_,
     swap_last2,
     take,
@@ -42,8 +50,9 @@ class PropagationConfig:
     """Gated multi-hop propagation settings.
 
     ``hops`` states are produced: the input itself plus hops-1 recurrence
-    steps; they are projected back to width D by ``out_proj`` of shape
-    [hops * D, D], whose j-th block of D rows applies to state j.
+    steps. ``out_proj`` [hops * D, D] projects the hop states of the D-wide
+    lift back to width D, its j-th block of D rows applying to state j;
+    :func:`hop_lift` folds it into a map from the scalar input's states.
     """
 
     gamma: float  # retention weight in [0, 1]
@@ -83,65 +92,75 @@ class ConstantRowGraph:
 def propagate(
     h: Tensor, graph: FusedSubgraph | ConstantRowGraph, cfg: PropagationConfig
 ) -> Tensor:
-    """Run the gated propagation recurrence.
+    """The hop states of the gated propagation recurrence, [..., N, hops * C].
 
     Self-loops are added to the adjacency, rows are degree-normalized
     (strictly positive after self-loops), and each step mixes the original
     features back in with weight gamma: next = gamma * h + (1 - gamma) *
-    walk(current). ``graph`` is either one cluster's :class:`FusedSubgraph`,
-    with ``h`` [..., N_p, D] holding that cluster's nodes, or a
-    :class:`ConstantRowGraph` of every cluster, with ``h`` [..., N, D] in
-    node order.
+    walk(current). State j fills channels j*C to (j+1)*C; state 0 is ``h``.
+    ``graph`` is either one cluster's :class:`FusedSubgraph`, with ``h``
+    [..., N_p, C] holding that cluster's nodes, or a :class:`ConstantRowGraph`
+    of every cluster, with ``h`` [..., N, C] in node order. The states run
+    with nodes on the last axis, so each walk is one right-multiplication.
     """
+    n = h.shape[-2]
+    keep = 1.0 - cfg.gamma
     if isinstance(graph, ConstantRowGraph):
-        return _propagate_constant_rows(h, graph, cfg)
-    n_p = graph.a_hat.shape[0]
-    a_tilde = graph.a_hat + np.eye(n_p)
-    degree = sum_(a_tilde, axis=1)
-    walk = a_tilde / reshape(degree, (n_p, 1))  # row-stochastic
-    states = [h]
-    current = h
+        walk = _constant_row_walk(graph, n, keep)
+    else:
+        a_tilde = graph.a_hat + np.eye(graph.a_hat.shape[0])
+        degree = reshape(sum_(a_tilde, axis=1), (-1, 1))
+        walk_t = swap_last2(keep * a_tilde / degree)
+
+        def walk(current: Tensor) -> Tensor:
+            return matmul(current, walk_t)
+
+    field = swap_last2(h)  # [..., C, N]
+    states = [field]
     for _ in range(cfg.hops - 1):
-        current = cfg.gamma * h + (1.0 - cfg.gamma) * matmul(walk, current)
-        states.append(current)
-    return matmul(concat(states, axis=-1), cfg.out_proj)
+        states.append(cfg.gamma * field + walk(states[-1]))
+    return swap_last2(concat(states, axis=-2))
 
 
-def _propagate_constant_rows(
-    h: Tensor, graph: ConstantRowGraph, cfg: PropagationConfig
-) -> Tensor:
-    """:func:`propagate` over all clusters from the closed form of the walk.
+def _constant_row_walk(graph: ConstantRowGraph, n: int, keep: float):
+    """(1 - gamma) times one walk step over all clusters, from its closed form.
 
-    A hop is gamma * h + a * current + spread with a = (1 - gamma) / deg.
-    The spread, (1 - gamma) * (f_i / deg_i) * S_i, is one GEMM from the K
-    gathered first-k rows through a [K, N] matrix whose column i holds
-    (1 - gamma) * f_i / deg_i in the rows of node i's pool. The hop states
-    meet ``out_proj`` one row block at a time, so they are never concatenated.
+    The step is a * current + spread with a = (1 - gamma) / deg. The
+    spread, (1 - gamma) * (f_i / deg_i) * S_i, is one GEMM from the K
+    gathered first-k nodes through a [K, N] matrix whose column i holds
+    (1 - gamma) * f_i / deg_i in the rows of node i's pool.
     """
-    n, d = h.shape[-2:]
     if graph.rows.shape[0] != n:
         raise ShapeError(f"graph covers {graph.rows.shape[0]} nodes, features cover {n}")
-    keep = 1.0 - cfg.gamma
-    degree = graph.rows * Tensor(graph.kept) + 1.0
-    self_weight = keep / degree  # [N, 1]
-    spread_weight = Tensor(graph.same_pool) * reshape(keep * graph.rows / degree, (1, n))
-    states = [h]
-    current = h
-    for hop in range(cfg.hops - 1):
-        if hop == 0:  # current is h: fold the retention term into one product
-            step = h * (cfg.gamma + self_weight)
-        else:
-            step = cfg.gamma * h + current * self_weight
+    degree = reshape(graph.rows * Tensor(graph.kept) + 1.0, (n,))
+    self_weight = keep / degree  # [N]
+    spread_weight = Tensor(graph.same_pool) * (keep * reshape(graph.rows, (n,)) / degree)
+
+    def walk(current: Tensor) -> Tensor:  # current: [..., C, N]
+        step = current * self_weight
         if graph.first.size:
-            firsts = swap_last2(take(current, graph.first, axis=-2))  # [..., D, K]
-            step = step + swap_last2(matmul(firsts, spread_weight))
-        current = step
-        states.append(current)
-    out = None
-    for j, state in enumerate(states):
-        term = matmul(state, slice_axis(cfg.out_proj, 0, j * d, (j + 1) * d))
-        out = term if out is None else out + term
-    return out
+            step = step + matmul(take(current, graph.first, axis=-1), spread_weight)
+        return step
+
+    return walk
+
+
+def hop_lift(weight: Tensor, bias: Tensor, cfg: PropagationConfig) -> Tensor:
+    """The [hops + 1, D] map from scalar hop states to propagated features.
+
+    Propagating the lift x * weight + bias of a scalar field x gives hop
+    states S_j * weight + bias, where S_j are the hop states of x: the walk
+    is linear and row-stochastic, so it keeps the constant bias. With P_j
+    the j-th [D, D] row block of ``out_proj``, the projected features are
+    therefore sum_j S_j (weight P_j) + bias sum_j P_j: row j < hops of the
+    result is weight P_j, and the last row, which meets a constant-one
+    channel, is bias sum_j P_j.
+    """
+    d = cfg.out_proj.shape[1]
+    blocks = reshape(cfg.out_proj, (cfg.hops, d, d))
+    hop_rows = reshape(matmul(weight, blocks), (cfg.hops, d))
+    bias_row = matmul(reshape(bias, (1, d)), sum_(blocks, axis=0))
+    return concat([hop_rows, bias_row], axis=0)
 
 
 def reassemble(cluster_outputs: list[Tensor], assignment: ClusterAssignment) -> Tensor:
@@ -191,34 +210,47 @@ class RecurrentEncoder:
     dropout: float
 
 
-def gru_scan(steps_stacked: Tensor, gru: GruParams) -> Tensor:
-    """Run the GRU over axis 1 of [B, T, N, D]; returns stacked states.
+def gru_scan(features: Tensor, lift: Tensor, gru: GruParams) -> Tensor:
+    """Run the GRU over axis 1 of [B, T, N, C]; returns stacked states.
 
-    The input-side projections for all steps are computed up front, with
-    the update and reset gates sharing one fused projection; the recurrence
-    itself is the single op :func:`gru_sequence`, which checks the shapes.
+    The GRU's input at each step is [features, 1] @ ``lift`` ([C + 1, D]).
+    The lift and each gate's bias are folded into its input weights, so the
+    update|reset and the candidate pre-activations for all steps are one
+    GEMM each, with K = C + 1 on the features with a constant-one channel
+    appended, whose weight row carries the bias. The recurrence itself is
+    the single op :func:`gru_sequence`, which checks the shapes.
     """
-    w_zr_x = concat([gru.update_x, gru.reset_x], axis=1)
+    b, t, n, c = features.shape
+    inputs = concat([features, Tensor(np.ones((b, t, n, 1)))], axis=-1)
+    bias_row = Tensor(np.eye(c + 1)[:, c:])  # [C + 1, 1]: 1 in the constant channel's row
+
+    def preactivation(w_x: Tensor, b_x: Tensor) -> Tensor:
+        return matmul(inputs, matmul(lift, w_x) + bias_row * b_x)
+
+    px_zr = preactivation(
+        concat([gru.update_x, gru.reset_x], axis=1),
+        concat([gru.update_b, gru.reset_b], axis=0),
+    )
+    px_n = preactivation(gru.cand_x, gru.cand_b)
     w_zr_h = concat([gru.update_h, gru.reset_h], axis=1)
-    b_zr = concat([gru.update_b, gru.reset_b], axis=0)
-    px_zr = matmul(steps_stacked, w_zr_x) + b_zr
-    px_n = matmul(steps_stacked, gru.cand_x) + gru.cand_b
     return gru_sequence(px_zr, px_n, w_zr_h, gru.cand_h)  # [B, T, N, width]
 
 
 def encode_sequence(
-    steps: Tensor,
+    features: Tensor,
+    lift: Tensor,
     enc: RecurrentEncoder,
     training: bool = False,
     rng: SplitRng | None = None,
 ) -> Tensor:
-    """Encode per-step node features [B, T, N, D] into one vector per node.
+    """Encode per-step node features [B, T, N, C] into one vector per node.
 
-    All hidden states are kept, optionally dropped out (training mode
-    only), then the time axis is collapsed by two ReLU-separated
-    projections and the result is gated elementwise.
+    The features reach the GRU through ``lift`` (see :func:`gru_scan`). All
+    hidden states are kept, optionally dropped out (training mode only),
+    then the time axis is collapsed by two ReLU-separated projections and
+    the result is gated elementwise.
     """
-    h_out = gru_scan(steps, enc.gru)
+    h_out = gru_scan(features, lift, enc.gru)
     b, t, n, width = h_out.shape
     if training and enc.dropout > 0.0:
         if rng is None:

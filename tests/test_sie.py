@@ -26,6 +26,7 @@ from mhgnet.sie import (
     PropagationConfig,
     RecurrentEncoder,
     encode_sequence,
+    hop_lift,
     propagate,
     reassemble,
 )
@@ -41,9 +42,14 @@ def _graph(adj):
     return FusedSubgraph(a_hat=Tensor(adj), members=np.arange(adj.shape[0]))
 
 
-def _identity_avg_proj(hops, d):
-    """Projection that averages the hop states, preserving constants."""
-    return Tensor(np.concatenate([np.eye(d) / hops for _ in range(hops)], axis=0))
+def _cfg(gamma, hops, d=1):
+    """Propagation settings; ``propagate`` itself does not read ``out_proj``."""
+    return PropagationConfig(gamma=gamma, hops=hops, out_proj=Tensor(np.zeros((hops * d, d))))
+
+
+def _identity_lift(d):
+    """The lift that feeds D-wide features to the GRU unchanged."""
+    return Tensor(np.eye(d + 1, d))
 
 
 def _oracle_propagate(h, adj, gamma, hops):
@@ -114,17 +120,17 @@ class TestPropagate:
         h = Tensor(rng.normal(size=(2, 4, 3)))
         g = _graph(np.maximum(rng.normal(size=(4, 4)), 0))
         hops = 3
-        cfg = PropagationConfig(gamma=1.0, hops=hops, out_proj=_identity_avg_proj(hops, 3))
-        out = propagate(h, g, cfg)
-        assert np.max(np.abs(out.data - h.data)) < 1e-12
+        out = propagate(h, g, _cfg(1.0, hops))
+        assert out.shape == (2, 4, 3 * hops)
+        assert np.max(np.abs(out.data - np.tile(h.data, hops))) < 1e-12
 
     def test_constant_preservation(self):
         rng = np.random.default_rng(2)
         h = Tensor(np.ones((2, 5, 4)))
         g = _graph(np.maximum(rng.normal(size=(5, 5)), 0))
         for hops in (2, 3):
-            cfg = PropagationConfig(gamma=0.3, hops=hops, out_proj=_identity_avg_proj(hops, 4))
-            out = propagate(h, g, cfg)
+            out = propagate(h, g, _cfg(0.3, hops))
+            assert out.shape == (2, 5, 4 * hops)
             assert np.max(np.abs(out.data - 1.0)) < 1e-12
 
     def test_three_node_path_oracle(self):
@@ -132,17 +138,15 @@ class TestPropagate:
         rng = np.random.default_rng(3)
         h = rng.normal(size=(2, 3, 2))
         hops, gamma = 2, 0.05
-        out_proj = np.concatenate([np.eye(2), np.eye(2)], axis=0)
-        cfg = PropagationConfig(gamma=gamma, hops=hops, out_proj=Tensor(out_proj))
-        out = propagate(Tensor(h), _graph(adj), cfg)
-        oracle = _oracle_propagate(h, adj, gamma, hops) @ out_proj
+        out = propagate(Tensor(h), _graph(adj), _cfg(gamma, hops))
+        oracle = _oracle_propagate(h, adj, gamma, hops)
         assert np.max(np.abs(out.data - oracle)) < 1e-12
 
     def test_batched_time_axis(self):
         rng = np.random.default_rng(4)
         h = rng.normal(size=(2, 6, 4, 3))  # [B, T, N, D]
         adj = np.maximum(rng.normal(size=(4, 4)), 0)
-        cfg = PropagationConfig(gamma=0.1, hops=2, out_proj=Tensor(rng.normal(size=(6, 3))))
+        cfg = _cfg(0.1, 2)
         out = propagate(Tensor(h), _graph(adj), cfg)
         per_slab = np.stack(
             [
@@ -155,12 +159,14 @@ class TestPropagate:
 
     def test_gradient(self):
         store = ParameterStore(SplitRng(5))
-        out_proj = store.add("proj", (4, 2))
         h = store.add("h", (1, 3, 2), "normal(0,1)")
-        adj = np.maximum(np.random.default_rng(6).normal(size=(3, 3)), 0)
-        cfg = PropagationConfig(gamma=0.2, hops=2, out_proj=out_proj)
+        a_hat = store.add("a_hat", (3, 3), "uniform(0,1)")
+        weights = Tensor(np.random.default_rng(6).normal(size=(1, 3, 4)))
+        graph = FusedSubgraph(a_hat=a_hat, members=np.arange(3))
         err = check_gradient(
-            lambda: sum_(propagate(h, _graph(adj), cfg)), store.parameters(), h=1e-5
+            lambda: sum_(propagate(h, graph, _cfg(0.2, 2)) * weights),
+            store.parameters(),
+            h=1e-5,
         )
         assert err < 1e-4
 
@@ -183,7 +189,7 @@ class _ConstantRowSetup:
             weekly=add("time.weekly", (7, 2), "normal(0,1)"),
         )
         self.h = add("h", (2, 3, n, d), "normal(0,1)")
-        self.cfg = PropagationConfig(gamma=0.3, hops=hops, out_proj=add("prop.out_proj", (hops * d, d)))
+        self.cfg = _cfg(0.3, hops, d)
         # the first draw with a positive window-mean dot, so the graphs are not empty
         rng = np.random.default_rng(seed)
         while True:
@@ -254,18 +260,17 @@ class TestConstantRowPropagate:
         fast = setup.fast(mode, asg, 3, zero).data
         assert np.max(np.abs(fast - setup.dense(mode, asg, 3, zero).data)) < 1e-12
         # every walk is the identity, so each hop state equals h
-        hop_sum = sum(np.split(setup.cfg.out_proj.data, 3, axis=0))
-        assert np.max(np.abs(fast - setup.h.data @ hop_sum)) < 1e-12
+        assert np.max(np.abs(fast - np.tile(setup.h.data, 3))) < 1e-12
 
     @pytest.mark.parametrize("mode", ["full", "no_sg"])
     def test_gradient(self, mode):
         setup = _ConstantRowSetup(n=5, d=2, hops=3, seed=31)
         asg = ClusterAssignment.from_types(np.array([0, 1, 0, 0, 1]), 2)
-        weights = Tensor(np.random.default_rng(32).normal(size=(2, 3, 5, 2)))
         params = setup.store.parameters()
         if mode == "no_sg":
             params = [p for p in params if not p.name.startswith("graph.")]
-        assert len(params) == (8 if mode == "full" else 4)
+        assert len(params) == (7 if mode == "full" else 3)
+        weights = Tensor(np.random.default_rng(32).normal(size=(2, 3, 5, 6)))
         err = check_gradient(lambda: sum_(setup.fast(mode, asg, 2) * weights), params, h=1e-5)
         assert err < 1e-6
 
@@ -315,14 +320,14 @@ class TestEncodeSequence:
         store = ParameterStore(SplitRng(9))
         enc = _encoder(d=3, width=3, t=4, store=store)
         steps = Tensor(np.zeros((2, 4, 5, 3)))
-        out = encode_sequence(steps, enc)
+        out = encode_sequence(steps, _identity_lift(3), enc)
         assert np.array_equal(out.data, np.zeros((2, 5, 3)))
 
     def test_single_step(self):
         store = ParameterStore(SplitRng(10))
         enc = _encoder(d=2, width=4, t=1, store=store)
         steps = Tensor(np.random.default_rng(11).normal(size=(2, 1, 3, 2)))
-        out = encode_sequence(steps, enc)
+        out = encode_sequence(steps, _identity_lift(2), enc)
         assert out.shape == (2, 3, 4)
 
     def test_gru_matches_independent_oracle(self):
@@ -330,8 +335,13 @@ class TestEncodeSequence:
 
         store = ParameterStore(SplitRng(12))
         p = _gru_params(d=2, width=3, store=store)
-        x = np.random.default_rng(13).normal(size=(2, 2, 2, 2))
-        out = gru_scan(Tensor(x), p)
+        for t in (p.update_b, p.reset_b, p.cand_b):
+            t.data = np.random.default_rng(14).normal(0.0, 0.5, t.shape)
+        rng = np.random.default_rng(13)
+        features = rng.normal(size=(2, 2, 2, 3))  # C = 3 channels
+        lift = rng.normal(size=(4, 2))  # [C + 1, D]: the last row meets a constant 1
+        out = gru_scan(Tensor(features), Tensor(lift), p)
+        x = features @ lift[:3] + lift[3]
         oracle = _oracle_gru(x, p, width=3)
         assert np.max(np.abs(out.data - oracle)) < 1e-10
 
@@ -342,13 +352,14 @@ class TestEncodeSequence:
         p = _gru_params(d=2, width=3, store=store)
         for t in (p.update_b, p.reset_b, p.cand_b):
             t.data = np.random.default_rng(21).normal(0.0, 0.5, t.shape)
-        x = store.add("x", (2, 4, 2, 2), "normal(0,1)")  # T = 4, D = 2, width = 3
+        x = store.add("x", (2, 4, 2, 2), "normal(0,1)")  # T = 4, C = 2, width = 3
+        lift = store.add("lift", (3, 2), "normal(0,0.7)")  # [C + 1, D]
         weights = Tensor(np.random.default_rng(22).normal(size=(2, 4, 2, 3)))
         err = check_gradient(
-            lambda: sum_(gru_scan(x, p) * weights), store.parameters(), h=1e-5
+            lambda: sum_(gru_scan(x, lift, p) * weights), store.parameters(), h=1e-5
         )
         assert err < 1e-6
-        assert len(store.parameters()) == 10
+        assert len(store.parameters()) == 11
 
     def test_gru_states_identical_with_and_without_grad(self):
         from mhgnet.sie import gru_scan
@@ -356,10 +367,10 @@ class TestEncodeSequence:
         store = ParameterStore(SplitRng(23))
         p = _gru_params(d=2, width=3, store=store)
         x = np.random.default_rng(24).normal(size=(2, 5, 3, 2))
-        tracked = gru_scan(Tensor(x), p)
+        tracked = gru_scan(Tensor(x), _identity_lift(2), p)
         assert tracked.requires_grad
         with no_grad():
-            untracked = gru_scan(Tensor(x), p)
+            untracked = gru_scan(Tensor(x), _identity_lift(2), p)
         assert not untracked.requires_grad
         assert np.array_equal(tracked.data, untracked.data)
 
@@ -367,8 +378,8 @@ class TestEncodeSequence:
         store = ParameterStore(SplitRng(15))
         enc = _encoder(d=3, width=3, t=3, store=store, dropout=0.5)
         steps = Tensor(np.random.default_rng(16).normal(size=(2, 3, 4, 3)))
-        a = encode_sequence(steps, enc, training=False)
-        b = encode_sequence(steps, enc, training=False)
+        a = encode_sequence(steps, _identity_lift(3), enc, training=False)
+        b = encode_sequence(steps, _identity_lift(3), enc, training=False)
         assert np.array_equal(a.data, b.data)
 
     def test_dropout_needs_rng_in_training(self):
@@ -376,23 +387,73 @@ class TestEncodeSequence:
         enc = _encoder(d=2, width=2, t=2, store=store, dropout=0.3)
         steps = Tensor(np.zeros((1, 2, 2, 2)))
         with pytest.raises(ConfigError):
-            encode_sequence(steps, enc, training=True, rng=None)
+            encode_sequence(steps, _identity_lift(2), enc, training=True, rng=None)
 
     def test_full_chain_gradient(self):
         store = ParameterStore(SplitRng(18))
-        out_proj = store.add("proj", (4, 2))
+        weight = store.add("embed.weight", (1, 2), "normal(0,1)")
+        bias = store.add("embed.bias", (2,), "normal(0,1)")
+        cfg = PropagationConfig(gamma=0.2, hops=2, out_proj=store.add("proj", (4, 2)))
         enc = _encoder(d=2, width=2, t=3, store=store)
-        h = store.add("h", (1, 3, 4, 2), "normal(0,1)")
+        x = store.add("x", (1, 3, 4, 1), "normal(0,1)")
         adj = np.maximum(np.random.default_rng(19).normal(size=(4, 4)), 0)
         asg = ClusterAssignment.from_types(np.array([1, 0, 1, 0]), 2)
-        cfg = PropagationConfig(gamma=0.2, hops=2, out_proj=out_proj)
 
         def loss():
             parts = [
                 propagate(piece, _graph(adj[: piece.shape[-2], : piece.shape[-2]]), cfg)
-                for piece in _split(h, asg)
+                for piece in _split(x, asg)
             ]
-            return sum_(encode_sequence(reassemble(parts, asg), enc))
+            lift = hop_lift(weight, bias, cfg)
+            return sum_(encode_sequence(reassemble(parts, asg), lift, enc))
 
         err = check_gradient(loss, store.parameters(), h=1e-5)
         assert err < 1e-4
+
+
+class TestHopLift:
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_lifted_states_equal_states_of_the_lift(self, hops):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(3, 5, 1))  # [B, N, 1]
+        weight, bias = rng.normal(size=(1, 4)), rng.normal(size=4)
+        out_proj = rng.normal(size=(hops * 4, 4))
+        adj = np.maximum(rng.normal(size=(5, 5)), 0)
+        cfg = PropagationConfig(gamma=0.3, hops=hops, out_proj=Tensor(out_proj))
+        states = propagate(Tensor(x), _graph(adj), cfg).data
+        lift = hop_lift(Tensor(weight), Tensor(bias), cfg).data
+        assert lift.shape == (hops + 1, 4)
+        via_lift = states @ lift[:hops] + lift[hops]
+        d_wide = _oracle_propagate(x @ weight + bias, adj, 0.3, hops) @ out_proj
+        assert np.max(np.abs(via_lift - d_wide)) < 1e-12 * np.max(np.abs(d_wide))
+
+
+class TestConstantField:
+    """Every walk is row-stochastic, so a constant field is every hop state."""
+
+    VALUE = -1.7
+
+    def _assert_constant(self, states, hops):
+        assert states.shape[-1] == hops
+        assert np.max(np.abs(states - self.VALUE)) <= 1e-14 * abs(self.VALUE)
+
+    @pytest.mark.parametrize("k", [0, 2, 7])  # k = 7 >= every pool size
+    @pytest.mark.parametrize("mode", ["full", "no_sg"])
+    def test_constant_row_graph(self, mode, k):
+        setup = _ConstantRowSetup(d=1, hops=4)
+        types = np.array([1, 0, 2, 1, 0, 1, 1])  # pool 2 is the singleton {2}
+        asg = ClusterAssignment.from_types(types, 3)
+        assert sorted(len(pool) for pool in asg.pools) == [1, 2, 4]
+        subgraphs = setup.subgraphs(mode, asg, k)
+        assert any(g.rows.data.any() for g in subgraphs)
+        graph = ConstantRowGraph.from_subgraphs(subgraphs, asg)
+        field = Tensor(np.full((2, 3, 7, 1), self.VALUE))
+        self._assert_constant(propagate(field, graph, setup.cfg).data, 4)
+
+    def test_dense_fused_subgraph(self):
+        setup = _ConstantRowSetup(d=1, hops=4)
+        members = np.array([0, 2, 3, 5, 6])
+        dense = fuse_and_sparsify(spatial_graph(members, setup.params), None, 0.8, 3, members)
+        assert isinstance(dense, FusedSubgraph) and dense.a_hat.data.any()
+        field = Tensor(np.full((2, 3, 5, 1), self.VALUE))
+        self._assert_constant(propagate(field, dense, setup.cfg).data, 4)
