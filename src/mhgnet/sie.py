@@ -103,10 +103,9 @@ def propagate(
     of every cluster, with ``h`` [..., N, C] in node order. The states run
     with nodes on the last axis, so each walk is one right-multiplication.
     """
-    n = h.shape[-2]
     keep = 1.0 - cfg.gamma
     if isinstance(graph, ConstantRowGraph):
-        walk = _constant_row_walk(graph, n, keep)
+        walk = _constant_row_walk(graph, h.shape[-2], keep)
     else:
         a_tilde = graph.a_hat + np.eye(graph.a_hat.shape[0])
         degree = reshape(sum_(a_tilde, axis=1), (-1, 1))
