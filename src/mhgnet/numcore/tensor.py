@@ -497,10 +497,11 @@ def matmul(a, b) -> Tensor:
 
     def bw(g):
         if a.ndim == 2:
-            # one matrix shared by every batch entry of b: contract the batch
-            # and column axes at once instead of summing per-entry products
-            axes = tuple(range(g.ndim - 2)) + (g.ndim - 1,)
-            _accum(a, np.tensordot(g, b.data, axes=(axes, axes)))
+            # one matrix shared by every batch entry of b: sum the per-entry
+            # products, which are a's size, rather than contract with
+            # tensordot, which copies g and b into transposed buffers
+            per_entry = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            _accum(a, per_entry.sum(axis=tuple(range(g.ndim - 2))))
         else:
             _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
         _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
@@ -513,68 +514,66 @@ def matmul(a, b) -> Tensor:
 
 
 def gru_sequence(px_zr, px_n, w_zr_h, w_n_h) -> Tensor:
-    """GRU recurrence over axis 1 from a zero state, recorded as one graph node.
+    """GRU recurrence over axis 0 from a zero state, recorded as one graph node.
 
-    ``px_zr`` [B, T, N, 2W] holds the input-side update|reset pre-activations
-    and ``px_n`` [B, T, N, W] the candidate's, biases included; ``w_zr_h``
-    [W, 2W] and ``w_n_h`` [W, W] are the hidden-side weights. Per step:
-    ``z|r = sigmoid(px_zr + h @ w_zr_h)``, ``c = tanh(px_n + (r * h) @ w_n_h)``,
-    ``h = (1 - z) * h + z * c``. Returns the stacked states [B, T, N, W].
-    The gates and candidates are kept for backpropagation through time
-    only when a gradient will be taken.
+    Channel-major: ``px_zr`` [T, 2W, M] holds the input-side update|reset
+    pre-activations of M independent sequences and ``px_n`` [T, W, M] the
+    candidate's, biases included; ``w_zr_h`` [W, 2W] and ``w_n_h`` [W, W]
+    are the hidden-side weights. With the state h [W, M], per step:
+    ``z|r = sigmoid(px_zr + w_zr_hᵀ h)``, ``c = tanh(px_n + w_n_hᵀ (r * h))``,
+    ``h = (1 - z) * h + z * c``. Returns the stacked states [T, W, M]. Every
+    per-step array is W or 2W contiguous rows of length M, and z and r are
+    row blocks, so each elementwise op runs over whole rows. The gates and
+    candidates are kept for backpropagation through time only when a
+    gradient will be taken.
     """
     px_zr, px_n, w_zr_h, w_n_h = (_to_tensor(t) for t in (px_zr, px_n, w_zr_h, w_n_h))
-    if px_n.ndim != 4:
-        raise ShapeError(f"gru_sequence expects [B, T, N, W] inputs, got {px_n.shape}")
-    b, t, n, w = px_n.shape
-    if px_zr.shape != (b, t, n, 2 * w) or w_zr_h.shape != (w, 2 * w) or w_n_h.shape != (w, w):
+    if px_n.ndim != 3:
+        raise ShapeError(f"gru_sequence expects [T, W, M] inputs, got {px_n.shape}")
+    t, w, m = px_n.shape
+    if px_zr.shape != (t, 2 * w, m) or w_zr_h.shape != (w, 2 * w) or w_n_h.shape != (w, w):
         raise ShapeError(
             "gru_sequence shapes disagree: "
             f"{px_zr.shape}, {px_n.shape}, {w_zr_h.shape}, {w_n_h.shape}"
         )
     parents = (px_zr, px_n, w_zr_h, w_n_h)
     keep = _tracked(parents)
-    states = np.empty((b, t, n, w))
-    zr_all = np.empty((b, t, n, 2 * w)) if keep else None
-    cand_all = np.empty((b, t, n, w)) if keep else None
-    hidden = np.zeros((b, n, w))
+    w_zr, w_n = w_zr_h.data, w_n_h.data
+    states = np.empty((t, w, m))
+    zr_all = np.empty((t, 2 * w, m)) if keep else None
+    cand_all = np.empty((t, w, m)) if keep else None
+    hidden = np.zeros((w, m))
     for j in range(t):
-        ph_zr = (hidden.reshape(-1, w) @ w_zr_h.data).reshape(b, n, 2 * w)
-        zr = _logistic(px_zr.data[:, j] + ph_zr)
-        z, r = zr[..., :w], zr[..., w:]
-        rh = (r * hidden).reshape(-1, w)
-        cand = np.tanh(px_n.data[:, j] + (rh @ w_n_h.data).reshape(b, n, w))
+        zr = _logistic(px_zr.data[j] + w_zr.T @ hidden)
+        z, r = zr[:w], zr[w:]
+        cand = np.tanh(px_n.data[j] + w_n.T @ (r * hidden))
         hidden = (1.0 - z) * hidden + z * cand
-        states[:, j] = hidden
+        states[j] = hidden
         if keep:
-            zr_all[:, j] = zr
-            cand_all[:, j] = cand
+            zr_all[j] = zr
+            cand_all[j] = cand
 
     def bw(g):
-        h_prev = np.concatenate([np.zeros((b, 1, n, w)), states[:, :-1]], axis=1)
-        z_all, r_all = zr_all[..., :w], zr_all[..., w:]
         d_zr = np.empty_like(zr_all)
         d_n = np.empty_like(cand_all)
-        dh = np.zeros((b, n, w))
+        dh = np.zeros((w, m))
         for j in reversed(range(t)):
-            dh = dh + g[:, j]
-            z, r, cand, hp = z_all[:, j], r_all[:, j], cand_all[:, j], h_prev[:, j]
-            dn = dh * z * (1.0 - cand * cand)
-            d_rh = (dn.reshape(-1, w) @ w_n_h.data.T).reshape(b, n, w)
-            dzr = np.concatenate(
-                [dh * (cand - hp) * z * (1.0 - z), d_rh * hp * r * (1.0 - r)], axis=-1
-            )
-            d_n[:, j] = dn
-            d_zr[:, j] = dzr
-            dh = (
-                dh * (1.0 - z)
-                + d_rh * r
-                + (dzr.reshape(-1, 2 * w) @ w_zr_h.data.T).reshape(b, n, w)
-            )
+            dh = dh + g[j]
+            z, r, cand = zr_all[j, :w], zr_all[j, w:], cand_all[j]
+            hp = states[j - 1] if j else np.zeros((w, m))
+            z_keep = 1.0 - z
+            np.multiply(dh * z, 1.0 - cand * cand, out=d_n[j])
+            d_rh = w_n @ d_n[j]
+            np.multiply(dh * (cand - hp) * z, z_keep, out=d_zr[j, :w])
+            np.multiply(d_rh * hp * r, 1.0 - r, out=d_zr[j, w:])
+            dh = dh * z_keep + d_rh * r + w_zr @ d_zr[j]
         _accum(px_zr, d_zr)
         _accum(px_n, d_n)
-        _accum(w_zr_h, h_prev.reshape(-1, w).T @ d_zr.reshape(-1, 2 * w))
-        _accum(w_n_h, (r_all * h_prev).reshape(-1, w).T @ d_n.reshape(-1, w))
+        # the state before step 0 is zero, so step 0 adds nothing to either
+        h_prev = states[:-1]
+        _accum(w_zr_h, np.matmul(h_prev, d_zr[1:].transpose(0, 2, 1)).sum(axis=0))
+        rh_prev = zr_all[1:, w:] * h_prev
+        _accum(w_n_h, np.matmul(rh_prev, d_n[1:].transpose(0, 2, 1)).sum(axis=0))
 
     return _result(states, parents, bw)
 

@@ -5,6 +5,13 @@ gated multi-hop recurrence, fed through a GRU over the input window, and
 the stacked hidden states are redistributed by a pair of 1x1 projections and
 a learned gain.
 
+The GRU and the redistribution run channel-major, on [T, channels, B * N]:
+every per-step array is a few contiguous rows of length B * N, so each
+elementwise op of the recurrence and of its backward runs over whole rows
+rather than over runs of W = width values, and the redistribution is one
+GEMM over the states as a [T * W, B * N] matrix. Only the small hop states
+enter this layout and only the [B, N, W] encoding leaves it.
+
 What is propagated is the scalar input x [B, T, N, 1], not its D-wide lift
 x_hat = x * w + b. This is exact: every walk is linear and row-stochastic
 (its rows are divided by their degree), so it maps a constant field to
@@ -210,21 +217,26 @@ class RecurrentEncoder:
 
 
 def gru_scan(features: Tensor, lift: Tensor, gru: GruParams) -> Tensor:
-    """Run the GRU over axis 1 of [B, T, N, C]; returns stacked states.
+    """Run the GRU over axis 1 of [B, T, N, C]; returns states [T, W, B * N].
 
-    The GRU's input at each step is [features, 1] @ ``lift`` ([C + 1, D]).
-    The lift and each gate's bias are folded into its input weights, so the
+    The hop states are transposed to [T, C, B * N], the channel-major layout
+    of :func:`gru_sequence`, with a constant-one row appended. The GRU's
+    input at each step is [features, 1] @ ``lift`` ([C + 1, D]); the lift
+    and each gate's bias are folded into its input weights, so the
     update|reset and the candidate pre-activations for all steps are one
-    GEMM each, with K = C + 1 on the features with a constant-one channel
-    appended, whose weight row carries the bias. The recurrence itself is
-    the single op :func:`gru_sequence`, which checks the shapes.
+    GEMM each, ``(lift @ w_x + bias_row * b_x)ᵀ @ inputs`` with K = C + 1.
+    The recurrence itself is the single op :func:`gru_sequence`, which
+    checks the shapes.
     """
     b, t, n, c = features.shape
-    inputs = concat([features, Tensor(np.ones((b, t, n, 1)))], axis=-1)
+    channels = transpose(features, (1, 3, 0, 2))  # [T, C, B, N]
+    inputs = reshape(
+        concat([channels, Tensor(np.ones((t, 1, b, n)))], axis=1), (t, c + 1, b * n)
+    )
     bias_row = Tensor(np.eye(c + 1)[:, c:])  # [C + 1, 1]: 1 in the constant channel's row
 
     def preactivation(w_x: Tensor, b_x: Tensor) -> Tensor:
-        return matmul(inputs, matmul(lift, w_x) + bias_row * b_x)
+        return matmul(swap_last2(matmul(lift, w_x) + bias_row * b_x), inputs)
 
     px_zr = preactivation(
         concat([gru.update_x, gru.reset_x], axis=1),
@@ -232,7 +244,7 @@ def gru_scan(features: Tensor, lift: Tensor, gru: GruParams) -> Tensor:
     )
     px_n = preactivation(gru.cand_x, gru.cand_b)
     w_zr_h = concat([gru.update_h, gru.reset_h], axis=1)
-    return gru_sequence(px_zr, px_n, w_zr_h, gru.cand_h)  # [B, T, N, width]
+    return gru_sequence(px_zr, px_n, w_zr_h, gru.cand_h)
 
 
 def encode_sequence(
@@ -242,21 +254,26 @@ def encode_sequence(
     training: bool = False,
     rng: SplitRng | None = None,
 ) -> Tensor:
-    """Encode per-step node features [B, T, N, C] into one vector per node.
+    """Encode per-step node features [B, T, N, C] into one vector per node, [B, N, W].
 
     The features reach the GRU through ``lift`` (see :func:`gru_scan`). All
-    hidden states are kept, optionally dropped out (training mode only),
-    then the time axis is collapsed by two ReLU-separated projections and
-    the result is gated elementwise.
+    hidden states [T, W, B * N] are kept and optionally dropped out
+    (training mode only). The dropout mask is drawn as [B, T, N, W] and
+    transposed, so every state element keeps the draw it would get in
+    batch-major order. The time axis is then collapsed by two
+    ReLU-separated projections, ``redist_w2ᵀ @ relu(redist_w1ᵀ @ h)`` on
+    the states as one [T * W, B * N] matrix, and the result is gated
+    elementwise by ``gain``.
     """
-    h_out = gru_scan(features, lift, enc.gru)
-    b, t, n, width = h_out.shape
+    h = gru_scan(features, lift, enc.gru)
+    t, width, m = h.shape
+    b, n = features.shape[0], features.shape[2]
     if training and enc.dropout > 0.0:
         if rng is None:
             raise ConfigError("training-mode dropout needs an rng")
         keep = 1.0 - enc.dropout
-        mask = (rng.random(h_out.shape) < keep).astype(np.float64) / keep
-        h_out = h_out * Tensor(mask)
-    stacked = reshape(transpose(h_out, (0, 2, 1, 3)), (b, n, t * width))
-    squeezed = matmul(relu(matmul(stacked, enc.redist_w1)), enc.redist_w2)
-    return squeezed * enc.gain
+        drawn = (rng.random((b, t, n, width)) < keep).transpose(1, 3, 0, 2)
+        h = h * Tensor(drawn.reshape(t, width, m).astype(np.float64) / keep)
+    hidden = relu(matmul(swap_last2(enc.redist_w1), reshape(h, (t * width, m))))
+    squeezed = matmul(swap_last2(enc.redist_w2), hidden) * reshape(enc.gain, (width, 1))
+    return transpose(reshape(squeezed, (width, b, n)), (1, 2, 0))

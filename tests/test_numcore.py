@@ -20,6 +20,7 @@ from mhgnet.numcore import (
     broadcast_to,
     check_gradient,
     concat,
+    gru_sequence,
     matmul,
     mean,
     no_grad,
@@ -294,6 +295,62 @@ class TestPrimitiveGradients:
         assert check_gradient(build, store.parameters(), h=1e-5) < 1e-4
         build().backward()
         assert const.grad is None and square.grad is None
+
+
+class TestGruSequence:
+    """The fused channel-major GRU op: [T, 2W, M], [T, W, M], [W, 2W], [W, W]."""
+
+    T, W, M = 3, 2, 5  # no two of them equal, so a swapped axis cannot pass
+
+    def shapes(self):
+        t, w, m = self.T, self.W, self.M
+        return [(t, 2 * w, m), (t, w, m), (w, 2 * w), (w, w)]
+
+    @pytest.mark.parametrize(
+        "arg, bad",
+        [
+            (0, (3, 2, 5)),  # update|reset rows not 2W
+            (0, (2, 4, 5)),  # step count differs from px_n's
+            (0, (3, 4, 4)),  # sequence count differs from px_n's
+            (0, (3, 5, 4)),  # batch-major [T, M, 2W]
+            (1, (3, 2)),  # not [T, W, M]
+            (1, (3, 5, 2)),  # batch-major [T, M, W]
+            (2, (2, 2)),  # hidden update|reset weights not [W, 2W]
+            (2, (4, 2)),  # transposed
+            (3, (2, 4)),  # candidate weights not [W, W]
+            (3, (3, 3)),
+        ],
+    )
+    def test_shape_error_names_every_argument(self, arg, bad):
+        rng = np.random.default_rng(30)
+        shapes = self.shapes()
+        shapes[arg] = bad
+        args = [Tensor(rng.normal(size=shape)) for shape in shapes]
+        with pytest.raises(ShapeError):
+            gru_sequence(*args)
+
+    def test_matches_step_by_step_oracle(self):
+        rng = np.random.default_rng(31)
+        px_zr, px_n, w_zr_h, w_n_h = (rng.normal(size=shape) for shape in self.shapes())
+        out = gru_sequence(px_zr, px_n, w_zr_h, w_n_h).data
+        w = self.W
+        h = np.zeros((self.M, w))  # batch-major state, one row per sequence
+        for j in range(self.T):
+            zr = 1.0 / (1.0 + np.exp(-(px_zr[j].T + h @ w_zr_h)))
+            z, r = zr[:, :w], zr[:, w:]
+            c = np.tanh(px_n[j].T + (r * h) @ w_n_h)
+            h = (1.0 - z) * h + z * c
+            assert np.max(np.abs(out[j] - h.T)) < 1e-14
+
+    def test_gradient(self):
+        store = ParameterStore(SplitRng(32))
+        names = ("px_zr", "px_n", "w_zr_h", "w_n_h")
+        args = [store.add(name, shape, "normal(0,1)") for name, shape in zip(names, self.shapes())]
+        weights = Tensor(np.random.default_rng(33).normal(size=(self.T, self.W, self.M)))
+        err = check_gradient(
+            lambda: sum_(gru_sequence(*args) * weights), store.parameters(), h=1e-5
+        )
+        assert err < 1e-6
 
 
 class TestLogistic:

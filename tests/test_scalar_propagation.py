@@ -3,7 +3,9 @@
 ``_d_wide_forward`` is the earlier formulation of :meth:`ForecastModel.forward`,
 kept as an oracle: it propagates the lifted input x_hat [B, T, N, D] through
 each cluster's dense walk, projects the concatenated hop states by
-``out_proj`` and feeds the D-wide result to the GRU's input projections.
+``out_proj`` and feeds the D-wide result to a GRU of its own, stepped in
+the batch-major [B, T, N, W] layout, followed by its own dropout and
+redistribution.
 """
 
 import copy
@@ -19,13 +21,15 @@ from mhgnet.numcore import (
     broadcast_to,
     check_gradient,
     concat,
-    gru_sequence,
     matmul,
     mean,
     relu,
     reshape,
+    sigmoid,
+    slice_axis,
     sum_,
     take,
+    tanh,
     transpose,
 )
 
@@ -36,6 +40,21 @@ MODES = {  # name: ModelConfig overrides
     "single_cluster": {"single_cluster": True},
 }
 TYPES = [0, 1, 2, 0, 1, 0, 0, 2, 0]  # pool sizes 5, 2, 2 around k = 3
+
+
+def _batch_major_gru(x, gru):
+    """The GRU over axis 1 of x [B, T, N, D], one step at a time: [B, T, N, W]."""
+    b, t, n, _ = x.shape
+    h = Tensor(np.zeros((b, 1, n, gru.update_h.shape[0])))
+    states = []
+    for j in range(t):
+        x_j = slice_axis(x, 1, j, j + 1)
+        z = sigmoid(matmul(x_j, gru.update_x) + matmul(h, gru.update_h) + gru.update_b)
+        r = sigmoid(matmul(x_j, gru.reset_x) + matmul(h, gru.reset_h) + gru.reset_b)
+        c = tanh(matmul(x_j, gru.cand_x) + matmul(r * h, gru.cand_h) + gru.cand_b)
+        h = (Tensor(1.0) - z) * h + z * c
+        states.append(h)
+    return concat(states, axis=1)
 
 
 def _d_wide_forward(model, x, tod, dow):
@@ -59,10 +78,7 @@ def _d_wide_forward(model, x, tod, dow):
         parts.append(matmul(concat(states, axis=-1), model.prop_cfg.out_proj))
     repositioned = sie.reassemble(parts, model.assignment)
 
-    px_zr = matmul(repositioned, concat([gru.update_x, gru.reset_x], axis=1))
-    px_zr = px_zr + concat([gru.update_b, gru.reset_b], axis=0)
-    px_n = matmul(repositioned, gru.cand_x) + gru.cand_b
-    h_out = gru_sequence(px_zr, px_n, concat([gru.update_h, gru.reset_h], axis=1), gru.cand_h)
+    h_out = _batch_major_gru(repositioned, gru)
     width = h_out.shape[-1]
     if model.training and enc.dropout > 0.0:
         keep = 1.0 - enc.dropout

@@ -83,6 +83,28 @@ def _oracle_gru(x, p, width):
     return np.stack(states, axis=1)
 
 
+def _channel_major(states):
+    """[B, T, N, W] states in the [T, W, B * N] layout of ``gru_scan``."""
+    b, t, n, w = states.shape
+    return states.transpose(1, 3, 0, 2).reshape(t, w, b * n)
+
+
+def _oracle_encode(x, enc, mask=None):
+    """Batch-major GRU, dropout and redistribution of D-wide inputs [B, T, N, D].
+
+    ``mask`` [B, T, N, W] holds the kept states (True) of a dropout draw.
+    """
+    width = enc.redist_w2.shape[0]
+    states = _oracle_gru(x, enc.gru, width)
+    b, t, n, _ = states.shape
+    if mask is not None:
+        keep = 1.0 - enc.dropout
+        states = states * (mask.astype(np.float64) / keep)
+    stacked = states.transpose(0, 2, 1, 3).reshape(b, n, t * width)
+    hidden = np.maximum(stacked @ enc.redist_w1.data, 0.0)
+    return hidden @ enc.redist_w2.data * enc.gain.data
+
+
 def _gru_params(d, width, store, init="normal(0,0.4)"):
     return GruParams(
         update_x=store.add("gru.update.wx", (d, width), init),
@@ -341,9 +363,10 @@ class TestEncodeSequence:
         features = rng.normal(size=(2, 2, 2, 3))  # C = 3 channels
         lift = rng.normal(size=(4, 2))  # [C + 1, D]: the last row meets a constant 1
         out = gru_scan(Tensor(features), Tensor(lift), p)
+        assert out.shape == (2, 3, 2 * 2)  # [T, W, B * N]
         x = features @ lift[:3] + lift[3]
-        oracle = _oracle_gru(x, p, width=3)
-        assert np.max(np.abs(out.data - oracle)) < 1e-10
+        oracle = _oracle_gru(x, p, width=3)  # [B, T, N, W]
+        assert np.max(np.abs(out.data - _channel_major(oracle))) < 1e-10
 
     def test_gru_gradient_all_parameters_and_input(self):
         from mhgnet.sie import gru_scan
@@ -354,7 +377,7 @@ class TestEncodeSequence:
             t.data = np.random.default_rng(21).normal(0.0, 0.5, t.shape)
         x = store.add("x", (2, 4, 2, 2), "normal(0,1)")  # T = 4, C = 2, width = 3
         lift = store.add("lift", (3, 2), "normal(0,0.7)")  # [C + 1, D]
-        weights = Tensor(np.random.default_rng(22).normal(size=(2, 4, 2, 3)))
+        weights = Tensor(np.random.default_rng(22).normal(size=(4, 3, 2 * 2)))  # [T, W, B * N]
         err = check_gradient(
             lambda: sum_(gru_scan(x, lift, p) * weights), store.parameters(), h=1e-5
         )
@@ -381,6 +404,28 @@ class TestEncodeSequence:
         a = encode_sequence(steps, _identity_lift(3), enc, training=False)
         b = encode_sequence(steps, _identity_lift(3), enc, training=False)
         assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_matches_batch_major_oracle(self, training):
+        b, t, n, c, width = 2, 4, 3, 2, 5
+        store = ParameterStore(SplitRng(25))
+        enc = _encoder(d=c, width=width, t=t, store=store, dropout=0.4)
+        rng = np.random.default_rng(26)
+        for p in (enc.gru.update_b, enc.gru.reset_b, enc.gru.cand_b, enc.gain):
+            p.data = rng.normal(0.0, 0.5, p.shape)
+        features = rng.normal(size=(b, t, n, c))
+        out = encode_sequence(
+            Tensor(features), _identity_lift(c), enc, training=training, rng=SplitRng(27, "drop")
+        )
+        assert out.shape == (b, n, width)
+        # the draw is made in the batch-major layout, whatever the GRU's layout
+        mask = SplitRng(27, "drop").random((b, t, n, width)) < 0.6 if training else None
+        if training:
+            assert mask.any() and not mask.all()
+        oracle = _oracle_encode(features, enc, mask)
+        assert np.max(np.abs(out.data - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        if training:
+            assert np.max(np.abs(out.data - _oracle_encode(features, enc))) > 1e-3
 
     def test_dropout_needs_rng_in_training(self):
         store = ParameterStore(SplitRng(17))
