@@ -496,14 +496,7 @@ def matmul(a, b) -> Tensor:
         ) from exc
 
     def bw(g):
-        if a.ndim == 2:
-            # one matrix shared by every batch entry of b: sum the per-entry
-            # products, which are a's size, rather than contract with
-            # tensordot, which copies g and b into transposed buffers
-            per_entry = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accum(a, per_entry.sum(axis=tuple(range(g.ndim - 2))))
-        else:
-            _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
         _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _result(data, (a, b), bw)
