@@ -7,14 +7,14 @@ is encoded by sign; it is kept as its factors M1, M2. The temporal graph is
 one scalar e (see :func:`temporal_graph`).
 
 Fusion squashes beta * A_s A_t^T through tanh and ReLU and keeps the k
-strongest entries per row, ties going to the lower column index. With A_t
-the constant e, A_s A_t^T = e * rowsum(A_s) 1^T has constant rows, so row i
-of the fused graph is f_i = relu(tanh(beta * e * r_i)) in its first k
-columns and zero elsewhere; the row sums r come from the factors in
-O(N_p * D_s). Such a graph is kept as the [N_p, 1] column f
-(:class:`ConstantRowSubgraph`), which propagation uses directly; its dense
-matrix is built only when read. Without a temporal graph (``no_tg``),
-A_s A_t^T = A_s and the top-k is taken per row, giving a dense
+strongest entries per row. With A_t the constant e, A_s A_t^T =
+e * rowsum(A_s) 1^T, so row i is the full tie f_i = relu(tanh(beta * e * r_i)).
+It keeps its whole pool, each entry g_i = f_i * min(k, N_p) / N_p (the mass of
+its top k, spread evenly), so no node label picks a neighbour. The row sums r
+come from the factors in O(N_p * D_s), and the graph is kept as the [N_p, 1]
+column g (:class:`ConstantRowSubgraph`); its dense matrix is built on read.
+Without a temporal graph (``no_tg``), A_s A_t^T = A_s and the top-k is taken
+per row, ties going to the lower column index, giving a dense
 :class:`FusedSubgraph`; without a spatial graph (``no_sg``), r = 1.
 """
 
@@ -85,17 +85,15 @@ class FusedSubgraph:
 
 @dataclass
 class ConstantRowSubgraph:
-    """A cluster's fused adjacency whose row i is f_i in its first k columns."""
+    """A cluster's fused adjacency whose row i is g_i in every column."""
 
-    rows: Tensor  # [N_p, 1]: f, each row's constant, in [0, 1)
-    k: int  # columns kept in every row, min(k, N_p)
+    rows: Tensor  # [N_p, 1]: g, each row's constant, in [0, 1)
     members: np.ndarray  # ascending node indices
 
     @property
     def a_hat(self) -> Tensor:
-        """The dense [N_p, N_p] matrix f * [j < k], built on each read."""
-        n_p = self.members.size
-        return self.rows * Tensor((np.arange(n_p) < self.k).astype(np.float64))
+        """The dense [N_p, N_p] matrix, g broadcast over the pool, built on each read."""
+        return self.rows * Tensor(np.ones((1, self.members.size)))
 
 
 def spatial_graph(members: np.ndarray, params: ClusterGraphParams) -> SpatialGraph:
@@ -137,9 +135,9 @@ def fuse_and_sparsify(
 
     ``spatial`` is None without a spatial graph (r = 1) and ``temporal`` is
     None without a temporal graph; one of the two must be given. With a
-    temporal graph the rows are constant and the result is a
-    :class:`ConstantRowSubgraph`; without one it is a dense
-    :class:`FusedSubgraph`.
+    temporal graph each row is a tie, spread evenly over the pool, and the
+    result is a :class:`ConstantRowSubgraph`; without one it is a dense
+    :class:`FusedSubgraph` of each row's top k.
     """
     members = np.asarray(members)
     if temporal is None:
@@ -147,5 +145,5 @@ def fuse_and_sparsify(
         return FusedSubgraph(a_hat=a_hat, members=members)
     n_p = members.size
     r = spatial.row_sums() if spatial is not None else Tensor(np.ones((n_p, 1)))
-    rows = relu(tanh(beta * temporal * r))  # [N_p, 1]: each row's constant
-    return ConstantRowSubgraph(rows=rows, k=min(k, n_p), members=members)
+    rows = relu(tanh(beta * temporal * r)) * (min(k, n_p) / n_p)  # [N_p, 1]: g
+    return ConstantRowSubgraph(rows=rows, members=members)

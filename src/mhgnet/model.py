@@ -48,7 +48,7 @@ class ModelConfig:
     d_t: int = 10  # timestamp embedding width
     t_h: int = 12  # input window length
     t_f: int = 12  # forecast horizon
-    k: int = 10  # per-row nonzeros kept in fused graphs
+    k: int = 10  # per-row top-k of fused graphs
     hops: int = 2  # propagation depth
     gamma: float = 0.05  # feature retention during propagation
     alpha: float = 3.0  # spatial graph saturation scale

@@ -71,29 +71,24 @@ class PropagationConfig:
 class ConstantRowGraph:
     """Every cluster's constant-row fused graph at once, in node order.
 
-    Node i's row holds f_i in the first k_i members of its own pool, so with
-    self-loops its degree is deg_i = f_i k_i + 1 and the walk (A + I) / deg
-    sends x to x_i / deg_i + (f_i / deg_i) * S_i, where S_i sums x over those
-    k_i members.
+    Node i's row holds g_i on every member of its own pool, N_p of them, so
+    with self-loops its degree is deg_i = g_i N_p + 1 and the walk
+    (A + I) / deg sends x to x_i / deg_i + (g_i / deg_i) * S_i, where S_i
+    sums x over node i's pool.
     """
 
-    rows: Tensor  # [N, 1]: f
-    kept: np.ndarray  # [N, 1]: k_i, as float
-    first: np.ndarray  # [K]: the first k_p members of every pool
-    same_pool: np.ndarray  # [K, N]: 1.0 where first[j] and node i share a pool
+    rows: Tensor  # [N, 1]: g
+    onehot: np.ndarray  # [N, P]: 1.0 where node i is in pool p
 
     @classmethod
     def from_subgraphs(
         cls, graphs: list[ConstantRowSubgraph], assignment: ClusterAssignment
     ) -> "ConstantRowGraph":
         """Merge the subgraphs of ``assignment``'s nonempty pools, in pool order."""
-        inverse, types = assignment.inverse_permutation, assignment.types
-        rows = take(concat([g.rows for g in graphs], axis=0), inverse, axis=0)
-        sizes = [g.members.size for g in graphs]
-        kept = np.repeat([float(g.k) for g in graphs], sizes)[inverse]
-        first = np.concatenate([g.members[: g.k] for g in graphs])
-        same_pool = (types[first][:, None] == types[None, :]).astype(np.float64)
-        return cls(rows, kept[:, None], first, same_pool)
+        rows = concat([g.rows for g in graphs], axis=0)
+        rows = take(rows, assignment.inverse_permutation, axis=0)
+        onehot = np.eye(len(assignment.pools))[assignment.types]
+        return cls(rows, onehot)
 
 
 def propagate(
@@ -132,21 +127,20 @@ def _constant_row_walk(graph: ConstantRowGraph, n: int, keep: float):
     """(1 - gamma) times one walk step over all clusters, from its closed form.
 
     The step is a * current + spread with a = (1 - gamma) / deg. The
-    spread, (1 - gamma) * (f_i / deg_i) * S_i, is one GEMM from the K
-    gathered first-k nodes through a [K, N] matrix whose column i holds
-    (1 - gamma) * f_i / deg_i in the rows of node i's pool.
+    spread, (1 - gamma) * (g_i / deg_i) * S_i, is two GEMMs: the pool sums
+    ``current @ onehot``, then a [P, N] matrix whose column i holds
+    (1 - gamma) * g_i / deg_i in the row of node i's pool.
     """
     if graph.rows.shape[0] != n:
         raise ShapeError(f"graph covers {graph.rows.shape[0]} nodes, features cover {n}")
-    degree = reshape(graph.rows * Tensor(graph.kept) + 1.0, (n,))
+    rows = reshape(graph.rows, (n,))
+    degree = rows * Tensor(graph.onehot @ graph.onehot.sum(axis=0)) + 1.0
     self_weight = keep / degree  # [N]
-    spread_weight = Tensor(graph.same_pool) * (keep * reshape(graph.rows, (n,)) / degree)
+    spread_weight = Tensor(graph.onehot.T) * (keep * rows / degree)  # [P, N]
+    onehot = Tensor(graph.onehot)
 
     def walk(current: Tensor) -> Tensor:  # current: [..., C, N]
-        step = current * self_weight
-        if graph.first.size:
-            step = step + matmul(take(current, graph.first, axis=-1), spread_weight)
-        return step
+        return current * self_weight + matmul(matmul(current, onehot), spread_weight)
 
     return walk
 

@@ -84,7 +84,9 @@ def masked_mae_loss(pred_scaled: Tensor, target: np.ndarray, scaler: Scaler) -> 
 
 
 class Adam:
-    """Adam with decoupled weight decay added to the gradient before moments."""
+    """Adam with L2 weight decay: ``weight_decay * w`` joins the gradient before
+    the moments (not AdamW's decoupled decay), so a parameter with no task
+    gradient still moves by about lr * sign(w) per step."""
 
     def __init__(
         self,

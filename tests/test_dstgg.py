@@ -47,8 +47,8 @@ def _oracle_temporal(daily_tbl, weekly_tbl, members, tod, dow, beta):
     return beta * np.maximum(np.tanh(pooled), 0.0)
 
 
-def _oracle_fuse(a_s, a_t, beta, k):
-    """Dense fusion by definition: relu(tanh(beta * A_s A_t^T)), then top-k per row.
+def _oracle_fuse(a_s, a_t, beta):
+    """Dense fusion by definition: relu(tanh(beta * A_s A_t^T)), not yet sparsified.
 
     The product is summed in the same order for every entry, so rows that are
     constant by construction come out exactly constant.
@@ -57,13 +57,29 @@ def _oracle_fuse(a_s, a_t, beta, k):
     prod = np.array(
         [[sum(a_s[i, l] * a_t[j, l] for l in range(n)) for j in range(n)] for i in range(n)]
     )
-    fused = np.maximum(np.tanh(beta * prod), 0.0)
+    return np.maximum(np.tanh(beta * prod), 0.0)
+
+
+def _oracle_topk(fused, k):
+    """Keep the k largest entries per row, ties going to the lower column."""
     out = np.zeros_like(fused)
     for i in range(fused.shape[0]):
         row = fused[i]
         kept = sorted(range(len(row)), key=lambda j: (-row[j], j))[:k]
         for j in kept:
             out[i, j] = row[j]
+    return out
+
+
+def _oracle_spread(fused, k):
+    """Share each constant row's top-k mass evenly over all of its columns."""
+    n = fused.shape[1]
+    out = np.zeros_like(fused)
+    for i in range(fused.shape[0]):
+        row = fused[i]
+        assert (row == row[0]).all()  # a full tie
+        for j in range(n):
+            out[i, j] = row[0] * min(k, n) / n
     return out
 
 
@@ -215,14 +231,14 @@ class TestFuseAndSparsify:
         spatial = spatial_graph(members, params)
         a_s = spatial.dense().data
         constant = np.full((n, n), 0.8)
-        cases = {  # graph mode: (spatial, temporal, dense A_s, dense A_t)
-            "full": (spatial, Tensor(0.8), a_s, constant),
-            "no_sg": (None, Tensor(0.8), np.eye(n), constant),
-            "no_tg": (spatial, None, a_s, np.eye(n)),
+        cases = {  # graph mode: (spatial, temporal, dense A_s, dense A_t, sparsifier)
+            "full": (spatial, Tensor(0.8), a_s, constant, _oracle_spread),
+            "no_sg": (None, Tensor(0.8), np.eye(n), constant, _oracle_spread),
+            "no_tg": (spatial, None, a_s, np.eye(n), _oracle_topk),
         }
-        for mode, (s, t, a_s_dense, a_t_dense) in cases.items():
+        for mode, (s, t, a_s_dense, a_t_dense, sparsify) in cases.items():
             g = fuse_and_sparsify(s, t, 0.7, k, members).a_hat.data
-            oracle = _oracle_fuse(a_s_dense, a_t_dense, 0.7, k)
+            oracle = sparsify(_oracle_fuse(a_s_dense, a_t_dense, 0.7), k)
             assert oracle.any(), mode
             assert np.max(np.abs(g - oracle)) < 1e-12, mode
 
@@ -237,7 +253,11 @@ class TestFuseAndSparsify:
             for s, t in ((spatial, temporal), (None, temporal), (spatial, None)):
                 g = fuse_and_sparsify(s, t, 0.5, k, np.arange(n)).a_hat.data
                 assert (g >= 0.0).all() and (g <= 1.0).all()
-                assert (np.count_nonzero(g, axis=1) <= k).all()
+                if t is None:  # top k
+                    assert (np.count_nonzero(g, axis=1) <= k).all()
+                else:  # each constant row spreads a mass of at most k over its pool
+                    assert (g == g[:, :1]).all()
+                    assert (g.sum(axis=1) <= k * (1.0 + 1e-12)).all()
 
     def test_fused_permutation_equivariance(self):
         store, params = _params(n=8, seed=14)
@@ -282,23 +302,26 @@ class TestFuseAndSparsify:
 class TestClosedForm:
     """The fused graph of a constant temporal graph has constant rows."""
 
-    def test_rounding_unequal_rows_keep_first_columns(self):
-        # A dense A_s A_t^T leaves the 43-node pool's rows unequal by ~7e-15,
-        # which a per-row sort turned into kept columns >= k in 5 rows.
+    def test_rounding_rows_constant_over_pool(self):
+        # A dense A_s A_t^T leaves the 43-node pool's rows unequal by ~7e-15;
+        # the closed form keeps every row exactly constant over its pool.
         series = synthesize(300, 2, 3, seed=1)
         bundle = make_bundle(series, 12, 12)
         model = ForecastModel(ModelConfig(n=300, seed=1))
         model.refresh_clusters(bundle.train, bundle.scaler)
         probe = bundle.train.slice(slice(0, 16))
+        cfg = model.cfg
         with no_grad():
             graphs = model._build_graphs(probe.tod_index, probe.dow_index)
+            e = temporal_graph(model.timestamps, probe.tod_index, probe.dow_index, cfg.beta)
         assert sorted(g.members.size for g in graphs) == [43, 122, 135]
         for g in graphs:
             a = g.a_hat.data
-            kk = min(model.cfg.k, a.shape[0])
+            a_s = spatial_graph(g.members, model.graph_params).dense().data
+            f = np.maximum(np.tanh(cfg.beta * e.item() * a_s.sum(axis=1)), 0.0)
             assert a.any()
-            assert not a[:, kk:].any()
-            assert (a[:, :kk] == a[:, :1]).all()
+            assert (a == a[:, :1]).all()
+            assert np.max(np.abs(a.sum(axis=1) - f * min(cfg.k, a.shape[0]))) < 1e-12
 
     @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
     def test_k_zero_and_k_above_pool_size(self, mode):

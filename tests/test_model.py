@@ -112,6 +112,25 @@ class TestForward:
         )
         assert err < 1e-3
 
+    @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
+    def test_relabeling_nodes_commutes_with_forward(self, mode):
+        cfg = ModelConfig(n=24, seed=1, graph_mode=mode)  # k = 10
+        rng = np.random.default_rng(40)
+        types = rng.permutation(np.repeat([0, 1, 2], [3, 9, 12]))  # two pools below k
+        perm = rng.permutation(cfg.n)  # relabeled node j is original node perm[j]
+        x, tod, dow = _inputs(cfg, b=4, seed=41)
+        outs = []
+        for order in (np.arange(cfg.n), perm):
+            model = ForecastModel(cfg)
+            model.eval_mode()
+            for param in (model.node_embedding, model.graph_params.e1, model.graph_params.e2):
+                param.data = param.data[order]
+            model.set_assignment(ClusterAssignment.from_types(types[order], cfg.p))
+            assert all(g.a_hat.data.any() for g in model._build_graphs(tod, dow))
+            outs.append(model.forward(x[:, :, order], tod, dow).data)
+        base, relabeled = outs
+        assert np.max(np.abs(relabeled - base[:, :, perm])) <= 1e-12 * np.max(np.abs(base))
+
 
 class TestRefresh:
     def _bundle(self, nodes=6, spd=8):
