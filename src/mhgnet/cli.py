@@ -227,7 +227,8 @@ def _cmd_cluster_inspect(args) -> int:
 
 def _cmd_graph_dump(args) -> int:
     cfg, bundle, model = _load_for_inspection(args)
-    model.refresh_clusters(bundle.train, bundle.scaler)
+    if not args.checkpoint:  # a checkpoint's graphs are those of its stored clusters
+        model.refresh_clusters(bundle.train, bundle.scaler)
     model.eval_mode()
     probe = model_mod.probe_windows(bundle.train)
     with no_grad():

@@ -8,6 +8,7 @@ is closest in per-coordinate absolute distance, in one O(N) sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -76,28 +77,35 @@ def _guard_denominator(d: np.ndarray) -> np.ndarray:
 
 
 def build_feature_space(
-    patterns: list[np.ndarray],
+    patterns: Callable[[np.ndarray], np.ndarray],
     x_hat: np.ndarray,
     pattern_weights: list[np.ndarray],
     total_weight: np.ndarray,
 ) -> FeatureSpace:
-    """Project patterns and input to scalars and form per-node ratio means.
+    """Per-node means of each pattern's projection over the projected input.
 
-    ``patterns`` holds P arrays [B, T, N, D]; each is projected by its
-    [D, 1] weight, divided by the projected input (guarded), and averaged
-    over batch and time to give R in [N, P].
+    The ratio of pattern p at (b, t, i) is (x_p @ w_p) / (x_hat @ w_total),
+    its denominator guarded away from 0, and R in [N, P] is its mean over
+    batch and time. ``patterns`` maps an input [B, T, N, D] to the time
+    means of its P patterns, [B, N, P·D] (:func:`mhgnet.std.decouple` with
+    the window's gate inputs bound). It is applied to x_hat divided by the
+    denominator, which is exact: a pattern is its input times a product of
+    gates that ignore the input's values, and projection and time mean are
+    linear. So no [B, T, N, D] pattern is built.
     """
-    if len(patterns) != len(pattern_weights):
-        raise ShapeError(
-            f"{len(patterns)} patterns but {len(pattern_weights)} ratio weights"
-        )
+    p, d = len(pattern_weights), x_hat.shape[-1]
     denom = _guard_denominator(x_hat @ total_weight)  # [B, T, N, 1]
-    cols = []
-    for x_p, w_p in zip(patterns, pattern_weights):
-        ratio_t = (x_p @ w_p) / denom  # [B, T, N, 1]
-        cols.append(ratio_t[..., 0].mean(axis=(0, 1)))  # [N]
-    ratios = np.stack(cols, axis=1)
-    return FeatureSpace.from_ratios(ratios)
+    means = patterns(x_hat / denom)
+    if means.shape[-1] != p * d:
+        raise ShapeError(
+            f"pattern means of width {means.shape[-1]} for {p} ratio weights of width {d}"
+        )
+    means = means.reshape(means.shape[:-1] + (p, d))  # [B, N, P, D]
+    cols = [
+        (means[:, :, j] @ w_p)[..., 0].mean(axis=0)  # [N]
+        for j, w_p in enumerate(pattern_weights)
+    ]
+    return FeatureSpace.from_ratios(np.stack(cols, axis=1))
 
 
 def assign(fs: FeatureSpace) -> ClusterAssignment:

@@ -226,16 +226,11 @@ class ForecastModel:
             )
 
         x_hat = std.embed_input(x, self.embed_w, self.embed_b)
-        # the patterns sum back to x_hat by construction (the last one is the
-        # residual); the gates get their gradient through these per-pattern
-        # skip means. Only the means are kept, so a no_grad forward frees the
-        # patterns and gates before propagation.
-        pattern_means = [
-            mean(piece, axis=1)
-            for piece in std.decouple(
-                x_hat, tod, dow, self.node_embedding, self.timestamps, self.gates
-            )
-        ]
+        # the gates get their gradient through these per-pattern time means
+        # in the skip, [B, N, P·D]; the patterns themselves are never built
+        pattern_means = std.decouple(
+            x_hat, tod, dow, self.node_embedding, self.timestamps, self.gates
+        )
         # propagation reads the scalar x; hop_lift carries its hop states to
         # the D-wide features that propagating x_hat would give
         graphs = self._build_graphs(tod, dow)
@@ -253,7 +248,7 @@ class ForecastModel:
             states, lift, self.encoder, training=self.training, rng=self._dropout_rng
         )
 
-        skip = [x_out, mean(x_hat, axis=1), *pattern_means]
+        skip = [x_out, mean(x_hat, axis=1), pattern_means]
         d_last, w_last = self.timestamps.rows(tod[:, -1], dow[:, -1])  # [B, D_t]
         for rows in (d_last, w_last):
             skip.append(
@@ -285,14 +280,17 @@ class ForecastModel:
         """The probe-window feature space currently used for assignment."""
         probe = probe_windows(train_split)
         x = scaler.apply(probe.inputs[..., :1])
+
+        def pattern_means(h: np.ndarray) -> np.ndarray:
+            return std.decouple(
+                Tensor(h), probe.tod_index, probe.dow_index,
+                self.node_embedding, self.timestamps, self.gates,
+            ).data
+
         with no_grad():
             x_hat = std.embed_input(Tensor(x), self.embed_w, self.embed_b)
-            patterns = std.decouple(
-                x_hat, probe.tod_index, probe.dow_index,
-                self.node_embedding, self.timestamps, self.gates,
-            )
             return clusterer.build_feature_space(
-                [p.data for p in patterns],
+                pattern_means,
                 x_hat.data,
                 [w.data for w in self.ratio_weights],
                 self.ratio_total.data,

@@ -268,16 +268,17 @@ def relu(a) -> Tensor:
     return _result(np.maximum(a.data, 0.0), (a,), bw)
 
 
-def _logistic(x: Array) -> Array:
+def _logistic(x: Array, out: Array | None = None) -> Array:
     """Overflow-free logistic function: exp(-|x|) is in (0, 1].
 
     Computed in place on two buffers as exp(min(x, 0)) / (1 + e) with
-    e = exp(-|x|): 1 / (1 + e) where x >= 0, else e / (1 + e).
+    e = exp(-|x|): 1 / (1 + e) where x >= 0, else e / (1 + e). ``out``
+    may be ``x`` itself.
     """
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.minimum(x, 0.0)
+    out = np.minimum(x, 0.0, out=out)
     np.exp(out, out=out)
     e += 1.0
     out /= e
@@ -569,6 +570,91 @@ def gru_sequence(px_zr, px_n, w_zr_h, w_n_h) -> Tensor:
         _accum(w_n_h, np.matmul(rh_prev, d_n[1:].transpose(0, 2, 1)).sum(axis=0))
 
     return _result(states, parents, bw)
+
+
+# float64 values per [B, c, N, D] buffer of a streamed gating block
+STREAM_BUDGET = 2**16
+
+
+def gated_time_means(x, step_logits: Sequence, node_logits: Sequence) -> Tensor:
+    """Time means of the patterns of sequential gating, recorded as one graph node.
+
+    ``x`` is [B, T, N, D]. Gate g is ``sigmoid(step_logits[g][b, t] +
+    node_logits[g][i])``, from G pre-activation parts [B, T, D] and [N, D].
+    Pattern g is the running residual times gate g, the residual then loses
+    that pattern, and pattern G is what remains, so the G + 1 patterns sum
+    to ``x``. Returns their time means as [B, N, (G+1)·D], pattern p in
+    channels p·D to (p+1)·D. The patterns are never built: T is streamed in
+    blocks of c = max(1, min(T, STREAM_BUDGET // (B·N·D))) steps, and each
+    block's patterns are added into the sums step by step, in time order, as
+    ``mean`` over axis 1 adds them. The gates are kept for the backward pass
+    only when a gradient will be taken.
+    """
+    x = _to_tensor(x)
+    steps = [_to_tensor(s) for s in step_logits]
+    nodes = [_to_tensor(s) for s in node_logits]
+    if x.ndim != 4:
+        raise ShapeError(f"gated_time_means expects x as [B, T, N, D], got {x.shape}")
+    b, t, n, d = x.shape
+    if len(steps) != len(nodes) or any(
+        s.shape != (b, t, d) or v.shape != (n, d) for s, v in zip(steps, nodes)
+    ):
+        raise ShapeError(
+            f"gated_time_means: x {x.shape}, step logits {[s.shape for s in steps]}, "
+            f"node logits {[v.shape for v in nodes]}"
+        )
+    g_count = len(steps)
+    parents = (x, *steps, *nodes)
+    keep = _tracked(parents)
+    block = max(1, min(t, STREAM_BUDGET // max(1, b * n * d)))
+    bounds = [(t0, min(t0 + block, t)) for t0 in range(0, t, block)]
+    gates = np.empty((g_count, b, t, n, d)) if keep else None
+    sums = np.zeros((g_count + 1, b, n, d))
+    for t0, t1 in bounds:
+        remaining = x.data[:, t0:t1].copy()
+        for g in range(g_count):
+            piece = steps[g].data[:, t0:t1, None] + nodes[g].data
+            _logistic(piece, out=piece)
+            if keep:
+                gates[g, :, t0:t1] = piece
+            piece *= remaining
+            for j in range(t1 - t0):
+                sums[g] += piece[:, j]
+            remaining -= piece
+        for j in range(t1 - t0):
+            sums[g_count] += remaining[:, j]
+    sums /= t
+    out = sums.transpose(1, 2, 0, 3).reshape(b, n, (g_count + 1) * d)
+
+    def bw(grad):
+        # per pattern, the gradient reaching each step of its time mean: [B, 1, N, D]
+        u = grad.reshape(b, 1, n, g_count + 1, d).transpose(3, 0, 1, 2, 4) / t
+        ones = np.ones(n)  # sums over nodes as a product: numpy's sum over axis 2 is slow
+        dx = np.empty((b, t, n, d))
+        d_steps = np.empty((g_count, b, t, d))
+        d_nodes = np.zeros((g_count, n, d))
+        for t0, t1 in bounds:
+            # the residual ahead of each gate and after the last, rebuilt as
+            # the forward built it
+            residuals = [x.data[:, t0:t1]]
+            for g in range(g_count):
+                residuals.append(residuals[g] - gates[g, :, t0:t1] * residuals[g])
+            d_rem = u[g_count]
+            for g in reversed(range(g_count)):
+                # pattern g is s·r_g and r_(g+1) = (1 - s)·r_g, so with v = u_g - d_rem
+                # r_g gets d_rem + v·s and the logit v·s·(1 - s)·r_g = v·s·r_(g+1)
+                d_gated = (u[g] - d_rem) * gates[g, :, t0:t1]
+                d_rem = d_rem + d_gated
+                d_gated *= residuals[g + 1]
+                d_steps[g, :, t0:t1] = ones @ d_gated
+                d_nodes[g] += d_gated.sum(axis=(0, 1))
+            dx[:, t0:t1] = d_rem
+        _accum(x, dx)
+        for g in range(g_count):
+            _accum(steps[g], d_steps[g])
+            _accum(nodes[g], d_nodes[g])
+
+    return _result(out, parents, bw)
 
 
 # ---------------------------------------------------------------------------

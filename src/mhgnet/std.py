@@ -1,9 +1,11 @@
 """Traffic-pattern decoupling.
 
-The hidden input representation is split into P pattern tensors by sigmoid
+The hidden input representation is split into P traffic patterns by sigmoid
 gates conditioned on time-of-day, day-of-week, and node embeddings. Gating
-is sequential on the running residual, so the pattern tensors always sum
-back to the input exactly: the last pattern is the residual.
+is sequential on the running residual, so the patterns always sum back to
+the input exactly: the last pattern is the residual. Only the patterns' time
+means are read downstream, so only they are computed
+(:func:`mhgnet.numcore.gated_time_means`).
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ import numpy as np
 from .errors import ConfigError
 from .numcore import (
     Tensor,
+    gated_time_means,
     matmul,
     relu,
-    reshape,
-    sigmoid,
     slice_axis,
     take,
 )
@@ -75,12 +76,14 @@ def decouple(
     node_embedding: Tensor,
     ts: TimestampEmbeddings,
     gate_params: list[GateParams],
-) -> list[Tensor]:
-    """Split the hidden tensor into len(gate_params) + 1 pattern tensors.
+) -> Tensor:
+    """Time means of the len(gate_params) + 1 patterns of ``x_hat`` [B, T_h, N, D].
 
     Gate n is sigmoid((features @ w1 + b1) @ w2 + b2); pattern n multiplies
     the running residual by the gate, and the final pattern is whatever
-    remains, so the patterns sum to ``x_hat``.
+    remains, so the patterns sum to ``x_hat``. Returns their means over
+    time as [B, N, P·D], pattern p in channels p·D to (p+1)·D; the
+    [B, T_h, N, D] patterns themselves are never built.
 
     Both gate layers are affine, so they are applied to the factors of
     ``features`` separately: the timestamp rows of ``w1`` on [B, T_h] and
@@ -88,22 +91,15 @@ def decouple(
     """
     if gate_params is None:
         raise ConfigError("gate_params must be a list (possibly empty)")
-    patterns: list[Tensor] = []  # each [B, T_h, N, D]
-    remaining = x_hat
+    per_step, per_node = [], []  # each gate's [B, T_h, D] and [N, D] parts
     if gate_params:
         daily, weekly, emb = gate_features(tod, dow, node_embedding, ts)
-        b, t, d_t = daily.shape
-        d_s, d = emb.shape[1], x_hat.shape[-1]
+        d_t, d_s = daily.shape[-1], emb.shape[1]
         for gp in gate_params:
             w_daily = slice_axis(gp.w1, 0, 0, d_t)
             w_weekly = slice_axis(gp.w1, 0, d_t, 2 * d_t)
             w_node = slice_axis(gp.w1, 0, 2 * d_t, 2 * d_t + d_s)
-            per_step = matmul(daily, w_daily) + matmul(weekly, w_weekly) + gp.b1
-            per_step = matmul(per_step, gp.w2) + gp.b2  # [B, T_h, D]
-            per_node = matmul(matmul(emb, w_node), gp.w2)  # [N, D]
-            gate = sigmoid(reshape(per_step, (b, t, 1, d)) + per_node)
-            piece = remaining * gate
-            patterns.append(piece)
-            remaining = remaining - piece
-    patterns.append(remaining)
-    return patterns
+            hidden = matmul(daily, w_daily) + matmul(weekly, w_weekly) + gp.b1
+            per_step.append(matmul(hidden, gp.w2) + gp.b2)
+            per_node.append(matmul(matmul(emb, w_node), gp.w2))
+    return gated_time_means(x_hat, per_step, per_node)

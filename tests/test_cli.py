@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mhgnet.cli import main
+from mhgnet.clusterer import ClusterAssignment
 from mhgnet.config import RunConfig, parse_config, render_config
 from mhgnet.data import load_series
 from mhgnet.errors import ConfigError, FormatError
@@ -305,6 +306,31 @@ class TestInspection:
         for line in out[1:4]:
             cluster, row, col, weight = line.split(",")
             assert float(weight) >= 0.0
+
+    def test_graph_dump_uses_the_checkpoint_clusters(self, synth_file, tmp_path, monkeypatch):
+        # every node of type 1: a refresh never derives that (the node holding
+        # the largest first ratio is at distance 0 from type 0), so the dump
+        # shows the stored assignment only if it serves it
+        cfg_path = _fast_config(tmp_path)
+        model = ForecastModel(
+            ModelConfig(n=8, p=2, d=4, d_s=4, d_t=4, t_h=6, t_f=6, k=4, steps_per_day=24)
+        )
+        stored = ClusterAssignment.from_types(np.ones(8, dtype=np.int64), 2)
+        ckpt = tmp_path / "stored.mhgc"
+        save_checkpoint(ckpt, model.store.state(), stored)
+        seen = []
+        build = ForecastModel._build_graphs
+
+        def recording_build(self, *args):
+            seen.append(self.assignment.types.copy())
+            return build(self, *args)
+
+        monkeypatch.setattr(ForecastModel, "_build_graphs", recording_build)
+        argv = ["graph-dump", "--data", str(synth_file), "--config", str(cfg_path)]
+        assert main(argv + ["--checkpoint", str(ckpt)]) == 0
+        assert len(seen) == 1 and np.array_equal(seen[0], stored.types)
+        assert main(argv) == 0  # without a checkpoint the clusters are refreshed
+        assert len(seen) == 2 and not np.array_equal(seen[1], stored.types)
 
 
 class TestMalformedCheckpoint:

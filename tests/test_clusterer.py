@@ -10,7 +10,7 @@ from mhgnet.clusterer import (
     build_feature_space,
     single_pool,
 )
-from mhgnet.errors import ConfigError
+from mhgnet.errors import ConfigError, ShapeError
 
 
 def _loop_feature_space(patterns, x_hat, weights, total_weight, eps=1e-8):
@@ -32,12 +32,17 @@ def _loop_feature_space(patterns, x_hat, weights, total_weight, eps=1e-8):
     return acc
 
 
+def _gated(gates):
+    """The pattern-mean map of fixed gates: input times each gate, averaged over time."""
+    return lambda h: np.concatenate([(h * g).mean(axis=1) for g in gates], axis=-1)
+
+
 class TestFeatureSpace:
     def test_single_pattern_all_ones(self):
         rng = np.random.default_rng(0)
         x_hat = rng.normal(size=(2, 3, 4, 5)) + 2.0
         w = rng.normal(size=(5, 1))
-        fs = build_feature_space([x_hat], x_hat, [w], w)
+        fs = build_feature_space(_gated([1.0]), x_hat, [w], w)
         assert np.allclose(fs.ratios, 1.0)
         assert np.allclose(fs.limits, [1.0])
 
@@ -45,22 +50,29 @@ class TestFeatureSpace:
         rng = np.random.default_rng(1)
         x_hat = rng.normal(size=(1, 2, 3, 4)) + 3.0
         w = rng.normal(size=(4, 1))
-        patterns = [x_hat.copy(), x_hat.copy()]
-        fs1 = build_feature_space(patterns, x_hat, [w, w], w)
-        fs2 = build_feature_space([0.5 * p for p in patterns], x_hat, [w, w], w)
+        fs1 = build_feature_space(_gated([1.0, 1.0]), x_hat, [w, w], w)
+        fs2 = build_feature_space(_gated([0.5, 0.5]), x_hat, [w, w], w)
         assert np.allclose(fs2.ratios, 0.5 * fs1.ratios)
         assert np.allclose(fs2.limits, 0.5 * fs1.limits)
 
     def test_matches_loop_oracle(self):
+        # patterns whose gates ignore the input's values, as decoupling's do, so
+        # gating the divided input gives the pattern ratios the rule defines
         rng = np.random.default_rng(2)
         b, t, n, d, p = 2, 3, 3, 4, 2
         x_hat = rng.normal(size=(b, t, n, d))
-        patterns = [rng.normal(size=(b, t, n, d)) for _ in range(p)]
+        gates = [rng.uniform(size=(b, t, n, d)) for _ in range(p)]
         weights = [rng.normal(size=(d, 1)) for _ in range(p)]
         total = rng.normal(size=(d, 1))
-        fs = build_feature_space(patterns, x_hat, weights, total)
-        oracle = _loop_feature_space(patterns, x_hat, weights, total)
+        fs = build_feature_space(_gated(gates), x_hat, weights, total)
+        oracle = _loop_feature_space([x_hat * g for g in gates], x_hat, weights, total)
         assert np.max(np.abs(fs.ratios - oracle)) < 1e-12
+
+    def test_pattern_width_must_match_weights(self):
+        x_hat = np.ones((1, 2, 3, 4))
+        w = np.ones((4, 1))
+        with pytest.raises(ShapeError):
+            build_feature_space(_gated([1.0]), x_hat, [w, w], w)
 
     def test_limits_are_column_maxima(self):
         rng = np.random.default_rng(3)

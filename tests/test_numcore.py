@@ -20,6 +20,7 @@ from mhgnet.numcore import (
     broadcast_to,
     check_gradient,
     concat,
+    gated_time_means,
     gru_sequence,
     matmul,
     mean,
@@ -35,6 +36,7 @@ from mhgnet.numcore import (
     topk_row_mask,
     transpose,
 )
+from mhgnet.numcore import tensor as tensor_module
 
 
 class TestMatmul:
@@ -352,6 +354,95 @@ class TestGruSequence:
             lambda: sum_(gru_sequence(*args) * weights), store.parameters(), h=1e-5
         )
         assert err < 1e-6
+
+
+def _sequential_gating(x, step_logits, node_logits):
+    """The gating loop from primitives: every [B, T, N, D] pattern, built in turn."""
+    b, t, _, d = x.shape
+    patterns, remaining = [], x
+    for step, node in zip(step_logits, node_logits):
+        piece = remaining * sigmoid(reshape(step, (b, t, 1, d)) + node)
+        patterns.append(piece)
+        remaining = remaining - piece
+    patterns.append(remaining)
+    return concat([mean(piece, axis=1) for piece in patterns], axis=-1)
+
+
+class TestGatedTimeMeans:
+    """The fused gating op: x [B, T, N, D], G parts [B, T, D] and [N, D]."""
+
+    B, T, N, D = 2, 5, 3, 4  # no two of them equal, so a swapped axis cannot pass
+    # budgets giving blocks of 1 step, of 2 steps (the last one shorter), and of all 5
+    BLOCKS = {1: 1, 2: 2 * B * N * D, 5: 2**16}
+
+    def args(self, p, seed):
+        rng = np.random.default_rng(seed)
+        g = p - 1
+        x = Tensor(rng.normal(size=(self.B, self.T, self.N, self.D)))
+        steps = [Tensor(rng.normal(size=(self.B, self.T, self.D))) for _ in range(g)]
+        nodes = [Tensor(rng.normal(size=(self.N, self.D))) for _ in range(g)]
+        return x, steps, nodes
+
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_sequential_oracle_bitwise(self, p, block, monkeypatch):
+        # the means are summed in time order whatever the block, so they are
+        # bit-identical to the oracle's within one block and across blocks
+        monkeypatch.setattr(tensor_module, "STREAM_BUDGET", self.BLOCKS[block])
+        x, steps, nodes = self.args(p, seed=40 + p)
+        out = gated_time_means(x, steps, nodes)
+        assert out.shape == (self.B, self.N, p * self.D)
+        assert np.array_equal(out.data, _sequential_gating(x, steps, nodes).data)
+
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_gradient(self, p, block, monkeypatch):
+        monkeypatch.setattr(tensor_module, "STREAM_BUDGET", self.BLOCKS[block])
+        store = ParameterStore(SplitRng(50 + p))
+        g = p - 1
+        x = store.add("x", (self.B, self.T, self.N, self.D), "normal(0,1)")
+        steps = [store.add(f"s{i}", (self.B, self.T, self.D), "normal(0,1)") for i in range(g)]
+        nodes = [store.add(f"n{i}", (self.N, self.D), "normal(0,1)") for i in range(g)]
+        weights = Tensor(np.random.default_rng(60).normal(size=(self.B, self.N, p * self.D)))
+        err = check_gradient(
+            lambda: sum_(gated_time_means(x, steps, nodes) * weights), store.parameters(), h=1e-5
+        )
+        assert err < 1e-8
+        # and the hand-written backward is the oracle's autodiff, to rounding
+        fused = {q.name: q.tensor.grad.copy() for q in store.parameters()}
+        store.zero_grad()
+        sum_(_sequential_gating(x, steps, nodes) * weights).backward()
+        for q in store.parameters():
+            assert np.allclose(fused[q.name], q.tensor.grad, rtol=1e-13, atol=1e-15), q.name
+
+    def test_keeps_nothing_without_gradient(self):
+        x, steps, nodes = self.args(3, seed=70)
+        assert gated_time_means(x, steps, nodes)._backward is None
+        x.requires_grad = True
+        with no_grad():
+            assert gated_time_means(x, steps, nodes)._backward is None
+        assert gated_time_means(x, steps, nodes)._backward is not None
+
+    @pytest.mark.parametrize(
+        "steps, nodes",
+        [
+            ([(2, 5, 4)], []),  # a step part without its node part
+            ([(2, 5, 3)], [(3, 4)]),  # step part not [B, T, D]
+            ([(5, 2, 4)], [(3, 4)]),  # step part time-major
+            ([(2, 5, 4)], [(4, 3)]),  # node part transposed
+        ],
+    )
+    def test_shape_error_names_the_shapes(self, steps, nodes):
+        rng = np.random.default_rng(71)
+        x = Tensor(rng.normal(size=(self.B, self.T, self.N, self.D)))
+        parts = [[Tensor(rng.normal(size=shape)) for shape in group] for group in (steps, nodes)]
+        with pytest.raises(ShapeError) as exc:
+            gated_time_means(x, *parts)
+        assert str((self.B, self.T, self.N, self.D)) in str(exc.value)
+
+    def test_x_must_be_four_dimensional(self):
+        with pytest.raises(ShapeError):
+            gated_time_means(Tensor(np.ones((2, 5, 3))), [], [])
 
 
 class TestLogistic:

@@ -5,7 +5,8 @@ kept as an oracle: it propagates the lifted input x_hat [B, T, N, D] through
 each cluster's dense walk, projects the concatenated hop states by
 ``out_proj`` and feeds the D-wide result to a GRU of its own, stepped in
 the batch-major [B, T, N, W] layout, followed by its own dropout and
-redistribution.
+redistribution. Its pattern means come from the sequential gating loop that
+builds every pattern (``std_oracle``).
 """
 
 import copy
@@ -32,6 +33,7 @@ from mhgnet.numcore import (
     tanh,
     transpose,
 )
+from std_oracle import decouple_patterns, time_means
 
 MODES = {  # name: ModelConfig overrides
     "full": {},
@@ -63,7 +65,7 @@ def _d_wide_forward(model, x, tod, dow):
     x = Tensor(x)
     b, t, n, _ = x.shape
     x_hat = std.embed_input(x, model.embed_w, model.embed_b)
-    patterns = std.decouple(
+    patterns = decouple_patterns(
         x_hat, tod, dow, model.node_embedding, model.timestamps, model.gates
     )
     parts = []
@@ -87,7 +89,7 @@ def _d_wide_forward(model, x, tod, dow):
     stacked = reshape(transpose(h_out, (0, 2, 1, 3)), (b, n, t * width))
     x_out = matmul(relu(matmul(stacked, enc.redist_w1)), enc.redist_w2) * enc.gain
 
-    skip = [x_out, mean(x_hat, axis=1), *(mean(p, axis=1) for p in patterns)]
+    skip = [x_out, mean(x_hat, axis=1), time_means(patterns)]
     for rows in model.timestamps.rows(tod[:, -1], dow[:, -1]):
         skip.append(broadcast_to(reshape(rows, (b, 1, cfg.d_t)), (b, n, cfg.d_t)))
     hidden = relu(matmul(relu(concat(skip, axis=-1)), model.head_w1) + model.head_b1)
