@@ -1,9 +1,10 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from mhgnet import std
+from mhgnet import sie, std
 from mhgnet.clusterer import ClusterAssignment
 from mhgnet.data import make_bundle, synthesize
 from mhgnet.errors import ConfigError, FormatError
@@ -306,6 +307,33 @@ class TestGraphLifetime:
             assert (consumed.tensor.grad is None) == (kept.tensor.grad is None), consumed.name
             if kept.tensor.grad is not None:
                 assert np.array_equal(consumed.tensor.grad, kept.tensor.grad), consumed.name
+
+    @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
+    def test_no_grad_forward_frees_patterns_before_propagation(self, mode, monkeypatch):
+        # decouple builds no patterns any more; what it does build for the
+        # gates (each gate's per-step and per-node logits, and their arrays)
+        # must be gone by the time propagation runs
+        cfg = _tiny_cfg(p=3, graph_mode=mode)
+        model = ForecastModel(cfg)
+        model.eval_mode()
+        decoupled = []  # weakrefs to the gate logit tensors and their data
+        alive = []  # how many of them each propagate call saw alive
+        gated, propagate = std.gated_time_means, sie.propagate
+
+        def recording_gated(x_hat, per_step, per_node):
+            for t in (*per_step, *per_node):
+                decoupled.extend((weakref.ref(t), weakref.ref(t.data)))
+            return gated(x_hat, per_step, per_node)
+
+        def counting_propagate(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in decoupled))
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(std, "gated_time_means", recording_gated)
+        monkeypatch.setattr(sie, "propagate", counting_propagate)
+        with no_grad():
+            model.forward(*_inputs(cfg))
+        assert len(decoupled) == 8 and alive and set(alive) == {0}
 
     def test_no_grad_decouple_peak_below_one_pattern(self, monkeypatch):
         # B·N·D = 64·128·8 fills one streamed block per step, so what decouple
