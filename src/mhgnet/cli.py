@@ -200,35 +200,35 @@ def _cmd_convert(args) -> int:
 
 
 def _load_for_inspection(args):
+    """The model to inspect, with a checkpoint's stored clusters or else refreshed ones."""
     cfg = _resolve_config(args)
     series, bundle, model = _prepare(cfg, args.data)
     if args.checkpoint:
         model_mod.restore(model, args.checkpoint)
+    else:
+        model.refresh_clusters(bundle.train, bundle.scaler)
     return cfg, bundle, model
 
 
 def _cmd_cluster_inspect(args) -> int:
     cfg, bundle, model = _load_for_inspection(args)
     fs = model.feature_space(bundle.train, bundle.scaler)
-    assignment = model.refresh_clusters(bundle.train, bundle.scaler)
     p = fs.ratios.shape[1]
     print("# ratios")
     print("node," + ",".join(f"r{j}" for j in range(p)) + ",type")
     for i, row in enumerate(fs.ratios):
-        print(f"{i}," + ",".join(f"{v:.6f}" for v in row) + f",{assignment.types[i]}")
+        print(f"{i}," + ",".join(f"{v:.6f}" for v in row) + f",{model.assignment.types[i]}")
     print("# limits")
     print(",".join(f"{v:.6f}" for v in fs.limits))
     print("# pools")
     print("type,size,members")
-    for j, pool in enumerate(assignment.pools):
+    for j, pool in enumerate(model.assignment.pools):
         print(f"{j},{len(pool)}," + " ".join(str(i) for i in pool))
     return 0
 
 
 def _cmd_graph_dump(args) -> int:
     cfg, bundle, model = _load_for_inspection(args)
-    if not args.checkpoint:  # a checkpoint's graphs are those of its stored clusters
-        model.refresh_clusters(bundle.train, bundle.scaler)
     model.eval_mode()
     probe = model_mod.probe_windows(bundle.train)
     with no_grad():

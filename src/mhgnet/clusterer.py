@@ -1,6 +1,7 @@
 """Single-pass node clustering in the pattern-ratio feature space.
 
-Each node gets a P-vector of pattern ratios R[i]; the per-pattern maxima
+Each node gets a P-vector of pattern ratios R[i], the shares of its traffic
+that fall in each decoupled pattern (they sum to 1); the per-pattern maxima
 form the limit points C. A node is assigned the pattern whose limit point
 is closest in per-coordinate absolute distance, in one O(N) sweep.
 """
@@ -77,35 +78,29 @@ def _guard_denominator(d: np.ndarray) -> np.ndarray:
 
 
 def build_feature_space(
-    patterns: Callable[[np.ndarray], np.ndarray],
-    x_hat: np.ndarray,
-    pattern_weights: list[np.ndarray],
-    total_weight: np.ndarray,
+    patterns: Callable[[np.ndarray], np.ndarray], x_hat: np.ndarray, p: int
 ) -> FeatureSpace:
-    """Per-node means of each pattern's projection over the projected input.
+    """Per-node means of each pattern's share of the input's channel sum.
 
-    The ratio of pattern p at (b, t, i) is (x_p @ w_p) / (x_hat @ w_total),
-    its denominator guarded away from 0, and R in [N, P] is its mean over
-    batch and time. ``patterns`` maps an input [B, T, N, D] to the time
-    means of its P patterns, [B, N, P·D] (:func:`mhgnet.std.decouple` with
-    the window's gate inputs bound). It is applied to x_hat divided by the
-    denominator, which is exact: a pattern is its input times a product of
-    gates that ignore the input's values, and projection and time mean are
+    The ratio of pattern p at (b, t, i) is sum_d x_p / sum_d x_hat, its
+    denominator guarded away from 0, and R in [N, P] is its mean over batch
+    and time. The patterns sum to x_hat, so each row of R sums to 1.
+    ``patterns`` maps an input [B, T, N, D] to the time means of its P
+    patterns, [B, N, P·D] (:func:`mhgnet.std.decouple` with the window's
+    gate inputs bound). It is applied to x_hat divided by the denominator,
+    which is exact: a pattern is its input times a product of gates that
+    ignore the input's values, and the channel sum and time mean are
     linear. So no [B, T, N, D] pattern is built.
     """
-    p, d = len(pattern_weights), x_hat.shape[-1]
-    denom = _guard_denominator(x_hat @ total_weight)  # [B, T, N, 1]
+    d = x_hat.shape[-1]
+    denom = _guard_denominator(x_hat.sum(axis=-1, keepdims=True))  # [B, T, N, 1]
     means = patterns(x_hat / denom)
     if means.shape[-1] != p * d:
         raise ShapeError(
-            f"pattern means of width {means.shape[-1]} for {p} ratio weights of width {d}"
+            f"pattern means of width {means.shape[-1]} for {p} patterns of width {d}"
         )
-    means = means.reshape(means.shape[:-1] + (p, d))  # [B, N, P, D]
-    cols = [
-        (means[:, :, j] @ w_p)[..., 0].mean(axis=0)  # [N]
-        for j, w_p in enumerate(pattern_weights)
-    ]
-    return FeatureSpace.from_ratios(np.stack(cols, axis=1))
+    shares = means.reshape(means.shape[:-1] + (p, d)).sum(axis=-1)  # [B, N, P]
+    return FeatureSpace.from_ratios(shares.mean(axis=0))
 
 
 def assign(fs: FeatureSpace) -> ClusterAssignment:

@@ -45,6 +45,7 @@ class ClusterGraphParams:
 
     The tables cover all N nodes; rows are gathered per cluster so that
     membership changes across epochs reuse rows instead of reallocating.
+    A ``no_sg`` model builds no spatial graph and registers none of them.
     """
 
     e1: Tensor  # [N, D_s]

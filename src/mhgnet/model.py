@@ -122,18 +122,15 @@ class ForecastModel:
             weekly=add("time.weekly", (7, cfg.d_t), "normal(0,1)"),
         )
 
-        self.ratio_weights = [
-            add(f"cluster.ratio.w{j}", (cfg.d, 1)) for j in range(cfg.p)
-        ]
-        self.ratio_total = add("cluster.ratio.w_total", (cfg.d, 1))
-
-        self.graph_params = dstgg.ClusterGraphParams(
-            e1=add("graph.e1", (cfg.n, cfg.d_s), "normal(0,1)"),
-            e2=add("graph.e2", (cfg.n, cfg.d_s), "normal(0,1)"),
-            w1=add("graph.w1", (cfg.d_s, cfg.d_s)),
-            w2=add("graph.w2", (cfg.d_s, cfg.d_s)),
-            alpha=cfg.alpha,
-        )
+        self.graph_params = None
+        if cfg.graph_mode != "no_sg":
+            self.graph_params = dstgg.ClusterGraphParams(
+                e1=add("graph.e1", (cfg.n, cfg.d_s), "normal(0,1)"),
+                e2=add("graph.e2", (cfg.n, cfg.d_s), "normal(0,1)"),
+                w1=add("graph.w1", (cfg.d_s, cfg.d_s)),
+                w2=add("graph.w2", (cfg.d_s, cfg.d_s)),
+                alpha=cfg.alpha,
+            )
 
         self.prop_cfg = sie.PropagationConfig(
             gamma=cfg.gamma,
@@ -289,12 +286,7 @@ class ForecastModel:
 
         with no_grad():
             x_hat = std.embed_input(Tensor(x), self.embed_w, self.embed_b)
-            return clusterer.build_feature_space(
-                pattern_means,
-                x_hat.data,
-                [w.data for w in self.ratio_weights],
-                self.ratio_total.data,
-            )
+            return clusterer.build_feature_space(pattern_means, x_hat.data, self.cfg.p)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +295,7 @@ class ForecastModel:
 # u32 N | u32 types[N]
 
 CKPT_MAGIC = b"MHGC"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 def save_checkpoint(

@@ -307,17 +307,22 @@ class TestInspection:
             cluster, row, col, weight = line.split(",")
             assert float(weight) >= 0.0
 
-    def test_graph_dump_uses_the_checkpoint_clusters(self, synth_file, tmp_path, monkeypatch):
-        # every node of type 1: a refresh never derives that (the node holding
-        # the largest first ratio is at distance 0 from type 0), so the dump
-        # shows the stored assignment only if it serves it
-        cfg_path = _fast_config(tmp_path)
+    @staticmethod
+    def _all_type_1_checkpoint(tmp_path):
+        """Every node of type 1: a refresh never derives that (the node holding
+        the largest first ratio is at distance 0 from type 0), so an output
+        shows the stored assignment only if it serves it."""
         model = ForecastModel(
             ModelConfig(n=8, p=2, d=4, d_s=4, d_t=4, t_h=6, t_f=6, k=4, steps_per_day=24)
         )
         stored = ClusterAssignment.from_types(np.ones(8, dtype=np.int64), 2)
         ckpt = tmp_path / "stored.mhgc"
         save_checkpoint(ckpt, model.store.state(), stored)
+        return ckpt, stored
+
+    def test_graph_dump_uses_the_checkpoint_clusters(self, synth_file, tmp_path, monkeypatch):
+        cfg_path = _fast_config(tmp_path)
+        ckpt, stored = self._all_type_1_checkpoint(tmp_path)
         seen = []
         build = ForecastModel._build_graphs
 
@@ -331,6 +336,17 @@ class TestInspection:
         assert len(seen) == 1 and np.array_equal(seen[0], stored.types)
         assert main(argv) == 0  # without a checkpoint the clusters are refreshed
         assert len(seen) == 2 and not np.array_equal(seen[1], stored.types)
+
+    def test_cluster_inspect_prints_the_checkpoint_clusters(self, synth_file, capsys, tmp_path):
+        cfg_path = _fast_config(tmp_path)
+        ckpt, _ = self._all_type_1_checkpoint(tmp_path)
+        argv = ["cluster-inspect", "--data", str(synth_file), "--config", str(cfg_path)]
+        assert main(argv + ["--checkpoint", str(ckpt)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        pools = out[out.index("type,size,members") + 1 :]
+        assert [int(line.split(",")[1]) for line in pools] == [0, 8]
+        rows = out[out.index("node,r0,r1,type") + 1 : out.index("# limits")]
+        assert [line.rsplit(",", 1)[1] for line in rows] == ["1"] * 8
 
 
 class TestMalformedCheckpoint:
@@ -358,6 +374,21 @@ class TestMalformedCheckpoint:
             assert exc.value.offset is not None, name
             assert main(["eval", "--data", str(synth_file), "--checkpoint", str(path)]) == 1, name
             assert "error:" in capsys.readouterr().err, name
+
+    def test_version_1_checkpoint_rejected(self, synth_file, tmp_path, capsys):
+        # version 1 stored the clusterer's ratio weights, which are gone
+        model = ForecastModel(RunConfig().to_model_config(8, 24))
+        path = tmp_path / "old.mhgc"
+        save_checkpoint(path, model.store.state(), model.assignment)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == 4
+        assert main(["eval", "--data", str(synth_file), "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "unsupported checkpoint version 1" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("pattern", ["0000c07f", "0100807f", "0000807f"])  # qNaN, sNaN, inf
     def test_nonfinite_value_gives_format_error(self, tmp_path, pattern):

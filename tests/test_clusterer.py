@@ -13,8 +13,8 @@ from mhgnet.clusterer import (
 from mhgnet.errors import ConfigError, ShapeError
 
 
-def _loop_feature_space(patterns, x_hat, weights, total_weight, eps=1e-8):
-    """Brute-force evaluation of the ratio features, straight from the rule."""
+def _loop_feature_space(patterns, x_hat, eps=1e-8):
+    """Brute-force evaluation of the pattern shares, straight from the rule."""
     b, t, n, _ = x_hat.shape
     p = len(patterns)
     acc = np.zeros((n, p))
@@ -23,8 +23,8 @@ def _loop_feature_space(patterns, x_hat, weights, total_weight, eps=1e-8):
             vals = []
             for bb in range(b):
                 for tt in range(t):
-                    num = float(patterns[j][bb, tt, i] @ weights[j][:, 0])
-                    den = float(x_hat[bb, tt, i] @ total_weight[:, 0])
+                    num = float(patterns[j][bb, tt, i].sum())
+                    den = float(x_hat[bb, tt, i].sum())
                     sign = 1.0 if den >= 0 else -1.0
                     den = sign * max(abs(den), eps)
                     vals.append(num / den)
@@ -41,38 +41,33 @@ class TestFeatureSpace:
     def test_single_pattern_all_ones(self):
         rng = np.random.default_rng(0)
         x_hat = rng.normal(size=(2, 3, 4, 5)) + 2.0
-        w = rng.normal(size=(5, 1))
-        fs = build_feature_space(_gated([1.0]), x_hat, [w], w)
+        fs = build_feature_space(_gated([1.0]), x_hat, 1)
         assert np.allclose(fs.ratios, 1.0)
         assert np.allclose(fs.limits, [1.0])
 
     def test_homogeneity(self):
         rng = np.random.default_rng(1)
         x_hat = rng.normal(size=(1, 2, 3, 4)) + 3.0
-        w = rng.normal(size=(4, 1))
-        fs1 = build_feature_space(_gated([1.0, 1.0]), x_hat, [w, w], w)
-        fs2 = build_feature_space(_gated([0.5, 0.5]), x_hat, [w, w], w)
+        fs1 = build_feature_space(_gated([1.0, 1.0]), x_hat, 2)
+        fs2 = build_feature_space(_gated([0.5, 0.5]), x_hat, 2)
         assert np.allclose(fs2.ratios, 0.5 * fs1.ratios)
         assert np.allclose(fs2.limits, 0.5 * fs1.limits)
 
     def test_matches_loop_oracle(self):
         # patterns whose gates ignore the input's values, as decoupling's do, so
-        # gating the divided input gives the pattern ratios the rule defines
+        # gating the divided input gives the pattern shares the rule defines
         rng = np.random.default_rng(2)
         b, t, n, d, p = 2, 3, 3, 4, 2
         x_hat = rng.normal(size=(b, t, n, d))
         gates = [rng.uniform(size=(b, t, n, d)) for _ in range(p)]
-        weights = [rng.normal(size=(d, 1)) for _ in range(p)]
-        total = rng.normal(size=(d, 1))
-        fs = build_feature_space(_gated(gates), x_hat, weights, total)
-        oracle = _loop_feature_space([x_hat * g for g in gates], x_hat, weights, total)
+        fs = build_feature_space(_gated(gates), x_hat, p)
+        oracle = _loop_feature_space([x_hat * g for g in gates], x_hat)
         assert np.max(np.abs(fs.ratios - oracle)) < 1e-12
 
-    def test_pattern_width_must_match_weights(self):
+    def test_pattern_width_must_match_pattern_count(self):
         x_hat = np.ones((1, 2, 3, 4))
-        w = np.ones((4, 1))
         with pytest.raises(ShapeError):
-            build_feature_space(_gated([1.0]), x_hat, [w, w], w)
+            build_feature_space(_gated([1.0]), x_hat, 2)
 
     def test_limits_are_column_maxima(self):
         rng = np.random.default_rng(3)

@@ -303,8 +303,8 @@ class TestClosedForm:
     """The fused graph of a constant temporal graph has constant rows."""
 
     def test_rounding_rows_constant_over_pool(self):
-        # A dense A_s A_t^T leaves the 43-node pool's rows unequal by ~7e-15;
-        # the closed form keeps every row exactly constant over its pool.
+        # A dense A_s A_t^T leaves a large pool's rows unequal by ~2e-14; the
+        # closed form keeps every row exactly constant over its pool.
         series = synthesize(300, 2, 3, seed=1)
         bundle = make_bundle(series, 12, 12)
         model = ForecastModel(ModelConfig(n=300, seed=1))
@@ -314,7 +314,9 @@ class TestClosedForm:
         with no_grad():
             graphs = model._build_graphs(probe.tod_index, probe.dow_index)
             e = temporal_graph(model.timestamps, probe.tod_index, probe.dow_index, cfg.beta)
-        assert sorted(g.members.size for g in graphs) == [43, 122, 135]
+        pools = [pool for pool in model.assignment.pools if pool]
+        assert [g.members.tolist() for g in graphs] == pools
+        assert sum(len(pool) > 1 for pool in pools) >= 2
         for g in graphs:
             a = g.a_hat.data
             a_s = spatial_graph(g.members, model.graph_params).dense().data
@@ -347,7 +349,9 @@ class TestClosedForm:
         tod = np.array([[0, 1, 2], [3, 4, 5]])
         dow = np.array([[0, 1, 2], [2, 3, 4]])
         weights = Tensor(np.random.default_rng(22).normal(size=(5, 5)))
-        names = ("graph.e1", "graph.e2", "graph.w1", "graph.w2", "time.daily", "time.weekly")
+        names = ("time.daily", "time.weekly")
+        if mode == "full":
+            names += ("graph.e1", "graph.e2", "graph.w1", "graph.w2")
         params = [p for p in model.parameters() if p.name in names]
         assert len(params) == len(names)
 

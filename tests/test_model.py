@@ -9,6 +9,7 @@ from mhgnet.clusterer import ClusterAssignment
 from mhgnet.data import make_bundle, synthesize
 from mhgnet.errors import ConfigError, FormatError
 from mhgnet.model import (
+    CKPT_VERSION,
     ForecastModel,
     ModelConfig,
     apply_variant,
@@ -124,7 +125,10 @@ class TestForward:
         for order in (np.arange(cfg.n), perm):
             model = ForecastModel(cfg)
             model.eval_mode()
-            for param in (model.node_embedding, model.graph_params.e1, model.graph_params.e2):
+            node_indexed = [model.node_embedding]
+            if model.graph_params is not None:  # no_sg builds no spatial graph
+                node_indexed += [model.graph_params.e1, model.graph_params.e2]
+            for param in node_indexed:
                 param.data = param.data[order]
             model.set_assignment(ClusterAssignment.from_types(types[order], cfg.p))
             assert all(g.a_hat.data.any() for g in model._build_graphs(tod, dow))
@@ -171,6 +175,14 @@ class TestRefresh:
         bundle = self._bundle()
         asg = model.refresh_clusters(bundle.train, bundle.scaler)
         assert asg.pools == [list(range(cfg.n))]
+
+    def test_ratios_are_pattern_shares(self):
+        # the patterns sum to the input, so each node's shares sum to 1
+        model = ForecastModel(_tiny_cfg(p=3))
+        bundle = self._bundle()
+        fs = model.feature_space(bundle.train, bundle.scaler)
+        assert fs.ratios.shape == (6, 3)
+        assert np.max(np.abs(fs.ratios.sum(axis=1) - 1.0)) < 1e-12
 
 
 class TestVariants:
@@ -232,7 +244,7 @@ class TestCheckpoint:
         # 0 values, but the other 39 dims describe an array numpy cannot shape
         name = b"w"
         dims = [0] + [0xFFFFFFFF] * 39
-        blob = b"MHGC" + np.array([1, 1], "<u4").tobytes()
+        blob = b"MHGC" + np.array([CKPT_VERSION, 1], "<u4").tobytes()
         blob += len(name).to_bytes(2, "little") + name + bytes([len(dims)])
         blob += np.array(dims, "<u4").tobytes()
         values_at = len(blob)
@@ -258,6 +270,19 @@ class TestParameterCount:
         b = ForecastModel(_tiny_cfg())
         for x, y in zip(a.parameters(), b.parameters()):
             assert np.array_equal(x.tensor.data, y.tensor.data)
+
+    @pytest.mark.parametrize("single_cluster", [False, True])
+    @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
+    def test_every_parameter_gets_a_gradient(self, mode, single_cluster):
+        cfg = _tiny_cfg(graph_mode=mode, single_cluster=single_cluster)
+        model = ForecastModel(cfg)
+        bundle = make_bundle(synthesize(nodes=6, days=4, patterns=2, seed=2, steps_per_day=8), 4, 2)
+        model.refresh_clusters(bundle.train, bundle.scaler)
+        batch = bundle.train.slice(slice(0, 8))
+        x = bundle.scaler.apply(batch.inputs[..., :1])
+        pred = model.forward(x, batch.tod_index, batch.dow_index)
+        masked_mae_loss(pred, batch.targets, bundle.scaler).backward()
+        assert [p.name for p in model.parameters() if p.tensor.grad is None] == []
 
 
 def _keeping_backward(root):
