@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import dstgg, train_eval
 from . import model as model_mod
-from . import train_eval
 from .config import RunConfig, load_config, render_config
 from .data import convert_csv, load_series, make_bundle, save_series, synthesize
 from .errors import ConfigError, MhgnetError
@@ -199,20 +199,21 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _load_for_inspection(args):
-    """The model to inspect, with a checkpoint's stored clusters or else refreshed ones."""
+def _load_for_inspection(args, features: bool = False):
+    """The model to inspect, with a checkpoint's stored clusters or else refreshed
+    ones, and with ``features`` the probe's feature space, built once."""
     cfg = _resolve_config(args)
     series, bundle, model = _prepare(cfg, args.data)
     if args.checkpoint:
         model_mod.restore(model, args.checkpoint)
-    else:
-        model.refresh_clusters(bundle.train, bundle.scaler)
-    return cfg, bundle, model
+    fs = model.feature_space(bundle.train, bundle.scaler) if features else None
+    if not args.checkpoint:
+        model.refresh_clusters(bundle.train, bundle.scaler, fs)
+    return bundle, model, fs
 
 
 def _cmd_cluster_inspect(args) -> int:
-    cfg, bundle, model = _load_for_inspection(args)
-    fs = model.feature_space(bundle.train, bundle.scaler)
+    bundle, model, fs = _load_for_inspection(args, features=True)
     p = fs.ratios.shape[1]
     print("# ratios")
     print("node," + ",".join(f"r{j}" for j in range(p)) + ",type")
@@ -228,14 +229,18 @@ def _cmd_cluster_inspect(args) -> int:
 
 
 def _cmd_graph_dump(args) -> int:
-    cfg, bundle, model = _load_for_inspection(args)
+    bundle, model, _ = _load_for_inspection(args)
     model.eval_mode()
     probe = model_mod.probe_windows(bundle.train)
     with no_grad():
         graphs = model._build_graphs(probe.tod_index, probe.dow_index)
+    if isinstance(graphs, dstgg.ConstantRowGraph):  # each nonempty pool's block
+        a = graphs.a_hat.data
+        blocks = [a[np.ix_(pool, pool)] for pool in model.assignment.pools if pool]
+    else:
+        blocks = [g.a_hat.data for g in graphs]
     print("cluster,row,col,weight")
-    for c, graph in enumerate(graphs):
-        a = graph.a_hat.data
+    for c, a in enumerate(blocks):
         for i, j in zip(*np.nonzero(a)):
             print(f"{c},{i},{j},{a[i, j]:.6f}")
     return 0

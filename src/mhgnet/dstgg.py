@@ -1,5 +1,5 @@
-"""Per-cluster graph generation: learned spatial graph, timestamp-driven
-temporal graph, fusion, and row-wise top-k sparsification.
+"""Graph generation: learned spatial graph, timestamp-driven temporal graph,
+fusion, and row-wise top-k sparsification within each node's pool.
 
 The spatial graph is the antisymmetric form A_s = alpha * (M1 M2^T - M2 M1^T)
 built from two node-embedding tables, so self-weights vanish and direction
@@ -7,15 +7,16 @@ is encoded by sign; it is kept as its factors M1, M2. The temporal graph is
 one scalar e (see :func:`temporal_graph`).
 
 Fusion squashes beta * A_s A_t^T through tanh and ReLU and keeps the k
-strongest entries per row. With A_t the constant e, A_s A_t^T =
-e * rowsum(A_s) 1^T, so row i is the full tie f_i = relu(tanh(beta * e * r_i)).
-It keeps its whole pool, each entry g_i = f_i * min(k, N_p) / N_p (the mass of
-its top k, spread evenly), so no node label picks a neighbour. The row sums r
-come from the factors in O(N_p * D_s), and the graph is kept as the [N_p, 1]
-column g (:class:`ConstantRowSubgraph`); its dense matrix is built on read.
-Without a temporal graph (``no_tg``), A_s A_t^T = A_s and the top-k is taken
-per row, ties going to the lower column index, giving a dense
-:class:`FusedSubgraph`; without a spatial graph (``no_sg``), r = 1.
+strongest entries per row of each pool's subgraph. With A_t the constant e,
+row i is the full tie f_i = relu(tanh(beta * e * r_i)), r_i its row sum over
+its own pool. It keeps its whole pool, each entry g_i = f_i * min(k, N_p) / N_p
+(the mass of its top k, spread evenly), so no node label picks a neighbour.
+All N row sums come from the factors and the [N, P] pool one-hot in
+O(N * D_s), and the graph is kept in node order as the [N, 1] column g
+(:class:`ConstantRowGraph`); its dense matrix is built on read. Without a
+temporal graph (``no_tg``), the top-k is taken per row of A_s, ties going to
+the lower column index, giving one dense :class:`FusedSubgraph` per pool;
+without a spatial graph (``no_sg``), r = 1.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .std import TimestampEmbeddings
 class ClusterGraphParams:
     """Full-size embedding tables and mixing weights for graph generation.
 
-    The tables cover all N nodes; rows are gathered per cluster so that
+    The tables cover all N nodes; ``no_tg`` gathers each cluster's rows, so
     membership changes across epochs reuse rows instead of reallocating.
     A ``no_sg`` model builds no spatial graph and registers none of them.
     """
@@ -57,9 +58,9 @@ class ClusterGraphParams:
 
 @dataclass
 class SpatialGraph:
-    """A cluster's spatial graph alpha * (m1 m2^T - m2 m1^T), kept as factors."""
+    """The spatial graph alpha * (m1 m2^T - m2 m1^T) of some nodes, kept as factors."""
 
-    m1: Tensor  # [N_p, D_s]
+    m1: Tensor  # [N_p, D_s]: one row per node, of one pool or of all N
     m2: Tensor  # [N_p, D_s]
     alpha: float
 
@@ -68,12 +69,13 @@ class SpatialGraph:
         m1, m2 = self.m1, self.m2
         return self.alpha * (matmul(m1, swap_last2(m2)) - matmul(m2, swap_last2(m1)))
 
-    def row_sums(self) -> Tensor:
-        """Row sums [N_p, 1] of the matrix: alpha * (m1 sum_j m2_j - m2 sum_j m1_j)."""
-        d_s = self.m1.shape[1]
-        s1 = reshape(sum_(self.m1, axis=0), (d_s, 1))
-        s2 = reshape(sum_(self.m2, axis=0), (d_s, 1))
-        return self.alpha * (matmul(self.m1, s2) - matmul(self.m2, s1))
+    def row_sums(self, onehot: np.ndarray) -> Tensor:
+        """Each row's sum [N, 1] over its own pool, ``onehot`` [N, P] marking the
+        pools: alpha * (m1_i . S2 - m2_i . S1), S the pool sums ``onehotᵀ @ m``."""
+        pools, members = Tensor(onehot), Tensor(onehot.T)
+        s1 = matmul(pools, matmul(members, self.m1))  # [N, D_s]: node i's pool sum
+        s2 = matmul(pools, matmul(members, self.m2))
+        return self.alpha * reshape(sum_(self.m1 * s2 - self.m2 * s1, axis=1), (-1, 1))
 
 
 @dataclass
@@ -85,20 +87,20 @@ class FusedSubgraph:
 
 
 @dataclass
-class ConstantRowSubgraph:
-    """A cluster's fused adjacency whose row i is g_i in every column."""
+class ConstantRowGraph:
+    """Every pool's fused graph in node order: row i is g_i on node i's pool, 0 elsewhere."""
 
-    rows: Tensor  # [N_p, 1]: g, each row's constant, in [0, 1)
-    members: np.ndarray  # ascending node indices
+    rows: Tensor  # [N, 1]: g, each row's constant, in [0, 1)
+    onehot: np.ndarray  # [N, P]: 1.0 where node i is in pool p
 
     @property
     def a_hat(self) -> Tensor:
-        """The dense [N_p, N_p] matrix, g broadcast over the pool, built on each read."""
-        return self.rows * Tensor(np.ones((1, self.members.size)))
+        """The dense [N, N] matrix, g spread over each row's pool, built on each read."""
+        return self.rows * Tensor(self.onehot @ self.onehot.T)
 
 
 def spatial_graph(members: np.ndarray, params: ClusterGraphParams) -> SpatialGraph:
-    """Learned directed graph over the cluster, as its two factors."""
+    """Learned directed graph over ``members`` (one pool, or every node), as its two factors."""
     m1 = tanh(params.alpha * matmul(take(params.e1, members, axis=0), params.w1))
     m2 = tanh(params.alpha * matmul(take(params.e2, members, axis=0), params.w2))
     return SpatialGraph(m1, m2, params.alpha)
@@ -130,21 +132,24 @@ def fuse_and_sparsify(
     temporal: Tensor | None,
     beta: float,
     k: int,
-    members: np.ndarray,
-) -> FusedSubgraph | ConstantRowSubgraph:
+    nodes: np.ndarray,
+) -> FusedSubgraph | ConstantRowGraph:
     """Combine the two graphs and keep the k strongest entries per row.
 
     ``spatial`` is None without a spatial graph (r = 1) and ``temporal`` is
     None without a temporal graph; one of the two must be given. With a
-    temporal graph each row is a tie, spread evenly over the pool, and the
-    result is a :class:`ConstantRowSubgraph`; without one it is a dense
-    :class:`FusedSubgraph` of each row's top k.
+    temporal graph, ``nodes`` is the [N, P] pool one-hot of all N nodes,
+    ``spatial`` covers all of them, and each row is a tie spread evenly over
+    its pool: the result is a :class:`ConstantRowGraph`. Without one,
+    ``nodes`` holds one pool's ascending node indices, ``spatial`` covers
+    that pool, and the result is a dense :class:`FusedSubgraph` of each
+    row's top k.
     """
-    members = np.asarray(members)
     if temporal is None:
         a_hat = topk_row_mask(relu(tanh(beta * spatial.dense())), k)
-        return FusedSubgraph(a_hat=a_hat, members=members)
-    n_p = members.size
-    r = spatial.row_sums() if spatial is not None else Tensor(np.ones((n_p, 1)))
-    rows = relu(tanh(beta * temporal * r)) * (min(k, n_p) / n_p)  # [N_p, 1]: g
-    return ConstantRowSubgraph(rows=rows, members=members)
+        return FusedSubgraph(a_hat=a_hat, members=np.asarray(nodes))
+    onehot = np.asarray(nodes, dtype=np.float64)
+    sizes = onehot @ onehot.sum(axis=0)  # [N]: each node's pool size N_p
+    r = spatial.row_sums(onehot) if spatial is not None else Tensor(np.ones((sizes.size, 1)))
+    spread = Tensor((np.minimum(k, sizes) / sizes)[:, None])  # [N, 1]: min(k, N_p) / N_p
+    return ConstantRowGraph(relu(tanh(beta * temporal * r)) * spread, onehot)

@@ -191,24 +191,20 @@ class ForecastModel:
 
     def _build_graphs(
         self, tod: np.ndarray, dow: np.ndarray
-    ) -> list[dstgg.FusedSubgraph | dstgg.ConstantRowSubgraph]:
-        """One fused subgraph per nonempty pool, in pool order."""
+    ) -> dstgg.ConstantRowGraph | list[dstgg.FusedSubgraph]:
+        """One node-order graph of constant rows (``full``, ``no_sg``), or one
+        dense subgraph per nonempty pool, in pool order (``no_tg``)."""
         cfg = self.cfg
-        temporal = None
-        if cfg.graph_mode != "no_tg":
-            temporal = dstgg.temporal_graph(self.timestamps, tod, dow, cfg.beta)
-        graphs = []
-        for pool in self.assignment.pools:
-            if not pool:
-                continue
-            members = np.asarray(pool, dtype=np.int64)
-            spatial = None
-            if cfg.graph_mode != "no_sg":
-                spatial = dstgg.spatial_graph(members, self.graph_params)
-            graphs.append(
-                dstgg.fuse_and_sparsify(spatial, temporal, cfg.beta, cfg.k, members)
-            )
-        return graphs
+        if cfg.graph_mode == "no_tg":
+            pools = [np.asarray(pool, dtype=np.int64) for pool in self.assignment.pools if pool]
+            spatial = [dstgg.spatial_graph(members, self.graph_params) for members in pools]
+            return [dstgg.fuse_and_sparsify(s, None, cfg.beta, cfg.k, m) for s, m in zip(spatial, pools)]
+        temporal = dstgg.temporal_graph(self.timestamps, tod, dow, cfg.beta)
+        spatial = None
+        if cfg.graph_mode == "full":
+            spatial = dstgg.spatial_graph(np.arange(cfg.n), self.graph_params)
+        onehot = np.eye(len(self.assignment.pools))[self.assignment.types]  # [N, P]
+        return dstgg.fuse_and_sparsify(spatial, temporal, cfg.beta, cfg.k, onehot)
 
     def forward(self, x, tod: np.ndarray, dow: np.ndarray) -> Tensor:
         """Map scaled inputs [B, T_h, N, 1] to scaled forecasts [B, T_f, N, 1]."""
@@ -231,15 +227,14 @@ class ForecastModel:
         # propagation reads the scalar x; hop_lift carries its hop states to
         # the D-wide features that propagating x_hat would give
         graphs = self._build_graphs(tod, dow)
-        if cfg.graph_mode == "no_tg":  # dense per-cluster graphs
+        if isinstance(graphs, dstgg.ConstantRowGraph):
+            states = sie.propagate(x, graphs, self.prop_cfg)
+        else:  # dense per-cluster graphs
             cluster_states = [
                 sie.propagate(take(x, g.members, axis=2), g, self.prop_cfg)
                 for g in graphs
             ]
             states = sie.reassemble(cluster_states, self.assignment)
-        else:
-            merged_graph = sie.ConstantRowGraph.from_subgraphs(graphs, self.assignment)
-            states = sie.propagate(x, merged_graph, self.prop_cfg)
         lift = sie.hop_lift(self.embed_w, self.embed_b, self.prop_cfg)
         x_out = sie.encode_sequence(
             states, lift, self.encoder, training=self.training, rng=self._dropout_rng
@@ -261,13 +256,15 @@ class ForecastModel:
     # clustering refresh
 
     def refresh_clusters(
-        self, train_split: WindowedDataset, scaler: Scaler
+        self, train_split: WindowedDataset, scaler: Scaler, fs: clusterer.FeatureSpace | None = None
     ) -> ClusterAssignment:
-        """Recompute the node assignment from a fixed probe of training windows."""
+        """Recompute the node assignment from a fixed probe of training windows;
+        ``fs`` is that probe's :meth:`feature_space` if the caller built it."""
         if self.cfg.single_cluster:
             assignment = clusterer.single_pool(self.cfg.n)
         else:
-            assignment = clusterer.assign(self.feature_space(train_split, scaler))
+            fs = self.feature_space(train_split, scaler) if fs is None else fs
+            assignment = clusterer.assign(fs)
         self.set_assignment(assignment)
         return assignment
 

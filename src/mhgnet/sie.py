@@ -21,11 +21,11 @@ then the [B, T, N, hops] hop states of x through the [hops + 1, D] matrix
 of :func:`hop_lift`, which :func:`gru_scan` folds into the GRU's input
 weights. No [B, T, N, D] tensor is propagated or projected.
 
-When every cluster's fused graph has constant rows (``full``, ``no_sg``),
-propagation runs on the whole tensor in node order from the closed form of
-the walk, so no per-cluster walk is built and nothing needs reassembling.
-Dense per-cluster graphs (``no_tg``) are propagated one cluster at a time
-and the hop states reassembled into node order.
+A fused graph of constant rows (``full``, ``no_sg``) is one node-order
+:class:`~mhgnet.dstgg.ConstantRowGraph`: propagation runs on the whole tensor
+from the closed form of the walk, and nothing needs reassembling. Dense
+per-cluster graphs (``no_tg``) are propagated one cluster at a time and the
+hop states reassembled into node order.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .numcore import (
     transpose,
 )
 from .clusterer import ClusterAssignment
-from .dstgg import ConstantRowSubgraph, FusedSubgraph
+from .dstgg import ConstantRowGraph, FusedSubgraph
 
 
 @dataclass
@@ -67,30 +67,6 @@ class PropagationConfig:
     out_proj: Tensor
 
 
-@dataclass
-class ConstantRowGraph:
-    """Every cluster's constant-row fused graph at once, in node order.
-
-    Node i's row holds g_i on every member of its own pool, N_p of them, so
-    with self-loops its degree is deg_i = g_i N_p + 1 and the walk
-    (A + I) / deg sends x to x_i / deg_i + (g_i / deg_i) * S_i, where S_i
-    sums x over node i's pool.
-    """
-
-    rows: Tensor  # [N, 1]: g
-    onehot: np.ndarray  # [N, P]: 1.0 where node i is in pool p
-
-    @classmethod
-    def from_subgraphs(
-        cls, graphs: list[ConstantRowSubgraph], assignment: ClusterAssignment
-    ) -> "ConstantRowGraph":
-        """Merge the subgraphs of ``assignment``'s nonempty pools, in pool order."""
-        rows = concat([g.rows for g in graphs], axis=0)
-        rows = take(rows, assignment.inverse_permutation, axis=0)
-        onehot = np.eye(len(assignment.pools))[assignment.types]
-        return cls(rows, onehot)
-
-
 def propagate(
     h: Tensor, graph: FusedSubgraph | ConstantRowGraph, cfg: PropagationConfig
 ) -> Tensor:
@@ -101,9 +77,10 @@ def propagate(
     features back in with weight gamma: next = gamma * h + (1 - gamma) *
     walk(current). State j fills channels j*C to (j+1)*C; state 0 is ``h``.
     ``graph`` is either one cluster's :class:`FusedSubgraph`, with ``h``
-    [..., N_p, C] holding that cluster's nodes, or a :class:`ConstantRowGraph`
-    of every cluster, with ``h`` [..., N, C] in node order. The states run
-    with nodes on the last axis, so each walk is one right-multiplication.
+    [..., N_p, C] holding that cluster's nodes, or the
+    :class:`ConstantRowGraph` of every cluster, with ``h`` [..., N, C] in
+    node order. The states run with nodes on the last axis, so each walk is
+    one right-multiplication.
     """
     keep = 1.0 - cfg.gamma
     if isinstance(graph, ConstantRowGraph):
@@ -126,10 +103,13 @@ def propagate(
 def _constant_row_walk(graph: ConstantRowGraph, n: int, keep: float):
     """(1 - gamma) times one walk step over all clusters, from its closed form.
 
-    The step is a * current + spread with a = (1 - gamma) / deg. The
-    spread, (1 - gamma) * (g_i / deg_i) * S_i, is two GEMMs: the pool sums
-    ``current @ onehot``, then a [P, N] matrix whose column i holds
-    (1 - gamma) * g_i / deg_i in the row of node i's pool.
+    Node i's row holds g_i on every member of its own pool, N_p of them, so
+    with self-loops its degree is deg_i = g_i N_p + 1 and the walk
+    (A + I) / deg sends x to x_i / deg_i + (g_i / deg_i) * S_i, where S_i
+    sums x over node i's pool. The step is a * current + spread with
+    a = (1 - gamma) / deg. The spread, (1 - gamma) * (g_i / deg_i) * S_i, is
+    two GEMMs: the pool sums ``current @ onehot``, then a [P, N] matrix whose
+    column i holds (1 - gamma) * g_i / deg_i in the row of node i's pool.
     """
     if graph.rows.shape[0] != n:
         raise ShapeError(f"graph covers {graph.rows.shape[0]} nodes, features cover {n}")

@@ -16,6 +16,8 @@ from .model import ForecastModel, ModelConfig, apply_variant
 from .numcore import Parameter, SplitRng, Tensor, abs_, no_grad, slice_axis, sum_
 
 MASK_THRESHOLD = 1e-4  # readings at or below this magnitude are sentinels
+ADAM_BETAS = (0.9, 0.999)  # decay rates of the first and second moments
+ADAM_EPS = 1e-8  # added to the second moment's root
 
 
 # ---------------------------------------------------------------------------
@@ -88,26 +90,17 @@ class Adam:
     the moments (not AdamW's decoupled decay), so a parameter with no task
     gradient still moves by about lr * sign(w) per step."""
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float,
-        weight_decay: float = 1e-5,
-        eps: float = 1e-8,
-        betas: tuple[float, float] = (0.9, 0.999),
-    ):
+    def __init__(self, params: list[Parameter], lr: float, weight_decay: float = 1e-5):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.eps = eps
-        self.betas = betas
         self.step_count = 0
         self._m = [np.zeros_like(p.tensor.data) for p in params]
         self._v = [np.zeros_like(p.tensor.data) for p in params]
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         self.step_count += 1
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
@@ -120,7 +113,7 @@ class Adam:
             m += (1.0 - b1) * grad
             v *= b2
             v += (1.0 - b2) * grad * grad
-            t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

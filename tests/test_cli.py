@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from mhgnet import clusterer
 from mhgnet.cli import main
 from mhgnet.clusterer import ClusterAssignment
 from mhgnet.config import RunConfig, parse_config, render_config
@@ -300,12 +301,29 @@ class TestInspection:
 
     def test_graph_dump_output(self, synth_file, capsys, tmp_path):
         cfg_path = _fast_config(tmp_path)
-        assert main(["graph-dump", "--data", str(synth_file), "--config", str(cfg_path)]) == 0
+        argv = ["--data", str(synth_file), "--config", str(cfg_path), "--seed", "2"]
+        assert main(["graph-dump"] + argv) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "cluster,row,col,weight"
+        assert len(out) > 1  # at seed 2 the fused graph is not empty
         for line in out[1:4]:
             cluster, row, col, weight = line.split(",")
             assert float(weight) >= 0.0
+        assert main(["cluster-inspect"] + argv) == 0
+        inspected = capsys.readouterr().out.splitlines()
+        pools = inspected[inspected.index("type,size,members") + 1 :]
+        sizes = [size for size in (int(line.split(",")[1]) for line in pools) if size]
+        rows = {}  # (cluster, row): [(col, weight)]
+        for line in out[1:]:
+            cluster, row, col, weight = line.split(",")
+            c, i, j = int(cluster), int(row), int(col)
+            assert c < len(sizes) and i < sizes[c] and j < sizes[c], line
+            rows.setdefault((c, i), []).append((j, weight))
+        # cluster c is the c-th nonempty pool, with pool-local indices
+        assert {c for c, _ in rows} == set(range(len(sizes)))
+        for (c, i), entries in rows.items():  # a constant row covers its whole pool
+            assert [j for j, _ in entries] == list(range(sizes[c]))
+            assert len({w for _, w in entries}) == 1
 
     @staticmethod
     def _all_type_1_checkpoint(tmp_path):
@@ -347,6 +365,27 @@ class TestInspection:
         assert [int(line.split(",")[1]) for line in pools] == [0, 8]
         rows = out[out.index("node,r0,r1,type") + 1 : out.index("# limits")]
         assert [line.rsplit(",", 1)[1] for line in rows] == ["1"] * 8
+
+
+    @pytest.mark.parametrize("source", ["refresh", "checkpoint"])
+    def test_cluster_inspect_builds_the_feature_space_once(
+        self, source, synth_file, tmp_path, monkeypatch
+    ):
+        cfg_path = _fast_config(tmp_path)
+        argv = ["cluster-inspect", "--data", str(synth_file), "--config", str(cfg_path)]
+        if source == "checkpoint":
+            ckpt, _ = self._all_type_1_checkpoint(tmp_path)
+            argv += ["--checkpoint", str(ckpt)]
+        calls = []
+        build = clusterer.build_feature_space
+
+        def counting_build(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(clusterer, "build_feature_space", counting_build)
+        assert main(argv) == 0
+        assert len(calls) == 1
 
 
 class TestMalformedCheckpoint:

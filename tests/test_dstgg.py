@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from graph_oracle import block_diagonal, onehot, pool_graphs
+from mhgnet import dstgg
+from mhgnet.clusterer import ClusterAssignment
 from mhgnet.data import make_bundle, synthesize
 from mhgnet.dstgg import (
     ClusterGraphParams,
+    ConstantRowGraph,
     fuse_and_sparsify,
     spatial_graph,
     temporal_graph,
@@ -30,6 +34,11 @@ def _timestamps(spd=8, d_t=2, seed=1, store=None):
         daily=store.add("daily", (spd, d_t), "normal(0,1)"),
         weekly=store.add("weekly", (7, d_t), "normal(0,1)"),
     )
+
+
+def _one_pool(n):
+    """The [N, 1] one-hot of a single pool holding every node."""
+    return np.ones((n, 1))
 
 
 def _oracle_temporal(daily_tbl, weekly_tbl, members, tod, dow, beta):
@@ -90,7 +99,7 @@ class TestSpatialGraph:
         params.w2.data = params.w1.data.copy()
         out = spatial_graph(np.arange(6), params)
         assert np.max(np.abs(out.dense().data)) == 0.0
-        assert np.max(np.abs(out.row_sums().data)) == 0.0
+        assert np.max(np.abs(out.row_sums(_one_pool(6)).data)) == 0.0
 
     def test_antisymmetry(self):
         store, params = _params(seed=3, alpha=2.5)
@@ -125,19 +134,32 @@ class TestSpatialGraph:
     def test_row_sums_match_dense(self):
         store, params = _params(n=9, d_s=4, seed=20, alpha=2.0)
         out = spatial_graph(np.array([0, 2, 3, 5, 8]), params)
-        sums = out.row_sums().data
+        sums = out.row_sums(_one_pool(5)).data
         assert sums.shape == (5, 1)
         assert np.max(np.abs(sums[:, 0] - out.dense().data.sum(axis=1))) < 1e-12
+
+    def test_row_sums_stay_within_each_pool(self):
+        store, params = _params(n=9, d_s=4, seed=23, alpha=2.0)
+        asg = ClusterAssignment.from_types(np.array([2, 0, 2, 2, 0, 1, 2, 0, 2]), 4)
+        sums = spatial_graph(np.arange(9), params).row_sums(onehot(asg)).data
+        dense = spatial_graph(np.arange(9), params).dense().data
+        same_pool = asg.types[:, None] == asg.types[None, :]
+        expected = (dense * same_pool).sum(axis=1)
+        assert sums.shape == (9, 1)
+        assert sums[5, 0] == 0.0  # node 5 is alone in its pool
+        assert (np.delete(expected, 5) != 0.0).all()
+        assert np.max(np.abs(sums[:, 0] - expected)) < 1e-12
 
     def test_gradient(self):
         store, params = _params(n=3, d_s=2, seed=5, alpha=0.7)
         rng = np.random.default_rng(6)
         weights = Tensor(rng.normal(size=(3, 3)))
         row_weights = Tensor(rng.normal(size=(3, 1)))
+        pools = onehot(ClusterAssignment.from_types(np.array([0, 1, 0]), 2))
 
         def loss():
             out = spatial_graph(np.arange(3), params)
-            return sum_(out.dense() * weights) + sum_(out.row_sums() * row_weights)
+            return sum_(out.dense() * weights) + sum_(out.row_sums(pools) * row_weights)
 
         assert check_gradient(loss, store.parameters(), h=1e-5) < 1e-4
 
@@ -211,7 +233,7 @@ class TestFuseAndSparsify:
         spatial = spatial_graph(np.arange(4), params)
         for k in (0, 2, 4):
             for s in (spatial, None):
-                g = fuse_and_sparsify(s, Tensor(0.0), beta=0.5, k=k, members=np.arange(4))
+                g = fuse_and_sparsify(s, Tensor(0.0), beta=0.5, k=k, nodes=_one_pool(4))
                 assert np.array_equal(g.a_hat.data, np.zeros((4, 4)))
 
     def test_singleton_cluster(self):
@@ -220,8 +242,8 @@ class TestFuseAndSparsify:
         a_s = spatial.dense().data
         assert a_s.shape == (1, 1)
         assert a_s[0, 0] == 0.0  # antisymmetric diagonal
-        for temporal in (Tensor(1.0), None):
-            g = fuse_and_sparsify(spatial, temporal, 0.5, 1, np.array([0]))
+        for temporal, nodes in ((Tensor(1.0), _one_pool(1)), (None, np.array([0]))):
+            g = fuse_and_sparsify(spatial, temporal, 0.5, 1, nodes)
             assert np.array_equal(g.a_hat.data, np.zeros((1, 1)))
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (6, 3)])
@@ -231,13 +253,13 @@ class TestFuseAndSparsify:
         spatial = spatial_graph(members, params)
         a_s = spatial.dense().data
         constant = np.full((n, n), 0.8)
-        cases = {  # graph mode: (spatial, temporal, dense A_s, dense A_t, sparsifier)
-            "full": (spatial, Tensor(0.8), a_s, constant, _oracle_spread),
-            "no_sg": (None, Tensor(0.8), np.eye(n), constant, _oracle_spread),
-            "no_tg": (spatial, None, a_s, np.eye(n), _oracle_topk),
+        cases = {  # graph mode: (spatial, temporal, nodes, dense A_s, dense A_t, sparsifier)
+            "full": (spatial, Tensor(0.8), _one_pool(n), a_s, constant, _oracle_spread),
+            "no_sg": (None, Tensor(0.8), _one_pool(n), np.eye(n), constant, _oracle_spread),
+            "no_tg": (spatial, None, members, a_s, np.eye(n), _oracle_topk),
         }
-        for mode, (s, t, a_s_dense, a_t_dense, sparsify) in cases.items():
-            g = fuse_and_sparsify(s, t, 0.7, k, members).a_hat.data
+        for mode, (s, t, nodes, a_s_dense, a_t_dense, sparsify) in cases.items():
+            g = fuse_and_sparsify(s, t, 0.7, k, nodes).a_hat.data
             oracle = sparsify(_oracle_fuse(a_s_dense, a_t_dense, 0.7), k)
             assert oracle.any(), mode
             assert np.max(np.abs(g - oracle)) < 1e-12, mode
@@ -251,7 +273,8 @@ class TestFuseAndSparsify:
             spatial = spatial_graph(np.arange(n), params)
             temporal = Tensor(abs(rng.normal()) * 3.0)
             for s, t in ((spatial, temporal), (None, temporal), (spatial, None)):
-                g = fuse_and_sparsify(s, t, 0.5, k, np.arange(n)).a_hat.data
+                nodes = np.arange(n) if t is None else _one_pool(n)
+                g = fuse_and_sparsify(s, t, 0.5, k, nodes).a_hat.data
                 assert (g >= 0.0).all() and (g <= 1.0).all()
                 if t is None:  # top k
                     assert (np.count_nonzero(g, axis=1) <= k).all()
@@ -272,7 +295,7 @@ class TestFuseAndSparsify:
         def fused(mem):
             a_s = spatial_graph(mem, params)
             # keep every entry so sparsification cannot reorder ties
-            return fuse_and_sparsify(a_s, a_t, 0.5, len(mem), mem).a_hat.data
+            return fuse_and_sparsify(a_s, a_t, 0.5, len(mem), _one_pool(len(mem))).a_hat.data
 
         base = fused(members)
         shuffled = fused(members[perm])
@@ -291,7 +314,7 @@ class TestFuseAndSparsify:
         def loss():
             a_s = spatial_graph(members, params)
             a_t = temporal_graph(ts, tod, dow, 0.6)
-            g = fuse_and_sparsify(a_s, a_t, 0.6, 2, members)
+            g = fuse_and_sparsify(a_s, a_t, 0.6, 2, _one_pool(3))
             return sum_(g.a_hat * weights)
 
         params_all = store.parameters() + store2.parameters()
@@ -312,14 +335,16 @@ class TestClosedForm:
         probe = bundle.train.slice(slice(0, 16))
         cfg = model.cfg
         with no_grad():
-            graphs = model._build_graphs(probe.tod_index, probe.dow_index)
+            graph = model._build_graphs(probe.tod_index, probe.dow_index)
             e = temporal_graph(model.timestamps, probe.tod_index, probe.dow_index, cfg.beta)
+        a_hat = graph.a_hat.data
         pools = [pool for pool in model.assignment.pools if pool]
-        assert [g.members.tolist() for g in graphs] == pools
         assert sum(len(pool) > 1 for pool in pools) >= 2
-        for g in graphs:
-            a = g.a_hat.data
-            a_s = spatial_graph(g.members, model.graph_params).dense().data
+        types = model.assignment.types
+        assert not a_hat[types[:, None] != types[None, :]].any()  # no entry leaves its pool
+        for pool in pools:
+            a = a_hat[np.ix_(pool, pool)]
+            a_s = spatial_graph(np.asarray(pool), model.graph_params).dense().data
             f = np.maximum(np.tanh(cfg.beta * e.item() * a_s.sum(axis=1)), 0.0)
             assert a.any()
             assert (a == a[:, :1]).all()
@@ -331,9 +356,10 @@ class TestClosedForm:
         members = np.arange(5)
         spatial = None if mode == "no_sg" else spatial_graph(members, params)
         temporal = None if mode == "no_tg" else Tensor(0.9)
-        assert not fuse_and_sparsify(spatial, temporal, 0.5, 0, members).a_hat.data.any()
-        every = fuse_and_sparsify(spatial, temporal, 0.5, 5, members).a_hat.data
-        beyond = fuse_and_sparsify(spatial, temporal, 0.5, 9, members).a_hat.data
+        nodes = members if mode == "no_tg" else _one_pool(5)
+        assert not fuse_and_sparsify(spatial, temporal, 0.5, 0, nodes).a_hat.data.any()
+        every = fuse_and_sparsify(spatial, temporal, 0.5, 5, nodes).a_hat.data
+        beyond = fuse_and_sparsify(spatial, temporal, 0.5, 9, nodes).a_hat.data
         assert every.any()
         assert np.array_equal(beyond, every)
         if temporal is not None:
@@ -356,9 +382,60 @@ class TestClosedForm:
         assert len(params) == len(names)
 
         def loss():
-            (graph,) = model._build_graphs(tod, dow)
-            return sum_(graph.a_hat * weights)
+            return sum_(model._build_graphs(tod, dow).a_hat * weights)
 
         with no_grad():
             assert loss().item() != 0.0
         assert check_gradient(loss, params, h=1e-5) < 1e-4
+
+
+_LAYOUTS = {  # name: (node types, number of pools, k)
+    "single_pool": ([0] * 7, 1, 3),
+    "pools_below_k": ([1, 0, 2, 1, 0, 1, 1], 3, 3),  # pool sizes 2, 4, 1
+    "k_zero": ([1, 0, 2, 1, 0, 1, 1], 3, 0),
+    "empty_pool": ([2, 0, 2, 2, 0, 0, 2], 3, 2),  # pool 1 is empty
+}
+
+
+class TestNodeOrderGraph:
+    """The node-order graph against the pool-by-pool construction."""
+
+    @pytest.mark.parametrize("layout", list(_LAYOUTS))
+    @pytest.mark.parametrize("mode", ["full", "no_sg"])
+    def test_a_hat_is_block_diagonal_of_pool_graphs(self, mode, layout):
+        types, p, k = _LAYOUTS[layout]
+        store, params = _params(n=7, seed=24, alpha=1.5)
+        asg = ClusterAssignment.from_types(np.array(types), p)
+        temporal = Tensor(0.9)
+        spatial = None if mode == "no_sg" else spatial_graph(np.arange(7), params)
+        graph = fuse_and_sparsify(spatial, temporal, 0.8, k, onehot(asg))
+        assert isinstance(graph, ConstantRowGraph) and graph.rows.shape == (7, 1)
+        oracle = block_diagonal(
+            pool_graphs(None if mode == "no_sg" else params, asg, temporal, 0.8, k), 7
+        )
+        assert oracle.any() == (k > 0)
+        a_hat = graph.a_hat.data
+        assert np.max(np.abs(a_hat - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        if mode == "no_sg":  # r = 1: nothing is summed, so the rows are the same
+            assert np.array_equal(a_hat, oracle)
+
+    @pytest.mark.parametrize("mode", ["full", "no_sg"])
+    def test_one_call_per_forward(self, mode, monkeypatch):
+        cfg = ModelConfig(
+            n=7, p=3, d=2, d_s=2, d_t=2, t_h=3, t_f=1, steps_per_day=6, graph_mode=mode
+        )
+        model = ForecastModel(cfg)
+        types, p, _ = _LAYOUTS["empty_pool"]
+        model.set_assignment(ClusterAssignment.from_types(np.array(types), p))
+        shapes = []
+        fuse = dstgg.fuse_and_sparsify
+
+        def recording_fuse(*args):
+            shapes.append(args[4].shape)
+            return fuse(*args)
+
+        monkeypatch.setattr(dstgg, "fuse_and_sparsify", recording_fuse)
+        tod = dow = np.zeros((2, 3), dtype=np.int64)
+        with no_grad():
+            model.forward(np.zeros((2, 3, 7, 1)), tod, dow)
+        assert shapes == [(7, 3)]  # one node-order call with the [N, P] one-hot

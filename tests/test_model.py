@@ -1,10 +1,12 @@
+import copy
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from mhgnet import sie, std
+from graph_oracle import pool_by_pool_forward
+from mhgnet import dstgg, sie, std
 from mhgnet.clusterer import ClusterAssignment
 from mhgnet.data import make_bundle, synthesize
 from mhgnet.errors import ConfigError, FormatError
@@ -17,7 +19,7 @@ from mhgnet.model import (
     restore,
     save_checkpoint,
 )
-from mhgnet.numcore import check_gradient, no_grad, slice_axis, sum_
+from mhgnet.numcore import Tensor, check_gradient, no_grad, slice_axis, sum_
 from mhgnet.train_eval import masked_mae_loss
 
 
@@ -131,10 +133,60 @@ class TestForward:
             for param in node_indexed:
                 param.data = param.data[order]
             model.set_assignment(ClusterAssignment.from_types(types[order], cfg.p))
-            assert all(g.a_hat.data.any() for g in model._build_graphs(tod, dow))
+            graph = model._build_graphs(tod, dow)
+            if mode == "no_tg":
+                assert all(g.a_hat.data.any() for g in graph)
+            else:  # each pool has a nonzero row
+                assert all(graph.rows.data[pool].any() for pool in model.assignment.pools)
             outs.append(model.forward(x[:, :, order], tod, dow).data)
         base, relabeled = outs
         assert np.max(np.abs(relabeled - base[:, :, perm])) <= 1e-12 * np.max(np.abs(base))
+
+
+class TestPoolByPoolForm:
+    """The forward against the one that built its graphs pool by pool."""
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("layout", ["three_pools", "one_pool"])
+    @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
+    def test_matches_pool_by_pool_forward(self, mode, layout, training):
+        cfg = ModelConfig(n=24, seed=1, graph_mode=mode)  # k = 10
+        model = ForecastModel(cfg)
+        rng = np.random.default_rng(50)
+        for p in model.parameters():
+            p.tensor.data = p.tensor.data + rng.normal(0.0, 0.3, p.tensor.shape)
+        types = rng.permutation(np.repeat([0, 1, 2], [3, 9, 12]))  # two pools below k
+        if layout == "one_pool":
+            types[:] = 0
+        model.set_assignment(ClusterAssignment.from_types(types, cfg.p))
+        model.training = training
+        while True:  # a window whose temporal graph is not empty
+            x, tod, dow = _inputs(cfg, b=8, seed=int(rng.integers(1 << 30)))
+            if dstgg.temporal_graph(model.timestamps, tod, dow, cfg.beta).item() > 0.0:
+                break
+        weights = rng.normal(size=(8, cfg.t_f, cfg.n, 1))
+        dropout_rng = copy.deepcopy(model._dropout_rng)  # both forwards draw the same mask
+        runs = []
+        for forward in (model.forward, lambda *a: pool_by_pool_forward(model, *a)):
+            model._dropout_rng = copy.deepcopy(dropout_rng)
+            model.zero_grad()
+            out = forward(x, tod, dow)
+            sum_(out * Tensor(weights)).backward()
+            runs.append((out.data, {p.name: p.tensor.grad.copy() for p in model.parameters()}))
+        (new, new_grads), (old, old_grads) = runs
+        if mode == "full":  # the pool sums are taken in another order
+            assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+        else:
+            assert np.array_equal(new, old)
+        for name, old_g in old_grads.items():
+            diff = np.max(np.abs(new_grads[name] - old_g))
+            if mode == "full":
+                assert diff <= 1e-10 * np.max(np.abs(old_g)), name
+            elif mode == "no_sg" and name.startswith("time."):
+                # the temporal scalar's gradient sums all nodes at once, not pool by pool
+                assert diff <= 1e-14 * np.max(np.abs(old_g)), name
+            else:
+                assert diff == 0.0, name
 
 
 class TestRefresh:
@@ -166,8 +218,8 @@ class TestRefresh:
         assert asg.pools == [list(range(cfg.n))]
         model.eval_mode()
         x, tod, dow = _inputs(cfg)
-        graphs = model._build_graphs(tod, dow)
-        assert len(graphs) == 1  # whole-graph convolution
+        graph = model._build_graphs(tod, dow)
+        assert graph.onehot.shape == (cfg.n, 1)  # whole-graph convolution
 
     def test_single_cluster_flag(self):
         cfg = _tiny_cfg(single_cluster=True)
@@ -203,8 +255,8 @@ class TestVariants:
             cfg = _tiny_cfg(graph_mode=mode)
             model = ForecastModel(cfg)
             model.eval_mode()
-            graphs = model._build_graphs(tod, dow)
-            outs[mode] = graphs[0].a_hat.data
+            graph = model._build_graphs(tod, dow)
+            outs[mode] = (graph if mode == "no_sg" else graph[0]).a_hat.data
         assert np.max(np.abs(outs["no_sg"] - outs["no_tg"])) > 0.0
 
 

@@ -2,11 +2,12 @@
 
 ``_d_wide_forward`` is the earlier formulation of :meth:`ForecastModel.forward`,
 kept as an oracle: it propagates the lifted input x_hat [B, T, N, D] through
-each cluster's dense walk, projects the concatenated hop states by
-``out_proj`` and feeds the D-wide result to a GRU of its own, stepped in
-the batch-major [B, T, N, W] layout, followed by its own dropout and
-redistribution. Its pattern means come from the sequential gating loop that
-builds every pattern (``std_oracle``).
+the dense walk of each cluster's graph, built pool by pool
+(``graph_oracle``), projects the concatenated hop states by ``out_proj`` and
+feeds the D-wide result to a GRU of its own, stepped in the batch-major
+[B, T, N, W] layout, followed by its own dropout and redistribution. Its
+pattern means come from the sequential gating loop that builds every
+pattern (``std_oracle``).
 """
 
 import copy
@@ -33,6 +34,7 @@ from mhgnet.numcore import (
     tanh,
     transpose,
 )
+from graph_oracle import model_pool_graphs
 from std_oracle import decouple_patterns, time_means
 
 MODES = {  # name: ModelConfig overrides
@@ -69,7 +71,7 @@ def _d_wide_forward(model, x, tod, dow):
         x_hat, tod, dow, model.node_embedding, model.timestamps, model.gates
     )
     parts = []
-    for g in model._build_graphs(tod, dow):
+    for g in model_pool_graphs(model, tod, dow):
         h = take(x_hat, g.members, axis=2)
         a_tilde = g.a_hat + np.eye(g.members.size)
         walk = a_tilde / reshape(sum_(a_tilde, axis=1), (-1, 1))
@@ -150,7 +152,7 @@ def test_matches_d_wide_oracle(mode, hops, training):
     )
     assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
     if mode != "no_tg":  # the walk mixes nodes, so the graph is exercised
-        assert any(g.rows.data.any() for g in model._build_graphs(tod, dow))
+        assert model._build_graphs(tod, dow).rows.data.any()
     for name, old_g in old_grads.items():
         new_g = new_grads[name]
         assert (new_g is None) == (old_g is None), name

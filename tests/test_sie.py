@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graph_oracle import onehot, pool_graphs
 from mhgnet.clusterer import ClusterAssignment, single_pool
 from mhgnet.dstgg import (
     ClusterGraphParams,
@@ -21,7 +22,6 @@ from mhgnet.numcore import (
 )
 from mhgnet.std import TimestampEmbeddings
 from mhgnet.sie import (
-    ConstantRowGraph,
     GruParams,
     PropagationConfig,
     RecurrentEncoder,
@@ -219,32 +219,24 @@ class _ConstantRowSetup:
             if temporal_graph(self.ts, self.tod, self.dow, 0.8).item() > 0.0:
                 break
 
-    def subgraphs(self, mode, assignment, k, temporal=None):
-        if temporal is None:
-            temporal = temporal_graph(self.ts, self.tod, self.dow, 0.8)
-        return [
-            fuse_and_sparsify(
-                None if mode == "no_sg" else spatial_graph(np.asarray(pool), self.params),
-                temporal,
-                0.8,
-                k,
-                np.asarray(pool),
-            )
-            for pool in assignment.pools
-            if pool
-        ]
+    def _temporal(self, temporal):
+        return temporal_graph(self.ts, self.tod, self.dow, 0.8) if temporal is None else temporal
+
+    def graph(self, mode, assignment, k, temporal=None):
+        """The node-order graph of every pool, as the model builds it."""
+        n = assignment.types.size
+        spatial = None if mode == "no_sg" else spatial_graph(np.arange(n), self.params)
+        return fuse_and_sparsify(spatial, self._temporal(temporal), 0.8, k, onehot(assignment))
 
     def fast(self, mode, assignment, k, temporal=None):
-        graph = ConstantRowGraph.from_subgraphs(
-            self.subgraphs(mode, assignment, k, temporal), assignment
-        )
-        return propagate(self.h, graph, self.cfg)
+        return propagate(self.h, self.graph(mode, assignment, k, temporal), self.cfg)
 
     def dense(self, mode, assignment, k, temporal=None):
-        """The oracle: each cluster's dense walk, then reassembly."""
+        """The oracle: each pool's dense graph built pool by pool, its walk, then reassembly."""
+        params = None if mode == "no_sg" else self.params
         parts = [
             propagate(take(self.h, g.members, axis=2), FusedSubgraph(g.a_hat, g.members), self.cfg)
-            for g in self.subgraphs(mode, assignment, k, temporal)
+            for g in pool_graphs(params, assignment, self._temporal(temporal), 0.8, k)
         ]
         return reassemble(parts, assignment)
 
@@ -268,7 +260,7 @@ class TestConstantRowPropagate:
         setup = _ConstantRowSetup(hops=hops)
         asg = ClusterAssignment.from_types(np.array(types), max(types) + 1)
         if k:
-            assert any(g.rows.data.any() for g in setup.subgraphs(mode, asg, k))
+            assert setup.graph(mode, asg, k).rows.data.any()
         fast = setup.fast(mode, asg, k).data
         dense = setup.dense(mode, asg, k).data
         assert np.max(np.abs(fast - dense)) < 1e-12 * np.max(np.abs(dense))
@@ -278,7 +270,7 @@ class TestConstantRowPropagate:
         setup = _ConstantRowSetup(hops=3)
         asg = ClusterAssignment.from_types(np.array([1, 0, 2, 1, 0, 1, 1]), 3)
         zero = Tensor(0.0)
-        assert not any(g.rows.data.any() for g in setup.subgraphs(mode, asg, 3, zero))
+        assert not setup.graph(mode, asg, 3, zero).rows.data.any()
         fast = setup.fast(mode, asg, 3, zero).data
         assert np.max(np.abs(fast - setup.dense(mode, asg, 3, zero).data)) < 1e-12
         # every walk is the identity, so each hop state equals h
@@ -299,7 +291,7 @@ class TestConstantRowPropagate:
     def test_batch_rows_independent(self):
         setup = _ConstantRowSetup()
         asg = ClusterAssignment.from_types(np.array([1, 0, 2, 1, 0, 1, 1]), 3)
-        graph = ConstantRowGraph.from_subgraphs(setup.subgraphs("full", asg, 3), asg)
+        graph = setup.graph("full", asg, 3)
         base = propagate(setup.h, graph, setup.cfg).data
         other = setup.h.data.copy()
         other[1] = np.random.default_rng(33).normal(size=other[1].shape)
@@ -489,10 +481,9 @@ class TestConstantField:
         types = np.array([1, 0, 2, 1, 0, 1, 1])  # pool 2 is the singleton {2}
         asg = ClusterAssignment.from_types(types, 3)
         assert sorted(len(pool) for pool in asg.pools) == [1, 2, 4]
-        subgraphs = setup.subgraphs(mode, asg, k)
+        graph = setup.graph(mode, asg, k)
         # k = 0 keeps nothing, so every row is zero and each walk is the identity
-        assert any(g.rows.data.any() for g in subgraphs) == (k > 0)
-        graph = ConstantRowGraph.from_subgraphs(subgraphs, asg)
+        assert graph.rows.data.any() == (k > 0)
         field = Tensor(np.full((2, 3, 7, 1), self.VALUE))
         self._assert_constant(propagate(field, graph, setup.cfg).data, 4)
 

@@ -291,7 +291,7 @@ class TestAblation:
         rng = np.random.default_rng(0)
         tod = rng.integers(0, 24, (2, 6))
         dow = rng.integers(0, 7, (2, 6))
-        assert len(model._build_graphs(tod, dow)) == 1
+        assert model._build_graphs(tod, dow).onehot.shape == (cfg.n, 1)
 
     @pytest.mark.slow
     def test_variants_run_and_report(self):
