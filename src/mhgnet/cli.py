@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dstgg, train_eval
+from . import train_eval
 from . import model as model_mod
 from .config import RunConfig, load_config, render_config
 from .data import convert_csv, load_series, make_bundle, save_series, synthesize
@@ -233,12 +233,8 @@ def _cmd_graph_dump(args) -> int:
     model.eval_mode()
     probe = model_mod.probe_windows(bundle.train)
     with no_grad():
-        graphs = model._build_graphs(probe.tod_index, probe.dow_index)
-    if isinstance(graphs, dstgg.ConstantRowGraph):  # each nonempty pool's block
-        a = graphs.a_hat.data
-        blocks = [a[np.ix_(pool, pool)] for pool in model.assignment.pools if pool]
-    else:
-        blocks = [g.a_hat.data for g in graphs]
+        a = model.build_graph(probe.tod_index, probe.dow_index).a_hat.data
+    blocks = [a[np.ix_(pool, pool)] for pool in model.assignment.pools if pool]
     print("cluster,row,col,weight")
     for c, a in enumerate(blocks):
         for i, j in zip(*np.nonzero(a)):

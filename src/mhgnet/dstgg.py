@@ -7,15 +7,18 @@ is encoded by sign; it is kept as its factors M1, M2. The temporal graph is
 one scalar e (see :func:`temporal_graph`).
 
 Fusion squashes beta * A_s A_t^T through tanh and ReLU and keeps the k
-strongest entries per row of each pool's subgraph. With A_t the constant e,
-row i is the full tie f_i = relu(tanh(beta * e * r_i)), r_i its row sum over
-its own pool. It keeps its whole pool, each entry g_i = f_i * min(k, N_p) / N_p
-(the mass of its top k, spread evenly), so no node label picks a neighbour.
-All N row sums come from the factors and the [N, P] pool one-hot in
-O(N * D_s), and the graph is kept in node order as the [N, 1] column g
-(:class:`ConstantRowGraph`); its dense matrix is built on read. Without a
-temporal graph (``no_tg``), the top-k is taken per row of A_s, ties going to
-the lower column index, giving one dense :class:`FusedSubgraph` per pool;
+strongest entries per row of each pool's subgraph. Every mode builds one
+graph of all N nodes in node order, from the [N, P] pool one-hot: a
+convolution within clusters is one over the block-diagonal graph of their
+subgraphs. With A_t the constant e, row i is the full tie
+f_i = relu(tanh(beta * e * r_i)), r_i its row sum over its own pool. It
+keeps its whole pool, each entry g_i = f_i * min(k, N_p) / N_p (the mass of
+its top k, spread evenly), so no node label picks a neighbour. All N row
+sums come from the factors and the pool one-hot in O(N * D_s), and the
+graph is kept as the [N, 1] column g (:class:`ConstantRowGraph`); its dense
+matrix is built on read. Without a temporal graph (``no_tg``), the dense
+relu(tanh(beta * A_s)) is masked to same-pool entries and its top k taken
+per row, ties going to the lower column index (:class:`DenseGraph`);
 without a spatial graph (``no_sg``), r = 1.
 """
 
@@ -33,7 +36,6 @@ from .numcore import (
     reshape,
     sum_,
     swap_last2,
-    take,
     tanh,
     topk_row_mask,
 )
@@ -44,9 +46,8 @@ from .std import TimestampEmbeddings
 class ClusterGraphParams:
     """Full-size embedding tables and mixing weights for graph generation.
 
-    The tables cover all N nodes; ``no_tg`` gathers each cluster's rows, so
-    membership changes across epochs reuse rows instead of reallocating.
-    A ``no_sg`` model builds no spatial graph and registers none of them.
+    The tables cover all N nodes, as does the graph built from them in every
+    mode. A ``no_sg`` model builds no spatial graph and registers none of them.
     """
 
     e1: Tensor  # [N, D_s]
@@ -58,14 +59,14 @@ class ClusterGraphParams:
 
 @dataclass
 class SpatialGraph:
-    """The spatial graph alpha * (m1 m2^T - m2 m1^T) of some nodes, kept as factors."""
+    """The spatial graph alpha * (m1 m2^T - m2 m1^T) of all N nodes, kept as factors."""
 
-    m1: Tensor  # [N_p, D_s]: one row per node, of one pool or of all N
-    m2: Tensor  # [N_p, D_s]
+    m1: Tensor  # [N, D_s]
+    m2: Tensor  # [N, D_s]
     alpha: float
 
     def dense(self) -> Tensor:
-        """The [N_p, N_p] matrix; antisymmetric by construction."""
+        """The [N, N] matrix; antisymmetric by construction."""
         m1, m2 = self.m1, self.m2
         return self.alpha * (matmul(m1, swap_last2(m2)) - matmul(m2, swap_last2(m1)))
 
@@ -79,11 +80,10 @@ class SpatialGraph:
 
 
 @dataclass
-class FusedSubgraph:
-    """Sparsified fused adjacency for one cluster, as a dense matrix."""
+class DenseGraph:
+    """Every pool's top-k fused graph in node order, as one dense matrix."""
 
-    a_hat: Tensor  # [N_p, N_p], entries in [0, 1], <= k nonzeros per row
-    members: np.ndarray  # ascending node indices
+    a_hat: Tensor  # [N, N], entries in [0, 1], <= k nonzeros per row, 0 between pools
 
 
 @dataclass
@@ -99,10 +99,10 @@ class ConstantRowGraph:
         return self.rows * Tensor(self.onehot @ self.onehot.T)
 
 
-def spatial_graph(members: np.ndarray, params: ClusterGraphParams) -> SpatialGraph:
-    """Learned directed graph over ``members`` (one pool, or every node), as its two factors."""
-    m1 = tanh(params.alpha * matmul(take(params.e1, members, axis=0), params.w1))
-    m2 = tanh(params.alpha * matmul(take(params.e2, members, axis=0), params.w2))
+def spatial_graph(params: ClusterGraphParams) -> SpatialGraph:
+    """Learned directed graph over all N nodes, as its two factors."""
+    m1 = tanh(params.alpha * matmul(params.e1, params.w1))
+    m2 = tanh(params.alpha * matmul(params.e2, params.w2))
     return SpatialGraph(m1, m2, params.alpha)
 
 
@@ -132,23 +132,22 @@ def fuse_and_sparsify(
     temporal: Tensor | None,
     beta: float,
     k: int,
-    nodes: np.ndarray,
-) -> FusedSubgraph | ConstantRowGraph:
-    """Combine the two graphs and keep the k strongest entries per row.
+    onehot: np.ndarray,
+) -> DenseGraph | ConstantRowGraph:
+    """Combine the two graphs and keep the k strongest entries per row of each pool.
 
-    ``spatial`` is None without a spatial graph (r = 1) and ``temporal`` is
-    None without a temporal graph; one of the two must be given. With a
-    temporal graph, ``nodes`` is the [N, P] pool one-hot of all N nodes,
-    ``spatial`` covers all of them, and each row is a tie spread evenly over
-    its pool: the result is a :class:`ConstantRowGraph`. Without one,
-    ``nodes`` holds one pool's ascending node indices, ``spatial`` covers
-    that pool, and the result is a dense :class:`FusedSubgraph` of each
-    row's top k.
+    ``onehot`` is the [N, P] pool one-hot of all N nodes, and ``spatial``
+    covers all of them; it is None without a spatial graph (r = 1), and
+    ``temporal`` is None without a temporal graph. One of the two must be
+    given. With a temporal graph each row is a tie spread evenly over its
+    pool: the result is a :class:`ConstantRowGraph`. Without one, each row
+    of relu(tanh(beta * A_s)), masked to its own pool, keeps its top k: the
+    result is a :class:`DenseGraph`.
     """
+    onehot = np.asarray(onehot, dtype=np.float64)
     if temporal is None:
-        a_hat = topk_row_mask(relu(tanh(beta * spatial.dense())), k)
-        return FusedSubgraph(a_hat=a_hat, members=np.asarray(nodes))
-    onehot = np.asarray(nodes, dtype=np.float64)
+        same_pool = Tensor(onehot @ onehot.T)
+        return DenseGraph(topk_row_mask(relu(tanh(beta * spatial.dense())) * same_pool, k))
     sizes = onehot @ onehot.sum(axis=0)  # [N]: each node's pool size N_p
     r = spatial.row_sums(onehot) if spatial is not None else Tensor(np.ones((sizes.size, 1)))
     spread = Tensor((np.minimum(k, sizes) / sizes)[:, None])  # [N, 1]: min(k, N_p) / N_p

@@ -1,5 +1,5 @@
-"""End-to-end forecast model: decoupling, clustering, per-cluster graph
-convolution, recurrent encoding, skip connections, and the regression head.
+"""End-to-end forecast model: decoupling, clustering, graph convolution
+within clusters, recurrent encoding, skip connections, and the regression head.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .numcore import (
     no_grad,
     relu,
     reshape,
-    take,
     transpose,
 )
 
@@ -189,20 +188,18 @@ class ForecastModel:
     # ------------------------------------------------------------------
     # forward pieces
 
-    def _build_graphs(
+    def build_graph(
         self, tod: np.ndarray, dow: np.ndarray
-    ) -> dstgg.ConstantRowGraph | list[dstgg.FusedSubgraph]:
-        """One node-order graph of constant rows (``full``, ``no_sg``), or one
-        dense subgraph per nonempty pool, in pool order (``no_tg``)."""
+    ) -> dstgg.ConstantRowGraph | dstgg.DenseGraph:
+        """The fused graph of every pool, in node order: constant rows (``full``,
+        ``no_sg``) or each row's top k within its pool (``no_tg``)."""
         cfg = self.cfg
-        if cfg.graph_mode == "no_tg":
-            pools = [np.asarray(pool, dtype=np.int64) for pool in self.assignment.pools if pool]
-            spatial = [dstgg.spatial_graph(members, self.graph_params) for members in pools]
-            return [dstgg.fuse_and_sparsify(s, None, cfg.beta, cfg.k, m) for s, m in zip(spatial, pools)]
-        temporal = dstgg.temporal_graph(self.timestamps, tod, dow, cfg.beta)
+        temporal = None
+        if cfg.graph_mode != "no_tg":
+            temporal = dstgg.temporal_graph(self.timestamps, tod, dow, cfg.beta)
         spatial = None
-        if cfg.graph_mode == "full":
-            spatial = dstgg.spatial_graph(np.arange(cfg.n), self.graph_params)
+        if cfg.graph_mode != "no_sg":
+            spatial = dstgg.spatial_graph(self.graph_params)
         onehot = np.eye(len(self.assignment.pools))[self.assignment.types]  # [N, P]
         return dstgg.fuse_and_sparsify(spatial, temporal, cfg.beta, cfg.k, onehot)
 
@@ -226,15 +223,7 @@ class ForecastModel:
         )
         # propagation reads the scalar x; hop_lift carries its hop states to
         # the D-wide features that propagating x_hat would give
-        graphs = self._build_graphs(tod, dow)
-        if isinstance(graphs, dstgg.ConstantRowGraph):
-            states = sie.propagate(x, graphs, self.prop_cfg)
-        else:  # dense per-cluster graphs
-            cluster_states = [
-                sie.propagate(take(x, g.members, axis=2), g, self.prop_cfg)
-                for g in graphs
-            ]
-            states = sie.reassemble(cluster_states, self.assignment)
+        states = sie.propagate(x, self.build_graph(tod, dow), self.prop_cfg)
         lift = sie.hop_lift(self.embed_w, self.embed_b, self.prop_cfg)
         x_out = sie.encode_sequence(
             states, lift, self.encoder, training=self.training, rng=self._dropout_rng

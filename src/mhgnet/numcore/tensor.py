@@ -414,27 +414,23 @@ def concat(parts: Iterable, axis: int = -1) -> Tensor:
 def take(a, indices, axis: int = 0) -> Tensor:
     """Gather rows/slices along ``axis``; scatter-adds gradients back.
 
-    ``indices`` may be an int (the axis is dropped), a 1-D index array, or,
-    for ``axis == 0`` only, a multi-dimensional index array.
+    ``indices`` is a 1-D index array or, for ``axis == 0`` only, a
+    multi-dimensional one; a scalar index is rejected.
     """
     a = _to_tensor(a)
     ax = axis % a.ndim
-    scalar = np.isscalar(indices) or (
-        isinstance(indices, np.ndarray) and indices.ndim == 0
-    )
     idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim == 0:
+        raise ShapeError("take needs an index array, got a scalar index")
     if idx.ndim > 1 and ax != 0:
         raise ShapeError("multi-dimensional take indices require axis=0")
-    data = np.take(a.data, int(idx) if scalar else idx, axis=ax)
+    data = np.take(a.data, idx, axis=ax)
 
     def bw(g):
         if not a.requires_grad:
             return
         buf = _owned_grad(a)
-        if scalar:
-            sl = (slice(None),) * ax + (int(idx),)
-            buf[sl] += g
-        elif idx.ndim == 1 and np.unique(idx).size == idx.size:
+        if idx.ndim == 1 and np.unique(idx).size == idx.size:
             view = np.moveaxis(buf, ax, 0)
             view[idx] += np.moveaxis(g, ax, 0)
         else:

@@ -21,11 +21,11 @@ then the [B, T, N, hops] hop states of x through the [hops + 1, D] matrix
 of :func:`hop_lift`, which :func:`gru_scan` folds into the GRU's input
 weights. No [B, T, N, D] tensor is propagated or projected.
 
-A fused graph of constant rows (``full``, ``no_sg``) is one node-order
-:class:`~mhgnet.dstgg.ConstantRowGraph`: propagation runs on the whole tensor
-from the closed form of the walk, and nothing needs reassembling. Dense
-per-cluster graphs (``no_tg``) are propagated one cluster at a time and the
-hop states reassembled into node order.
+Every mode propagates once, over the node-order graph of all clusters, so
+nothing needs reassembling. A graph of constant rows (``full``, ``no_sg``;
+:class:`~mhgnet.dstgg.ConstantRowGraph`) is walked from its closed form; the
+top-k graph of ``no_tg`` (:class:`~mhgnet.dstgg.DenseGraph`) through its
+dense [N, N] walk, whose zeros between pools keep each walk in its cluster.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .numcore import (
     transpose,
 )
 from .clusterer import ClusterAssignment
-from .dstgg import ConstantRowGraph, FusedSubgraph
+from .dstgg import ConstantRowGraph, DenseGraph
 
 
 @dataclass
@@ -68,7 +68,7 @@ class PropagationConfig:
 
 
 def propagate(
-    h: Tensor, graph: FusedSubgraph | ConstantRowGraph, cfg: PropagationConfig
+    h: Tensor, graph: DenseGraph | ConstantRowGraph, cfg: PropagationConfig
 ) -> Tensor:
     """The hop states of the gated propagation recurrence, [..., N, hops * C].
 
@@ -76,11 +76,10 @@ def propagate(
     (strictly positive after self-loops), and each step mixes the original
     features back in with weight gamma: next = gamma * h + (1 - gamma) *
     walk(current). State j fills channels j*C to (j+1)*C; state 0 is ``h``.
-    ``graph`` is either one cluster's :class:`FusedSubgraph`, with ``h``
-    [..., N_p, C] holding that cluster's nodes, or the
-    :class:`ConstantRowGraph` of every cluster, with ``h`` [..., N, C] in
-    node order. The states run with nodes on the last axis, so each walk is
-    one right-multiplication.
+    ``graph`` is the node-order graph of every cluster, a
+    :class:`ConstantRowGraph` or a :class:`DenseGraph`, and ``h`` is
+    [..., N, C] in node order. The states run with nodes on the last axis,
+    so each walk is one right-multiplication.
     """
     keep = 1.0 - cfg.gamma
     if isinstance(graph, ConstantRowGraph):
@@ -146,9 +145,10 @@ def hop_lift(weight: Tensor, bias: Tensor, cfg: PropagationConfig) -> Tensor:
 def reassemble(cluster_outputs: list[Tensor], assignment: ClusterAssignment) -> Tensor:
     """Concatenate per-cluster outputs and restore original node order.
 
-    Used for dense per-cluster graphs (``no_tg``) only. ``cluster_outputs``
-    follow nonempty pool order with nodes on the second-to-last axis; the
-    inverse permutation puts node i back at position i.
+    The model propagates in node order and does not call this; it serves
+    pool-by-pool constructions. ``cluster_outputs`` follow nonempty pool
+    order with nodes on the second-to-last axis; the inverse permutation
+    puts node i back at position i.
     """
     n = assignment.permutation.size
     total = sum(t.shape[-2] for t in cluster_outputs)

@@ -18,6 +18,7 @@ from .numcore import Parameter, SplitRng, Tensor, abs_, no_grad, slice_axis, sum
 MASK_THRESHOLD = 1e-4  # readings at or below this magnitude are sentinels
 ADAM_BETAS = (0.9, 0.999)  # decay rates of the first and second moments
 ADAM_EPS = 1e-8  # added to the second moment's root
+ADAM_WEIGHT_DECAY = 1e-5  # L2 coefficient added to every gradient
 
 
 # ---------------------------------------------------------------------------
@@ -86,14 +87,13 @@ def masked_mae_loss(pred_scaled: Tensor, target: np.ndarray, scaler: Scaler) -> 
 
 
 class Adam:
-    """Adam with L2 weight decay: ``weight_decay * w`` joins the gradient before
-    the moments (not AdamW's decoupled decay), so a parameter with no task
-    gradient still moves by about lr * sign(w) per step."""
+    """Adam with L2 weight decay: ``ADAM_WEIGHT_DECAY * w`` joins the gradient
+    before the moments (not AdamW's decoupled decay), so a parameter with no
+    task gradient still moves by about lr * sign(w) per step."""
 
-    def __init__(self, params: list[Parameter], lr: float, weight_decay: float = 1e-5):
+    def __init__(self, params: list[Parameter], lr: float):
         self.params = params
         self.lr = lr
-        self.weight_decay = weight_decay
         self.step_count = 0
         self._m = [np.zeros_like(p.tensor.data) for p in params]
         self._v = [np.zeros_like(p.tensor.data) for p in params]
@@ -107,8 +107,7 @@ class Adam:
         for p, m, v in zip(self.params, self._m, self._v):
             t = p.tensor
             grad = t.grad if t.grad is not None else np.zeros_like(t.data)
-            if self.weight_decay:
-                grad = grad + self.weight_decay * t.data
+            grad = grad + ADAM_WEIGHT_DECAY * t.data
             m *= b1
             m += (1.0 - b1) * grad
             v *= b2

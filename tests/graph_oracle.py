@@ -1,20 +1,30 @@
-"""The fused graphs built pool by pool, kept as a test oracle.
+"""The fused graphs built and propagated pool by pool, kept as a test oracle.
 
-This is the earlier construction of :meth:`ForecastModel._build_graphs`: one
-graph per nonempty pool, in pool order. In ``full`` and ``no_sg`` a pool's
-rows g come from its own spatial factors and their sums over the pool, and
+This is the earlier construction of :meth:`ForecastModel.build_graph`: one
+graph per nonempty pool, in pool order, from the rows of the spatial
+factors that belong to the pool. In ``full`` and ``no_sg`` a pool's rows g
+come from its own spatial factors and their sums over the pool, and
 :func:`merged_graph` concatenates the pools' rows and undoes the pool
 permutation, as ``ConstantRowGraph.from_subgraphs`` did. In ``no_tg`` a pool
-keeps the top k of each row of its dense fused graph. The model now builds
-the ``full``/``no_sg`` graph once, in node order, from the [N, P] pool
-one-hot; these tests hold it to this construction.
+keeps the top k of each row of its dense fused graph, and
+:func:`pool_by_pool_forward` propagates each pool's nodes over it alone and
+reassembles the hop states into node order (``sie.reassemble``). The model
+now builds one graph of all N nodes in node order, from the [N, P] pool
+one-hot, and propagates once; these tests hold it to this construction.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from mhgnet.dstgg import ConstantRowGraph, FusedSubgraph, spatial_graph, temporal_graph
+from mhgnet import sie
+from mhgnet.dstgg import (
+    ConstantRowGraph,
+    DenseGraph,
+    SpatialGraph,
+    spatial_graph,
+    temporal_graph,
+)
 from mhgnet.numcore import (
     Tensor,
     concat,
@@ -50,10 +60,16 @@ def pool_row_sums(spatial) -> Tensor:
     return spatial.alpha * (matmul(spatial.m1, s2) - matmul(spatial.m2, s1))
 
 
+def pool_spatial_graph(params, members) -> SpatialGraph:
+    """The spatial graph of one pool: the pool's rows of every node's factors."""
+    full = spatial_graph(params)
+    return SpatialGraph(take(full.m1, members, axis=0), take(full.m2, members, axis=0), full.alpha)
+
+
 def pool_graph(params, members, temporal, beta, k) -> PoolGraph:
     """One pool's graph; ``params`` None means ``no_sg``, ``temporal`` None ``no_tg``."""
     members = np.asarray(members, dtype=np.int64)
-    spatial = None if params is None else spatial_graph(members, params)
+    spatial = None if params is None else pool_spatial_graph(params, members)
     if temporal is None:
         return PoolGraph(members, None, topk_row_mask(relu(tanh(beta * spatial.dense())), k))
     n_p = members.size
@@ -92,16 +108,24 @@ def block_diagonal(graphs: list[PoolGraph], n: int) -> np.ndarray:
 
 
 def pool_by_pool_forward(model, x, tod, dow) -> Tensor:
-    """:meth:`ForecastModel.forward` with its graphs built pool by pool."""
+    """:meth:`ForecastModel.forward` with its graphs built and propagated pool by pool.
 
-    def build(tod, dow):
-        graphs = model_pool_graphs(model, tod, dow)
-        if model.cfg.graph_mode == "no_tg":
-            return [FusedSubgraph(g.a_hat, g.members) for g in graphs]
-        return merged_graph(graphs, model.assignment)
+    The model's own node-order graph is still built, but nothing reads it:
+    ``sie.propagate`` is replaced for the call by a walk over the pools'
+    graphs, their merged constant rows in ``full``/``no_sg``, or each pool's
+    dense graph over its own nodes, reassembled into node order, in ``no_tg``.
+    """
+    graphs = model_pool_graphs(model, tod, dow)
+    propagate = sie.propagate
 
-    model._build_graphs = build  # shadows the method on this instance only
+    def pool_by_pool(h, graph, cfg):
+        if model.cfg.graph_mode != "no_tg":
+            return propagate(h, merged_graph(graphs, model.assignment), cfg)
+        parts = [propagate(take(h, g.members, axis=2), DenseGraph(g.a_hat), cfg) for g in graphs]
+        return sie.reassemble(parts, model.assignment)
+
+    sie.propagate = pool_by_pool  # the model calls it through the module
     try:
         return model.forward(x, tod, dow)
     finally:
-        del model._build_graphs
+        sie.propagate = propagate

@@ -342,13 +342,13 @@ class TestInspection:
         cfg_path = _fast_config(tmp_path)
         ckpt, stored = self._all_type_1_checkpoint(tmp_path)
         seen = []
-        build = ForecastModel._build_graphs
+        build = ForecastModel.build_graph
 
         def recording_build(self, *args):
             seen.append(self.assignment.types.copy())
             return build(self, *args)
 
-        monkeypatch.setattr(ForecastModel, "_build_graphs", recording_build)
+        monkeypatch.setattr(ForecastModel, "build_graph", recording_build)
         argv = ["graph-dump", "--data", str(synth_file), "--config", str(cfg_path)]
         assert main(argv + ["--checkpoint", str(ckpt)]) == 0
         assert len(seen) == 1 and np.array_equal(seen[0], stored.types)

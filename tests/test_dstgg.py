@@ -97,13 +97,13 @@ class TestSpatialGraph:
         store, params = _params()
         params.e2.data = params.e1.data.copy()
         params.w2.data = params.w1.data.copy()
-        out = spatial_graph(np.arange(6), params)
+        out = spatial_graph(params)
         assert np.max(np.abs(out.dense().data)) == 0.0
         assert np.max(np.abs(out.row_sums(_one_pool(6)).data)) == 0.0
 
     def test_antisymmetry(self):
         store, params = _params(seed=3, alpha=2.5)
-        out = spatial_graph(np.arange(6), params).dense().data
+        out = spatial_graph(params).dense().data
         assert np.max(np.abs(out + out.T)) < 1e-12
 
     def test_two_node_hand_values(self):
@@ -117,7 +117,7 @@ class TestSpatialGraph:
         )
         params.e1.data = np.array([[1.0], [0.0]])
         params.e2.data = np.array([[0.0], [1.0]])
-        out = spatial_graph(np.array([0, 1]), params).dense().data
+        out = spatial_graph(params).dense().data
         expected = np.tanh(1.0) ** 2
         assert abs(out[0, 1] - expected) < 1e-12
         assert abs(out[1, 0] + expected) < 1e-12
@@ -125,24 +125,24 @@ class TestSpatialGraph:
 
     def test_member_permutation_equivariance(self):
         store, params = _params(seed=4)
-        members = np.array([0, 2, 3, 5])
-        perm = np.array([2, 0, 3, 1])
-        base = spatial_graph(members, params).dense().data
-        shuffled = spatial_graph(members[perm], params).dense().data
+        perm = np.array([2, 0, 3, 1, 5, 4])  # relabeled node j is original node perm[j]
+        base = spatial_graph(params).dense().data
+        params.e1.data, params.e2.data = params.e1.data[perm], params.e2.data[perm]
+        shuffled = spatial_graph(params).dense().data
         assert np.allclose(shuffled, base[np.ix_(perm, perm)], atol=1e-15)
 
     def test_row_sums_match_dense(self):
         store, params = _params(n=9, d_s=4, seed=20, alpha=2.0)
-        out = spatial_graph(np.array([0, 2, 3, 5, 8]), params)
-        sums = out.row_sums(_one_pool(5)).data
-        assert sums.shape == (5, 1)
+        out = spatial_graph(params)
+        sums = out.row_sums(_one_pool(9)).data
+        assert sums.shape == (9, 1)
         assert np.max(np.abs(sums[:, 0] - out.dense().data.sum(axis=1))) < 1e-12
 
     def test_row_sums_stay_within_each_pool(self):
         store, params = _params(n=9, d_s=4, seed=23, alpha=2.0)
         asg = ClusterAssignment.from_types(np.array([2, 0, 2, 2, 0, 1, 2, 0, 2]), 4)
-        sums = spatial_graph(np.arange(9), params).row_sums(onehot(asg)).data
-        dense = spatial_graph(np.arange(9), params).dense().data
+        sums = spatial_graph(params).row_sums(onehot(asg)).data
+        dense = spatial_graph(params).dense().data
         same_pool = asg.types[:, None] == asg.types[None, :]
         expected = (dense * same_pool).sum(axis=1)
         assert sums.shape == (9, 1)
@@ -158,7 +158,7 @@ class TestSpatialGraph:
         pools = onehot(ClusterAssignment.from_types(np.array([0, 1, 0]), 2))
 
         def loss():
-            out = spatial_graph(np.arange(3), params)
+            out = spatial_graph(params)
             return sum_(out.dense() * weights) + sum_(out.row_sums(pools) * row_weights)
 
         assert check_gradient(loss, store.parameters(), h=1e-5) < 1e-4
@@ -230,39 +230,53 @@ class TestTemporalGraph:
 class TestFuseAndSparsify:
     def test_zero_temporal_zero_graph(self):
         store, params = _params(n=4, seed=11)
-        spatial = spatial_graph(np.arange(4), params)
+        spatial = spatial_graph(params)
         for k in (0, 2, 4):
             for s in (spatial, None):
-                g = fuse_and_sparsify(s, Tensor(0.0), beta=0.5, k=k, nodes=_one_pool(4))
+                g = fuse_and_sparsify(s, Tensor(0.0), beta=0.5, k=k, onehot=_one_pool(4))
                 assert np.array_equal(g.a_hat.data, np.zeros((4, 4)))
 
     def test_singleton_cluster(self):
         store, params = _params(n=1, seed=12)
-        spatial = spatial_graph(np.array([0]), params)
+        spatial = spatial_graph(params)
         a_s = spatial.dense().data
         assert a_s.shape == (1, 1)
         assert a_s[0, 0] == 0.0  # antisymmetric diagonal
-        for temporal, nodes in ((Tensor(1.0), _one_pool(1)), (None, np.array([0]))):
-            g = fuse_and_sparsify(spatial, temporal, 0.5, 1, nodes)
+        for temporal in (Tensor(1.0), None):
+            g = fuse_and_sparsify(spatial, temporal, 0.5, 1, _one_pool(1))
             assert np.array_equal(g.a_hat.data, np.zeros((1, 1)))
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (6, 3)])
     def test_matches_loop_oracle(self, n, k):
         store, params = _params(n=n, seed=n * 10 + k, alpha=1.3)
-        members = np.arange(n)
-        spatial = spatial_graph(members, params)
+        spatial = spatial_graph(params)
         a_s = spatial.dense().data
         constant = np.full((n, n), 0.8)
-        cases = {  # graph mode: (spatial, temporal, nodes, dense A_s, dense A_t, sparsifier)
-            "full": (spatial, Tensor(0.8), _one_pool(n), a_s, constant, _oracle_spread),
-            "no_sg": (None, Tensor(0.8), _one_pool(n), np.eye(n), constant, _oracle_spread),
-            "no_tg": (spatial, None, members, a_s, np.eye(n), _oracle_topk),
+        cases = {  # graph mode: (spatial, temporal, dense A_s, dense A_t, sparsifier)
+            "full": (spatial, Tensor(0.8), a_s, constant, _oracle_spread),
+            "no_sg": (None, Tensor(0.8), np.eye(n), constant, _oracle_spread),
+            "no_tg": (spatial, None, a_s, np.eye(n), _oracle_topk),
         }
-        for mode, (s, t, nodes, a_s_dense, a_t_dense, sparsify) in cases.items():
-            g = fuse_and_sparsify(s, t, 0.7, k, nodes).a_hat.data
+        for mode, (s, t, a_s_dense, a_t_dense, sparsify) in cases.items():
+            g = fuse_and_sparsify(s, t, 0.7, k, _one_pool(n)).a_hat.data
             oracle = sparsify(_oracle_fuse(a_s_dense, a_t_dense, 0.7), k)
             assert oracle.any(), mode
             assert np.max(np.abs(g - oracle)) < 1e-12, mode
+        # no_tg in node order: each nonempty pool's block is its own top k, bit
+        # for bit, and nothing joins two pools
+        layouts = [  # (node types, pool count)
+            (np.zeros(n, dtype=np.int64), 1),  # a single pool
+            (np.random.default_rng(n * 10 + k).integers(0, 3, n), 3),  # a random assignment
+            (np.array([0] * (n - 2) + [2, 3]), 4),  # pool 1 empty; two pools of 1 node
+        ]
+        for types, p in layouts:
+            asg = ClusterAssignment.from_types(types, p)
+            for kk in (0, k):
+                g = fuse_and_sparsify(spatial, None, 0.7, kk, onehot(asg)).a_hat.data
+                assert not g[asg.types[:, None] != asg.types[None, :]].any()
+                for pool in pool_graphs(params, asg, None, 0.7, kk):
+                    assert np.array_equal(g[np.ix_(pool.members, pool.members)], pool.a_hat.data)
+                assert g.any() == (kk > 0 and max(map(len, asg.pools)) > 1)
 
     def test_range_and_row_sparsity(self):
         rng = np.random.default_rng(13)
@@ -270,11 +284,10 @@ class TestFuseAndSparsify:
             n = int(rng.integers(2, 8))
             k = int(rng.integers(0, n + 2))
             store, params = _params(n=n, seed=100 + trial, alpha=3.0)
-            spatial = spatial_graph(np.arange(n), params)
+            spatial = spatial_graph(params)
             temporal = Tensor(abs(rng.normal()) * 3.0)
             for s, t in ((spatial, temporal), (None, temporal), (spatial, None)):
-                nodes = np.arange(n) if t is None else _one_pool(n)
-                g = fuse_and_sparsify(s, t, 0.5, k, nodes).a_hat.data
+                g = fuse_and_sparsify(s, t, 0.5, k, _one_pool(n)).a_hat.data
                 assert (g >= 0.0).all() and (g <= 1.0).all()
                 if t is None:  # top k
                     assert (np.count_nonzero(g, axis=1) <= k).all()
@@ -283,22 +296,21 @@ class TestFuseAndSparsify:
                     assert (g.sum(axis=1) <= k * (1.0 + 1e-12)).all()
 
     def test_fused_permutation_equivariance(self):
-        store, params = _params(n=8, seed=14)
+        store, params = _params(n=4, seed=14)
         store2, ts = _timestamps(seed=15)
         rng = np.random.default_rng(17)  # a draw with a positive window mean
         tod = rng.integers(0, 8, (1, 4))
         dow = rng.integers(0, 7, (1, 4))
-        members = np.array([0, 3, 5, 7])
-        perm = np.array([3, 1, 0, 2])
+        perm = np.array([3, 1, 0, 2])  # relabeled node j is original node perm[j]
         a_t = temporal_graph(ts, tod, dow, 0.5)
 
-        def fused(mem):
-            a_s = spatial_graph(mem, params)
+        def fused():
             # keep every entry so sparsification cannot reorder ties
-            return fuse_and_sparsify(a_s, a_t, 0.5, len(mem), _one_pool(len(mem))).a_hat.data
+            return fuse_and_sparsify(spatial_graph(params), a_t, 0.5, 4, _one_pool(4)).a_hat.data
 
-        base = fused(members)
-        shuffled = fused(members[perm])
+        base = fused()
+        params.e1.data, params.e2.data = params.e1.data[perm], params.e2.data[perm]
+        shuffled = fused()
         assert base.any()
         assert np.allclose(shuffled, base[np.ix_(perm, perm)], atol=1e-15)
 
@@ -308,11 +320,10 @@ class TestFuseAndSparsify:
         tod = np.array([[1, 4]])
         dow = np.array([[2, 4]])  # positive mean dot, so the fused graph is not empty
         weights = Tensor(np.random.default_rng(19).normal(size=(3, 3)))
-        members = np.arange(3)
         assert temporal_graph(ts, tod, dow, 0.6).item() > 0.0
 
         def loss():
-            a_s = spatial_graph(members, params)
+            a_s = spatial_graph(params)
             a_t = temporal_graph(ts, tod, dow, 0.6)
             g = fuse_and_sparsify(a_s, a_t, 0.6, 2, _one_pool(3))
             return sum_(g.a_hat * weights)
@@ -335,8 +346,9 @@ class TestClosedForm:
         probe = bundle.train.slice(slice(0, 16))
         cfg = model.cfg
         with no_grad():
-            graph = model._build_graphs(probe.tod_index, probe.dow_index)
+            graph = model.build_graph(probe.tod_index, probe.dow_index)
             e = temporal_graph(model.timestamps, probe.tod_index, probe.dow_index, cfg.beta)
+            a_s_all = spatial_graph(model.graph_params).dense().data
         a_hat = graph.a_hat.data
         pools = [pool for pool in model.assignment.pools if pool]
         assert sum(len(pool) > 1 for pool in pools) >= 2
@@ -344,7 +356,7 @@ class TestClosedForm:
         assert not a_hat[types[:, None] != types[None, :]].any()  # no entry leaves its pool
         for pool in pools:
             a = a_hat[np.ix_(pool, pool)]
-            a_s = spatial_graph(np.asarray(pool), model.graph_params).dense().data
+            a_s = a_s_all[np.ix_(pool, pool)]
             f = np.maximum(np.tanh(cfg.beta * e.item() * a_s.sum(axis=1)), 0.0)
             assert a.any()
             assert (a == a[:, :1]).all()
@@ -353,10 +365,9 @@ class TestClosedForm:
     @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
     def test_k_zero_and_k_above_pool_size(self, mode):
         store, params = _params(n=5, seed=21, alpha=2.0)
-        members = np.arange(5)
-        spatial = None if mode == "no_sg" else spatial_graph(members, params)
+        spatial = None if mode == "no_sg" else spatial_graph(params)
         temporal = None if mode == "no_tg" else Tensor(0.9)
-        nodes = members if mode == "no_tg" else _one_pool(5)
+        nodes = _one_pool(5)
         assert not fuse_and_sparsify(spatial, temporal, 0.5, 0, nodes).a_hat.data.any()
         every = fuse_and_sparsify(spatial, temporal, 0.5, 5, nodes).a_hat.data
         beyond = fuse_and_sparsify(spatial, temporal, 0.5, 9, nodes).a_hat.data
@@ -365,7 +376,7 @@ class TestClosedForm:
         if temporal is not None:
             assert (every == every[:, :1]).all()
 
-    @pytest.mark.parametrize("mode", ["full", "no_sg"])
+    @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
     def test_gradient_to_embeddings_and_timestamps(self, mode):
         cfg = ModelConfig(
             n=5, p=1, d=2, d_s=2, d_t=2, t_h=3, t_f=1, k=3, steps_per_day=6,
@@ -375,14 +386,14 @@ class TestClosedForm:
         tod = np.array([[0, 1, 2], [3, 4, 5]])
         dow = np.array([[0, 1, 2], [2, 3, 4]])
         weights = Tensor(np.random.default_rng(22).normal(size=(5, 5)))
-        names = ("time.daily", "time.weekly")
-        if mode == "full":
+        names = () if mode == "no_tg" else ("time.daily", "time.weekly")
+        if mode != "no_sg":
             names += ("graph.e1", "graph.e2", "graph.w1", "graph.w2")
         params = [p for p in model.parameters() if p.name in names]
         assert len(params) == len(names)
 
         def loss():
-            return sum_(model._build_graphs(tod, dow).a_hat * weights)
+            return sum_(model.build_graph(tod, dow).a_hat * weights)
 
         with no_grad():
             assert loss().item() != 0.0
@@ -401,25 +412,26 @@ class TestNodeOrderGraph:
     """The node-order graph against the pool-by-pool construction."""
 
     @pytest.mark.parametrize("layout", list(_LAYOUTS))
-    @pytest.mark.parametrize("mode", ["full", "no_sg"])
+    @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
     def test_a_hat_is_block_diagonal_of_pool_graphs(self, mode, layout):
         types, p, k = _LAYOUTS[layout]
         store, params = _params(n=7, seed=24, alpha=1.5)
         asg = ClusterAssignment.from_types(np.array(types), p)
-        temporal = Tensor(0.9)
-        spatial = None if mode == "no_sg" else spatial_graph(np.arange(7), params)
+        temporal = None if mode == "no_tg" else Tensor(0.9)
+        spatial = None if mode == "no_sg" else spatial_graph(params)
         graph = fuse_and_sparsify(spatial, temporal, 0.8, k, onehot(asg))
-        assert isinstance(graph, ConstantRowGraph) and graph.rows.shape == (7, 1)
+        if mode != "no_tg":
+            assert isinstance(graph, ConstantRowGraph) and graph.rows.shape == (7, 1)
         oracle = block_diagonal(
             pool_graphs(None if mode == "no_sg" else params, asg, temporal, 0.8, k), 7
         )
         assert oracle.any() == (k > 0)
         a_hat = graph.a_hat.data
         assert np.max(np.abs(a_hat - oracle)) <= 1e-12 * np.max(np.abs(oracle))
-        if mode == "no_sg":  # r = 1: nothing is summed, so the rows are the same
+        if mode != "full":  # nothing is summed over a pool, so the entries are the same
             assert np.array_equal(a_hat, oracle)
 
-    @pytest.mark.parametrize("mode", ["full", "no_sg"])
+    @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
     def test_one_call_per_forward(self, mode, monkeypatch):
         cfg = ModelConfig(
             n=7, p=3, d=2, d_s=2, d_t=2, t_h=3, t_f=1, steps_per_day=6, graph_mode=mode

@@ -5,7 +5,7 @@ from graph_oracle import onehot, pool_graphs
 from mhgnet.clusterer import ClusterAssignment, single_pool
 from mhgnet.dstgg import (
     ClusterGraphParams,
-    FusedSubgraph,
+    DenseGraph,
     fuse_and_sparsify,
     spatial_graph,
     temporal_graph,
@@ -39,7 +39,7 @@ def _split(x, assignment):
 
 def _graph(adj):
     adj = np.asarray(adj, dtype=np.float64)
-    return FusedSubgraph(a_hat=Tensor(adj), members=np.arange(adj.shape[0]))
+    return DenseGraph(a_hat=Tensor(adj))
 
 
 def _cfg(gamma, hops, d=1):
@@ -184,7 +184,7 @@ class TestPropagate:
         h = store.add("h", (1, 3, 2), "normal(0,1)")
         a_hat = store.add("a_hat", (3, 3), "uniform(0,1)")
         weights = Tensor(np.random.default_rng(6).normal(size=(1, 3, 4)))
-        graph = FusedSubgraph(a_hat=a_hat, members=np.arange(3))
+        graph = DenseGraph(a_hat=a_hat)
         err = check_gradient(
             lambda: sum_(propagate(h, graph, _cfg(0.2, 2)) * weights),
             store.parameters(),
@@ -219,14 +219,17 @@ class _ConstantRowSetup:
             if temporal_graph(self.ts, self.tod, self.dow, 0.8).item() > 0.0:
                 break
 
-    def _temporal(self, temporal):
+    def _temporal(self, mode, temporal):
+        if mode == "no_tg":
+            return None
         return temporal_graph(self.ts, self.tod, self.dow, 0.8) if temporal is None else temporal
 
     def graph(self, mode, assignment, k, temporal=None):
         """The node-order graph of every pool, as the model builds it."""
-        n = assignment.types.size
-        spatial = None if mode == "no_sg" else spatial_graph(np.arange(n), self.params)
-        return fuse_and_sparsify(spatial, self._temporal(temporal), 0.8, k, onehot(assignment))
+        spatial = None if mode == "no_sg" else spatial_graph(self.params)
+        return fuse_and_sparsify(
+            spatial, self._temporal(mode, temporal), 0.8, k, onehot(assignment)
+        )
 
     def fast(self, mode, assignment, k, temporal=None):
         return propagate(self.h, self.graph(mode, assignment, k, temporal), self.cfg)
@@ -235,8 +238,8 @@ class _ConstantRowSetup:
         """The oracle: each pool's dense graph built pool by pool, its walk, then reassembly."""
         params = None if mode == "no_sg" else self.params
         parts = [
-            propagate(take(self.h, g.members, axis=2), FusedSubgraph(g.a_hat, g.members), self.cfg)
-            for g in pool_graphs(params, assignment, self._temporal(temporal), 0.8, k)
+            propagate(take(self.h, g.members, axis=2), DenseGraph(g.a_hat), self.cfg)
+            for g in pool_graphs(params, assignment, self._temporal(mode, temporal), 0.8, k)
         ]
         return reassemble(parts, assignment)
 
@@ -254,13 +257,13 @@ class TestConstantRowPropagate:
 
     @pytest.mark.parametrize("layout", list(_LAYOUTS))
     @pytest.mark.parametrize("hops", [1, 2, 3])
-    @pytest.mark.parametrize("mode", ["full", "no_sg"])
+    @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
     def test_matches_dense_per_cluster(self, mode, hops, layout):
         types, k = _LAYOUTS[layout]
         setup = _ConstantRowSetup(hops=hops)
         asg = ClusterAssignment.from_types(np.array(types), max(types) + 1)
         if k:
-            assert setup.graph(mode, asg, k).rows.data.any()
+            assert setup.graph(mode, asg, k).a_hat.data.any()
         fast = setup.fast(mode, asg, k).data
         dense = setup.dense(mode, asg, k).data
         assert np.max(np.abs(fast - dense)) < 1e-12 * np.max(np.abs(dense))
@@ -489,8 +492,8 @@ class TestConstantField:
 
     def test_dense_fused_subgraph(self):
         setup = _ConstantRowSetup(d=1, hops=4)
-        members = np.array([0, 2, 3, 5, 6])
-        dense = fuse_and_sparsify(spatial_graph(members, setup.params), None, 0.8, 3, members)
-        assert isinstance(dense, FusedSubgraph) and dense.a_hat.data.any()
-        field = Tensor(np.full((2, 3, 5, 1), self.VALUE))
+        asg = ClusterAssignment.from_types(np.array([1, 0, 2, 1, 0, 1, 1]), 3)
+        dense = setup.graph("no_tg", asg, 3)
+        assert isinstance(dense, DenseGraph) and dense.a_hat.data.any()
+        field = Tensor(np.full((2, 3, 7, 1), self.VALUE))
         self._assert_constant(propagate(field, dense, setup.cfg).data, 4)

@@ -10,6 +10,8 @@ from mhgnet.errors import ConfigError, DivergenceError, MetricsError
 from mhgnet.model import ForecastModel, ModelConfig
 from mhgnet.numcore import ParameterStore, SplitRng, Tensor, sum_
 from mhgnet.train_eval import (
+    ADAM_EPS,
+    ADAM_WEIGHT_DECAY,
     Adam,
     Schedule,
     curriculum_horizon,
@@ -119,18 +121,22 @@ class TestAdam:
         t = store.add("w", (3, 3), "normal(0,1)")
         return store, t
 
-    def test_zero_grad_no_decay_is_noop(self):
+    def test_zero_grad_moves_by_the_normalized_decay(self):
+        # the first step's moments are the decay term d = wd * w and d * d,
+        # so without a gradient each weight moves by lr * d / (|d| + eps)
         store, t = self._param()
         before = t.data.copy()
-        opt = Adam(store.parameters(), lr=0.1, weight_decay=0.0)
+        opt = Adam(store.parameters(), lr=0.1)
         t.grad = None
         opt.step()
-        assert np.array_equal(t.data, before)
+        decay = ADAM_WEIGHT_DECAY * before
+        expected = before - 0.1 * decay / (np.abs(decay) + ADAM_EPS)
+        assert np.max(np.abs(t.data - expected)) <= 1e-12
 
     def test_zero_grad_with_decay_moves(self):
         store, t = self._param(1)
         before = t.data.copy()
-        opt = Adam(store.parameters(), lr=0.1, weight_decay=1e-2)
+        opt = Adam(store.parameters(), lr=0.1)
         t.grad = np.zeros_like(t.data)
         opt.step()
         delta = t.data - before
@@ -140,7 +146,7 @@ class TestAdam:
 
     def test_descends_quadratic(self):
         store, t = self._param(2)
-        opt = Adam(store.parameters(), lr=0.05, weight_decay=0.0)
+        opt = Adam(store.parameters(), lr=0.05)
         for _ in range(200):
             t.grad = None
             loss = sum_(t * t)
@@ -151,7 +157,7 @@ class TestAdam:
     def test_step_updates_in_place_bit_equal_to_out_of_place(self):
         store = ParameterStore(SplitRng(3))
         params = [store.add("w", (3, 4), "normal(0,1)"), store.add("b", (4,), "normal(0,1)")]
-        opt = Adam(store.parameters(), lr=0.01, weight_decay=1e-3)
+        opt = Adam(store.parameters(), lr=0.01)
         rng = np.random.default_rng(4)
         expected = [t.data.copy() for t in params]
         m = [np.zeros_like(e) for e in expected]
@@ -161,7 +167,7 @@ class TestAdam:
             for i, t in enumerate(params):
                 t.grad = rng.normal(size=t.shape)
                 # reference: the out-of-place update, t.data = t.data - ...
-                grad = t.grad + 1e-3 * expected[i]
+                grad = t.grad + ADAM_WEIGHT_DECAY * expected[i]
                 m[i] = 0.9 * m[i] + (1.0 - 0.9) * grad
                 v[i] = 0.999 * v[i] + (1.0 - 0.999) * grad * grad
                 m_hat, v_hat = m[i] / (1.0 - 0.9 ** step), v[i] / (1.0 - 0.999 ** step)
@@ -291,7 +297,7 @@ class TestAblation:
         rng = np.random.default_rng(0)
         tod = rng.integers(0, 24, (2, 6))
         dow = rng.integers(0, 7, (2, 6))
-        assert model._build_graphs(tod, dow).onehot.shape == (cfg.n, 1)
+        assert model.build_graph(tod, dow).onehot.shape == (cfg.n, 1)
 
     @pytest.mark.slow
     def test_variants_run_and_report(self):
