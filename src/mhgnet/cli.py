@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--out", required=True)
     p_conv.add_argument("--steps-per-day", type=int, default=288)
     p_conv.add_argument("--start-weekday", type=int, default=0)
-    p_conv.add_argument("--seed", type=int, help="unused; accepted for uniformity")
 
     p_insp = sub.add_parser("cluster-inspect", help="print ratio features and pools as CSV")
     add_common(p_insp)

@@ -46,7 +46,8 @@ class SplitRng:
         return self.generator.normal(mean, std, size=shape)
 
     def random(self, shape) -> np.ndarray:
-        return self.generator.random(size=shape)
+        """float32 uniforms on [0, 1): half the bytes of float64 draws, for masks."""
+        return self.generator.random(size=shape, dtype=np.float32)
 
     def permutation(self, n: int) -> np.ndarray:
         return self.generator.permutation(n)

@@ -247,7 +247,7 @@ def encode_sequence(
             raise ConfigError("training-mode dropout needs an rng")
         keep = 1.0 - enc.dropout
         drawn = (rng.random((b, t, n, width)) < keep).transpose(1, 3, 0, 2)
-        h = h * Tensor(drawn.reshape(t, width, m).astype(np.float64) / keep)
+        h = h * Tensor(drawn.reshape(t, width, m) / keep)
     hidden = relu(matmul(swap_last2(enc.redist_w1), reshape(h, (t * width, m))))
     squeezed = matmul(swap_last2(enc.redist_w2), hidden) * reshape(enc.gain, (width, 1))
     return transpose(reshape(squeezed, (width, b, n)), (1, 2, 0))

@@ -188,6 +188,10 @@ class TestUsageErrors:
     def test_unknown_flag_exits_2(self):
         assert main(["synth", "--nodes", "4", "--days", "2", "--patterns", "1", "--bogus", "x"]) == 2
 
+    def test_convert_takes_no_seed(self, tmp_path):
+        args = ["convert", "--csv", str(tmp_path / "r.csv"), "--out", str(tmp_path / "r.mhgt")]
+        assert main(args + ["--seed", "1"]) == 2
+
     def test_missing_subcommand_exits_2(self):
         assert main([]) == 2
 

@@ -1,3 +1,5 @@
+import decimal
+import warnings
 import weakref
 
 import numpy as np
@@ -449,16 +451,35 @@ class TestGatedTimeMeans:
 
 
 class TestLogistic:
-    def test_matches_where_form_bitwise(self):
+    X = np.concatenate(
+        [
+            np.random.default_rng(19).normal(size=100_000),
+            [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300],
+        ]
+    )
+
+    def test_matches_reciprocal_form_bitwise(self):
+        with np.errstate(over="ignore"):
+            reciprocal_form = 1.0 / (1.0 + np.exp(-self.X))
+        assert np.array_equal(sigmoid(Tensor(self.X)).data, reciprocal_form)
+
+    def test_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(Tensor([-800.0, 800.0])).data
+        assert out.tolist() == [0.0, 1.0]
+
+    def test_relative_error_against_decimal_reference(self):
         x = np.concatenate(
-            [
-                np.random.default_rng(19).normal(size=100_000),
-                [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300],
-            ]
+            [np.linspace(-700.0, 700.0, 2001), np.random.default_rng(20).uniform(-700, 700, 2000)]
         )
-        e = np.exp(-np.abs(x))
-        where_form = np.where(x >= 0, 1.0, e) / (1.0 + e)
-        assert np.array_equal(sigmoid(Tensor(x)).data, where_form)
+        out = sigmoid(Tensor(x)).data
+        worst = 0.0
+        with decimal.localcontext(decimal.Context(prec=50)):
+            for xi, yi in zip(x.tolist(), out.tolist()):
+                exact = 1 / (1 + (-decimal.Decimal(xi)).exp())
+                worst = max(worst, abs((decimal.Decimal(yi) - exact) / exact))
+        assert worst <= 2 * np.finfo(np.float64).eps
 
 
 class TestTensorBasics:
