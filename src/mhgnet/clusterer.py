@@ -33,18 +33,15 @@ class FeatureSpace:
 
 @dataclass
 class ClusterAssignment:
-    """Node-to-type map with the induced pools and permutation.
+    """Node-to-type map with the induced pools.
 
-    ``pools[j]`` lists the nodes of type j in ascending order; concatenating
-    the pools gives ``permutation``, and ``inverse_permutation`` restores
-    original node positions. ``comparisons`` counts the distance evaluations
-    and comparisons of one scan over the types per node (see :func:`assign`).
+    ``pools[j]`` lists the nodes of type j in ascending order.
+    ``comparisons`` counts the distance evaluations and comparisons of one
+    scan over the types per node (see :func:`assign`).
     """
 
     types: np.ndarray  # [N] ints in [0, P)
     pools: list[list[int]]
-    permutation: np.ndarray
-    inverse_permutation: np.ndarray
     comparisons: int = field(default=0, compare=False)
 
     @classmethod
@@ -52,18 +49,10 @@ class ClusterAssignment:
         types = np.asarray(types, dtype=np.int64)
         if types.size and not 0 <= types.min() <= types.max() < num_types:
             raise ConfigError(f"node types must lie in [0, {num_types})")
-        permutation = np.argsort(types, kind="stable")  # by type, then by node
+        by_type = np.argsort(types, kind="stable")  # by type, then by node
         ends = np.cumsum(np.bincount(types, minlength=num_types))[:-1]
-        pools = [pool.tolist() for pool in np.split(permutation, ends)]
-        inverse = np.empty_like(permutation)
-        inverse[permutation] = np.arange(permutation.size)
-        return cls(
-            types=types,
-            pools=pools,
-            permutation=permutation,
-            inverse_permutation=inverse,
-            comparisons=comparisons,
-        )
+        pools = [pool.tolist() for pool in np.split(by_type, ends)]
+        return cls(types=types, pools=pools, comparisons=comparisons)
 
 
 def single_pool(n: int) -> ClusterAssignment:

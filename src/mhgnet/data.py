@@ -43,7 +43,9 @@ class TrafficSeries:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 3:
             raise ShapeError(f"series values must be 3-D, got {self.values.shape}")
-        steps, _, channels = self.values.shape
+        steps, nodes, channels = self.values.shape
+        if nodes < 1:
+            raise ConfigError("series needs at least one node")
         if channels < 1:
             raise ConfigError("series needs at least one channel")
         if self.steps_per_day < 1:

@@ -54,7 +54,6 @@ class ClusterGraphParams:
     e2: Tensor  # [N, D_s]
     w1: Tensor  # [D_s, D_s]
     w2: Tensor  # [D_s, D_s]
-    alpha: float
 
 
 @dataclass
@@ -99,11 +98,11 @@ class ConstantRowGraph:
         return self.rows * Tensor(self.onehot @ self.onehot.T)
 
 
-def spatial_graph(params: ClusterGraphParams) -> SpatialGraph:
+def spatial_graph(params: ClusterGraphParams, alpha: float) -> SpatialGraph:
     """Learned directed graph over all N nodes, as its two factors."""
-    m1 = tanh(params.alpha * matmul(params.e1, params.w1))
-    m2 = tanh(params.alpha * matmul(params.e2, params.w2))
-    return SpatialGraph(m1, m2, params.alpha)
+    m1 = tanh(alpha * matmul(params.e1, params.w1))
+    m2 = tanh(alpha * matmul(params.e2, params.w2))
+    return SpatialGraph(m1, m2, alpha)
 
 
 def temporal_graph(

@@ -30,10 +30,6 @@ class MetricsError(MhgnetError, ValueError):
     """Metrics are undefined for the given inputs (e.g. fully masked)."""
 
 
-class EvaluationError(MhgnetError, ArithmeticError):
-    """A numeric evaluation produced a non-finite result."""
-
-
 class DivergenceError(MhgnetError, RuntimeError):
     """Training produced a non-finite loss; carries diagnostic context."""
 

@@ -128,7 +128,6 @@ class ForecastModel:
                 e2=add("graph.e2", (cfg.n, cfg.d_s), "normal(0,1)"),
                 w1=add("graph.w1", (cfg.d_s, cfg.d_s)),
                 w2=add("graph.w2", (cfg.d_s, cfg.d_s)),
-                alpha=cfg.alpha,
             )
 
         self.prop_cfg = sie.PropagationConfig(
@@ -199,7 +198,7 @@ class ForecastModel:
             temporal = dstgg.temporal_graph(self.timestamps, tod, dow, cfg.beta)
         spatial = None
         if cfg.graph_mode != "no_sg":
-            spatial = dstgg.spatial_graph(self.graph_params)
+            spatial = dstgg.spatial_graph(self.graph_params, cfg.alpha)
         onehot = np.eye(len(self.assignment.pools))[self.assignment.types]  # [N, P]
         return dstgg.fuse_and_sparsify(spatial, temporal, cfg.beta, cfg.k, onehot)
 
@@ -306,8 +305,8 @@ def save_checkpoint(
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
     """Parameter values, raw node types, and the byte offset of the types.
 
-    The types are not checked against a pattern count here; :func:`restore`
-    does that before any pool is built.
+    A repeated name raises FormatError at its second copy. The types are
+    checked against a pattern count by :func:`restore`, not here.
     """
     reader = BinaryReader(Path(path).read_bytes(), CKPT_MAGIC, CKPT_VERSION, "checkpoint")
     state: dict[str, np.ndarray] = {}
@@ -317,6 +316,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
             (name_len,) = reader.unpack("<H", "parameter name length")
             (encoded,) = reader.unpack(f"<{name_len}s", "parameter name")
             name = encoded.decode("utf-8")
+            if name in state:
+                raise FormatError(f"repeated parameter name {name!r}", offset=reader.field)
             (rank,) = reader.unpack("<B", f"rank of {name!r}")
             dims = reader.unpack(f"<{rank}I", f"dims of {name!r}")
             values = reader.array(math.prod(dims), "<f4", f"values of {name!r}")

@@ -1,6 +1,6 @@
 """Minimal dense tensor engine with reverse-mode automatic differentiation."""
 
-from .params import Parameter, ParameterStore, check_gradient
+from .params import Parameter, ParameterStore
 from .rng import SplitRng
 from .tensor import (
     Tensor,
@@ -14,7 +14,6 @@ from .tensor import (
     no_grad,
     relu,
     reshape,
-    sigmoid,
     slice_axis,
     sum_,
     swap_last2,
@@ -31,7 +30,6 @@ __all__ = [
     "Tensor",
     "abs_",
     "broadcast_to",
-    "check_gradient",
     "concat",
     "gated_time_means",
     "gru_sequence",
@@ -40,7 +38,6 @@ __all__ = [
     "no_grad",
     "relu",
     "reshape",
-    "sigmoid",
     "slice_axis",
     "sum_",
     "swap_last2",

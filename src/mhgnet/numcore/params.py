@@ -5,13 +5,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ..errors import ConfigError, EvaluationError
+from ..errors import ConfigError
 from .rng import SplitRng
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 _INIT_RE = re.compile(
     r"^(uniform|normal)\(\s*([-+0-9.eE]+)\s*,\s*([-+0-9.eE]+)\s*\)$|^(zeros|ones)$"
@@ -20,11 +19,10 @@ _INIT_RE = re.compile(
 
 @dataclass
 class Parameter:
-    """A uniquely named learnable tensor plus the spec used to initialize it."""
+    """A uniquely named learnable tensor."""
 
     name: str
     tensor: Tensor
-    init_spec: str
 
 
 def _draw(spec: str, shape, rng: SplitRng) -> np.ndarray:
@@ -67,7 +65,7 @@ class ParameterStore:
         spec = init if init is not None else fan_in_uniform(shape)
         values = _draw(spec, shape, self._rng.child(name))
         t = Tensor(values, requires_grad=True)
-        self._params[name] = Parameter(name, t, spec)
+        self._params[name] = Parameter(name, t)
         return t
 
     def parameters(self) -> list[Parameter]:
@@ -96,42 +94,3 @@ class ParameterStore:
                 )
             t.data = values.copy()
 
-
-def check_gradient(
-    f: Callable[[], Tensor], params: list[Parameter], h: float = 1e-5
-) -> float:
-    """Max relative error of reverse-mode gradients vs central differences.
-
-    ``f`` evaluates a scalar loss from the current parameter values. The
-    error per coordinate is |g_ad - g_fd| / max(1, |g_fd|); the max over all
-    coordinates of all ``params`` is returned.
-    """
-    loss = f()
-    if not np.isfinite(loss.data).all():
-        raise EvaluationError("loss is not finite at the evaluation point")
-    for p in params:
-        p.tensor.grad = None
-    loss.backward()
-    analytic = [
-        np.zeros_like(p.tensor.data) if p.tensor.grad is None else p.tensor.grad.copy()
-        for p in params
-    ]
-
-    worst = 0.0
-    with no_grad():
-        for p, g_ad in zip(params, analytic):
-            flat = p.tensor.data.reshape(-1)
-            g_flat = g_ad.reshape(-1)
-            for i in range(flat.size):
-                saved = flat[i]
-                flat[i] = saved + h
-                up = f().item()
-                flat[i] = saved - h
-                down = f().item()
-                flat[i] = saved
-                if not (math.isfinite(up) and math.isfinite(down)):
-                    raise EvaluationError("non-finite loss during finite differencing")
-                g_fd = (up - down) / (2.0 * h)
-                err = abs(g_flat[i] - g_fd) / max(1.0, abs(g_fd))
-                worst = max(worst, err)
-    return worst

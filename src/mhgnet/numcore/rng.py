@@ -51,6 +51,3 @@ class SplitRng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self.generator.permutation(n)
-
-    def __repr__(self) -> str:
-        return f"SplitRng(seed={self.seed}, path={self.path!r})"

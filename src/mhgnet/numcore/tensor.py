@@ -286,16 +286,6 @@ def _logistic(x: Array, out: Array | None = None) -> Array:
     return np.reciprocal(out, out=out)
 
 
-def sigmoid(a) -> Tensor:
-    a = _to_tensor(a)
-    out = _logistic(a.data)
-
-    def bw(g):
-        _accum(a, g * (out * (1.0 - out)))
-
-    return _result(out, (a,), bw)
-
-
 def tanh(a) -> Tensor:
     a = _to_tensor(a)
     out = np.tanh(a.data)
@@ -310,22 +300,9 @@ def tanh(a) -> Tensor:
 # reductions
 
 
-def _reduced_count(shape: tuple[int, ...], axis) -> int:
-    if axis is None:
-        return int(np.prod(shape)) if shape else 1
-    if isinstance(axis, int):
-        axis = (axis,)
-    return int(np.prod([shape[a] for a in axis]))
-
-
 def _expand_reduced(g: Array, shape: tuple[int, ...], axis) -> Array:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if isinstance(axis, int):
-        axis = (axis,)
-    axis = tuple(a % len(shape) for a in axis)
-    for a in sorted(axis):
-        g = np.expand_dims(g, a)
+    if axis is not None:
+        g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape)
 
 
@@ -340,12 +317,13 @@ def sum_(a, axis=None) -> Tensor:
 
 def mean(a, axis=None) -> Tensor:
     a = _to_tensor(a)
-    n = _reduced_count(a.data.shape, axis)
+    out = a.data.mean(axis=axis)
+    n = a.data.size // max(out.size, 1)  # the count reduced into each output
 
     def bw(g):
         _accum(a, _expand_reduced(g / n, a.data.shape, axis))
 
-    return _result(a.data.mean(axis=axis), (a,), bw)
+    return _result(out, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +406,7 @@ def take(a, indices, axis: int = 0) -> Tensor:
     data = np.take(a.data, idx, axis=ax)
 
     def bw(g):
-        if not a.requires_grad:
-            return
-        buf = _owned_grad(a)
-        if idx.ndim == 1 and np.unique(idx).size == idx.size:
-            view = np.moveaxis(buf, ax, 0)
-            view[idx] += np.moveaxis(g, ax, 0)
-        else:
-            np.add.at(np.moveaxis(buf, ax, 0), idx, np.moveaxis(g, ax, 0))
+        np.add.at(np.moveaxis(_owned_grad(a), ax, 0), idx, np.moveaxis(g, ax, 0))
 
     return _result(data, (a,), bw)
 
@@ -448,8 +419,6 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     data = a.data[sl]
 
     def bw(g):
-        if not a.requires_grad:
-            return
         _owned_grad(a)[sl] += g
 
     return _result(data, (a,), bw)

@@ -147,21 +147,17 @@ def reassemble(cluster_outputs: list[Tensor], assignment: ClusterAssignment) -> 
 
     The model propagates in node order and does not call this; it serves
     pool-by-pool constructions. ``cluster_outputs`` follow nonempty pool
-    order with nodes on the second-to-last axis; the inverse permutation
-    puts node i back at position i.
+    order with nodes on the second-to-last axis, so they hold the nodes by
+    type, then by node; ``position`` puts node i back at position i.
     """
-    n = assignment.permutation.size
+    n = assignment.types.size
     total = sum(t.shape[-2] for t in cluster_outputs)
     if total != n:
         raise ShapeError(
             f"assembly size mismatch: cluster outputs cover {total} nodes, expected {n}"
         )
-    x_h = (
-        cluster_outputs[0]
-        if len(cluster_outputs) == 1
-        else concat(cluster_outputs, axis=-2)
-    )
-    return take(x_h, assignment.inverse_permutation, axis=x_h.ndim - 2)
+    position = np.argsort(np.argsort(assignment.types, kind="stable"))
+    return take(concat(cluster_outputs, axis=-2), position, axis=-2)
 
 
 @dataclass

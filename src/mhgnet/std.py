@@ -49,7 +49,6 @@ class GateParams:
 
 def embed_input(x, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine channel lift of the scaled target channel, 1 -> D."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
     return matmul(x, weight) + bias
 
 

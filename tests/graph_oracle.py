@@ -60,16 +60,16 @@ def pool_row_sums(spatial) -> Tensor:
     return spatial.alpha * (matmul(spatial.m1, s2) - matmul(spatial.m2, s1))
 
 
-def pool_spatial_graph(params, members) -> SpatialGraph:
+def pool_spatial_graph(full: SpatialGraph, members) -> SpatialGraph:
     """The spatial graph of one pool: the pool's rows of every node's factors."""
-    full = spatial_graph(params)
     return SpatialGraph(take(full.m1, members, axis=0), take(full.m2, members, axis=0), full.alpha)
 
 
-def pool_graph(params, members, temporal, beta, k) -> PoolGraph:
-    """One pool's graph; ``params`` None means ``no_sg``, ``temporal`` None ``no_tg``."""
+def pool_graph(full, members, temporal, beta, k) -> PoolGraph:
+    """One pool's graph from the spatial graph of all nodes; ``full`` None means
+    ``no_sg``, ``temporal`` None ``no_tg``."""
     members = np.asarray(members, dtype=np.int64)
-    spatial = None if params is None else pool_spatial_graph(params, members)
+    spatial = None if full is None else pool_spatial_graph(full, members)
     if temporal is None:
         return PoolGraph(members, None, topk_row_mask(relu(tanh(beta * spatial.dense())), k))
     n_p = members.size
@@ -78,9 +78,9 @@ def pool_graph(params, members, temporal, beta, k) -> PoolGraph:
     return PoolGraph(members, rows, rows * Tensor(np.ones((1, n_p))))
 
 
-def pool_graphs(params, assignment, temporal, beta, k) -> list[PoolGraph]:
+def pool_graphs(full, assignment, temporal, beta, k) -> list[PoolGraph]:
     """Every nonempty pool's graph, in pool order."""
-    return [pool_graph(params, pool, temporal, beta, k) for pool in assignment.pools if pool]
+    return [pool_graph(full, pool, temporal, beta, k) for pool in assignment.pools if pool]
 
 
 def model_pool_graphs(model, tod, dow) -> list[PoolGraph]:
@@ -89,13 +89,16 @@ def model_pool_graphs(model, tod, dow) -> list[PoolGraph]:
     temporal = None
     if cfg.graph_mode != "no_tg":
         temporal = temporal_graph(model.timestamps, tod, dow, cfg.beta)
-    return pool_graphs(model.graph_params, model.assignment, temporal, cfg.beta, cfg.k)
+    full = None
+    if cfg.graph_mode != "no_sg":
+        full = spatial_graph(model.graph_params, cfg.alpha)
+    return pool_graphs(full, model.assignment, temporal, cfg.beta, cfg.k)
 
 
 def merged_graph(graphs: list[PoolGraph], assignment) -> ConstantRowGraph:
     """The pools' constant rows in node order: concatenated, then un-permuted."""
     rows = concat([g.rows for g in graphs], axis=0)
-    rows = take(rows, assignment.inverse_permutation, axis=0)
+    rows = take(rows, np.argsort(np.concatenate([g.members for g in graphs])), axis=0)
     return ConstantRowGraph(rows, onehot(assignment))
 
 

@@ -1,4 +1,4 @@
-"""The gate kernels in their expression form, kept as test oracles.
+"""The gate kernels in their expression form, and the logistic as an autodiff op.
 
 :func:`gru_sequence` and :func:`gated_time_means` are the earlier bodies of
 the ``numcore`` kernels of the same names, forward and backward: every step
@@ -6,7 +6,8 @@ builds its intermediates as fresh arrays from numpy expressions. The kernels
 now write each step into buffers allocated once, with the same operand order
 in every product and sum, so they must match these bit for bit. Both call
 the current ``_logistic``, so the comparison isolates the buffer handling
-from the logistic's formula.
+from the logistic's formula. :func:`sigmoid` serves the tests that build a
+gate from elementwise ops.
 """
 
 from typing import Sequence
@@ -17,6 +18,16 @@ from mhgnet.errors import ShapeError
 from mhgnet.numcore import Tensor
 from mhgnet.numcore import tensor as tensor_module
 from mhgnet.numcore.tensor import _accum, _logistic, _result, _to_tensor, _tracked
+
+
+def sigmoid(a) -> Tensor:
+    a = _to_tensor(a)
+    out = _logistic(a.data)
+
+    def bw(g):
+        _accum(a, g * (out * (1.0 - out)))
+
+    return _result(out, (a,), bw)
 
 
 def gru_sequence(px_zr, px_n, w_zr_h, w_n_h) -> Tensor:

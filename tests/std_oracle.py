@@ -8,7 +8,8 @@ them. :func:`time_means` lays those means out as ``std.decouple`` does.
 
 import numpy as np
 
-from mhgnet.numcore import Tensor, concat, matmul, mean, reshape, sigmoid, slice_axis
+from kernel_oracle import sigmoid
+from mhgnet.numcore import Tensor, concat, matmul, mean, reshape, slice_axis
 from mhgnet.std import gate_features
 
 

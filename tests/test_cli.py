@@ -211,6 +211,17 @@ class TestUsageErrors:
         assert main(["eval", "--data", str(synth_file), "--checkpoint", str(checkpoint)]) == 1
         assert f"(at byte {size})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_data_file_with_zero_nodes_exits_1(self, command, tmp_path, capsys):
+        # numpy warnings raise here (pytest's filterwarnings), so none is printed either
+        data = tmp_path / "z.mhgt"
+        data.write_bytes(b"MHGT" + np.array([1, 48, 0, 1, 24, 0], "<u4").tobytes())
+        extra = ["--out", str(tmp_path / "run")] if command == "train" else ["--checkpoint", "x"]
+        assert main([command, "--data", str(data)] + extra) == 1
+        err = capsys.readouterr().err
+        assert "bad header: series needs at least one node (at byte 8)" in err
+        assert "Warning" not in err and "Traceback" not in err
+
 
     def test_undecodable_config_exits_1(self, synth_file, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
@@ -417,6 +428,25 @@ class TestMalformedCheckpoint:
             assert exc.value.offset is not None, name
             assert main(["eval", "--data", str(synth_file), "--checkpoint", str(path)]) == 1, name
             assert "error:" in capsys.readouterr().err, name
+
+    def test_repeated_parameter_name_gives_format_error(self, synth_file, tmp_path, capsys):
+        # the first parameter listed twice, its second copy raised by 5.0
+        model = ForecastModel(RunConfig().to_model_config(8, 24))
+        good = tmp_path / "good.mhgc"
+        save_checkpoint(good, model.store.state(), model.assignment)
+        blob = good.read_bytes()
+        values = model.store.state()["embed.weight"]  # [1, D]: the first record
+        end = 12 + 2 + len("embed.weight") + 1 + 4 * values.ndim + 4 * values.size
+        repeated = blob[12 : end - 4 * values.size] + (values + 5.0).astype("<f4").tobytes()
+        count = (len(model.store.state()) + 1).to_bytes(4, "little")
+        path = tmp_path / "repeated.mhgc"
+        path.write_bytes(blob[:8] + count + blob[12:end] + repeated + blob[end:])
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == end + 2  # the second copy's name
+        assert "repeated parameter name 'embed.weight'" in str(exc.value)
+        assert main(["eval", "--data", str(synth_file), "--checkpoint", str(path)]) == 1
+        assert f"(at byte {end + 2})" in capsys.readouterr().err
 
     def test_version_1_checkpoint_rejected(self, synth_file, tmp_path, capsys):
         # version 1 stored the clusterer's ratio weights, which are gone

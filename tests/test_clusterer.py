@@ -83,7 +83,6 @@ class TestAssign:
         asg = assign(fs)
         assert np.array_equal(asg.types, [1, 0, 1])
         assert asg.pools == [[1], [0, 2]]
-        assert np.array_equal(asg.permutation, [1, 0, 2])
 
     def test_single_pattern_single_pool(self):
         fs = FeatureSpace.from_ratios(np.random.default_rng(4).normal(size=(6, 1)))
@@ -104,15 +103,13 @@ class TestAssign:
 
     @given(st.integers(2, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_partition_and_inverse(self, n, p, seed):
+    def test_partition_matches_types(self, n, p, seed):
         ratios = np.random.default_rng(seed).normal(size=(n, p))
         asg = assign(FeatureSpace.from_ratios(ratios))
         flat = sorted(i for pool in asg.pools for i in pool)
         assert flat == list(range(n))
         assert all(pool == sorted(pool) for pool in asg.pools)
-        assert np.array_equal(
-            asg.inverse_permutation[asg.permutation], np.arange(n)
-        )
+        assert all(i in asg.pools[t] for i, t in enumerate(asg.types))
 
     @given(st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
@@ -154,7 +151,7 @@ class TestAssign:
     def test_single_pool_helper(self):
         asg = single_pool(5)
         assert asg.pools == [list(range(5))]
-        assert np.array_equal(asg.permutation, np.arange(5))
+        assert np.array_equal(asg.types, np.zeros(5))
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_types_outside_range_rejected(self, bad):
@@ -164,4 +161,4 @@ class TestAssign:
     def test_empty_pools_permitted(self):
         asg = ClusterAssignment.from_types(np.array([2, 2, 2]), 3)
         assert asg.pools == [[], [], [0, 1, 2]]
-        assert np.array_equal(asg.permutation, [0, 1, 2])
+        assert np.array_equal(asg.types, [2, 2, 2])

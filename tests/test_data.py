@@ -93,6 +93,14 @@ class TestBinaryFormat:
             load_series(path)
         assert exc.value.offset == 8
 
+    def test_zero_nodes_gives_format_error(self, tmp_path):
+        path = tmp_path / "z.mhgt"
+        path.write_bytes(b"MHGT" + np.array([1, 4, 0, 1, 4, 0], "<u4").tobytes())
+        with pytest.raises(FormatError) as exc:  # an empty payload, so it is 0 bytes long
+            load_series(path)
+        assert exc.value.offset == 8
+        assert "bad header" in str(exc.value) and "node" in str(exc.value)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_value_rejected_at_its_offset(self, tmp_path, bad):
         series = synthesize(nodes=4, days=2, patterns=2, seed=1, steps_per_day=8)

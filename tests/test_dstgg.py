@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import check_gradient
 from graph_oracle import block_diagonal, onehot, pool_graphs
 from mhgnet import dstgg
 from mhgnet.clusterer import ClusterAssignment
@@ -13,18 +14,17 @@ from mhgnet.dstgg import (
     temporal_graph,
 )
 from mhgnet.model import ForecastModel, ModelConfig
-from mhgnet.numcore import ParameterStore, SplitRng, Tensor, check_gradient, no_grad, sum_
+from mhgnet.numcore import ParameterStore, SplitRng, Tensor, no_grad, sum_
 from mhgnet.std import TimestampEmbeddings
 
 
-def _params(n=6, d_s=3, alpha=1.0, seed=0, store=None):
+def _params(n=6, d_s=3, seed=0, store=None):
     store = store or ParameterStore(SplitRng(seed))
     return store, ClusterGraphParams(
         e1=store.add("e1", (n, d_s), "normal(0,1)"),
         e2=store.add("e2", (n, d_s), "normal(0,1)"),
         w1=store.add("w1", (d_s, d_s)),
         w2=store.add("w2", (d_s, d_s)),
-        alpha=alpha,
     )
 
 
@@ -97,13 +97,13 @@ class TestSpatialGraph:
         store, params = _params()
         params.e2.data = params.e1.data.copy()
         params.w2.data = params.w1.data.copy()
-        out = spatial_graph(params)
+        out = spatial_graph(params, 1.0)
         assert np.max(np.abs(out.dense().data)) == 0.0
         assert np.max(np.abs(out.row_sums(_one_pool(6)).data)) == 0.0
 
     def test_antisymmetry(self):
-        store, params = _params(seed=3, alpha=2.5)
-        out = spatial_graph(params).dense().data
+        store, params = _params(seed=3)
+        out = spatial_graph(params, 2.5).dense().data
         assert np.max(np.abs(out + out.T)) < 1e-12
 
     def test_two_node_hand_values(self):
@@ -113,11 +113,10 @@ class TestSpatialGraph:
             e2=store.add("e2", (2, 1), "zeros"),
             w1=store.add("w1", (1, 1), "ones"),
             w2=store.add("w2", (1, 1), "ones"),
-            alpha=1.0,
         )
         params.e1.data = np.array([[1.0], [0.0]])
         params.e2.data = np.array([[0.0], [1.0]])
-        out = spatial_graph(params).dense().data
+        out = spatial_graph(params, 1.0).dense().data
         expected = np.tanh(1.0) ** 2
         assert abs(out[0, 1] - expected) < 1e-12
         assert abs(out[1, 0] + expected) < 1e-12
@@ -126,23 +125,23 @@ class TestSpatialGraph:
     def test_member_permutation_equivariance(self):
         store, params = _params(seed=4)
         perm = np.array([2, 0, 3, 1, 5, 4])  # relabeled node j is original node perm[j]
-        base = spatial_graph(params).dense().data
+        base = spatial_graph(params, 1.0).dense().data
         params.e1.data, params.e2.data = params.e1.data[perm], params.e2.data[perm]
-        shuffled = spatial_graph(params).dense().data
+        shuffled = spatial_graph(params, 1.0).dense().data
         assert np.allclose(shuffled, base[np.ix_(perm, perm)], atol=1e-15)
 
     def test_row_sums_match_dense(self):
-        store, params = _params(n=9, d_s=4, seed=20, alpha=2.0)
-        out = spatial_graph(params)
+        store, params = _params(n=9, d_s=4, seed=20)
+        out = spatial_graph(params, 2.0)
         sums = out.row_sums(_one_pool(9)).data
         assert sums.shape == (9, 1)
         assert np.max(np.abs(sums[:, 0] - out.dense().data.sum(axis=1))) < 1e-12
 
     def test_row_sums_stay_within_each_pool(self):
-        store, params = _params(n=9, d_s=4, seed=23, alpha=2.0)
+        store, params = _params(n=9, d_s=4, seed=23)
         asg = ClusterAssignment.from_types(np.array([2, 0, 2, 2, 0, 1, 2, 0, 2]), 4)
-        sums = spatial_graph(params).row_sums(onehot(asg)).data
-        dense = spatial_graph(params).dense().data
+        sums = spatial_graph(params, 2.0).row_sums(onehot(asg)).data
+        dense = spatial_graph(params, 2.0).dense().data
         same_pool = asg.types[:, None] == asg.types[None, :]
         expected = (dense * same_pool).sum(axis=1)
         assert sums.shape == (9, 1)
@@ -151,14 +150,14 @@ class TestSpatialGraph:
         assert np.max(np.abs(sums[:, 0] - expected)) < 1e-12
 
     def test_gradient(self):
-        store, params = _params(n=3, d_s=2, seed=5, alpha=0.7)
+        store, params = _params(n=3, d_s=2, seed=5)
         rng = np.random.default_rng(6)
         weights = Tensor(rng.normal(size=(3, 3)))
         row_weights = Tensor(rng.normal(size=(3, 1)))
         pools = onehot(ClusterAssignment.from_types(np.array([0, 1, 0]), 2))
 
         def loss():
-            out = spatial_graph(params)
+            out = spatial_graph(params, 0.7)
             return sum_(out.dense() * weights) + sum_(out.row_sums(pools) * row_weights)
 
         assert check_gradient(loss, store.parameters(), h=1e-5) < 1e-4
@@ -230,7 +229,7 @@ class TestTemporalGraph:
 class TestFuseAndSparsify:
     def test_zero_temporal_zero_graph(self):
         store, params = _params(n=4, seed=11)
-        spatial = spatial_graph(params)
+        spatial = spatial_graph(params, 1.0)
         for k in (0, 2, 4):
             for s in (spatial, None):
                 g = fuse_and_sparsify(s, Tensor(0.0), beta=0.5, k=k, onehot=_one_pool(4))
@@ -238,7 +237,7 @@ class TestFuseAndSparsify:
 
     def test_singleton_cluster(self):
         store, params = _params(n=1, seed=12)
-        spatial = spatial_graph(params)
+        spatial = spatial_graph(params, 1.0)
         a_s = spatial.dense().data
         assert a_s.shape == (1, 1)
         assert a_s[0, 0] == 0.0  # antisymmetric diagonal
@@ -248,8 +247,8 @@ class TestFuseAndSparsify:
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (6, 3)])
     def test_matches_loop_oracle(self, n, k):
-        store, params = _params(n=n, seed=n * 10 + k, alpha=1.3)
-        spatial = spatial_graph(params)
+        store, params = _params(n=n, seed=n * 10 + k)
+        spatial = spatial_graph(params, 1.3)
         a_s = spatial.dense().data
         constant = np.full((n, n), 0.8)
         cases = {  # graph mode: (spatial, temporal, dense A_s, dense A_t, sparsifier)
@@ -274,7 +273,7 @@ class TestFuseAndSparsify:
             for kk in (0, k):
                 g = fuse_and_sparsify(spatial, None, 0.7, kk, onehot(asg)).a_hat.data
                 assert not g[asg.types[:, None] != asg.types[None, :]].any()
-                for pool in pool_graphs(params, asg, None, 0.7, kk):
+                for pool in pool_graphs(spatial, asg, None, 0.7, kk):
                     assert np.array_equal(g[np.ix_(pool.members, pool.members)], pool.a_hat.data)
                 assert g.any() == (kk > 0 and max(map(len, asg.pools)) > 1)
 
@@ -283,8 +282,8 @@ class TestFuseAndSparsify:
         for trial in range(20):
             n = int(rng.integers(2, 8))
             k = int(rng.integers(0, n + 2))
-            store, params = _params(n=n, seed=100 + trial, alpha=3.0)
-            spatial = spatial_graph(params)
+            store, params = _params(n=n, seed=100 + trial)
+            spatial = spatial_graph(params, 3.0)
             temporal = Tensor(abs(rng.normal()) * 3.0)
             for s, t in ((spatial, temporal), (None, temporal), (spatial, None)):
                 g = fuse_and_sparsify(s, t, 0.5, k, _one_pool(n)).a_hat.data
@@ -306,7 +305,8 @@ class TestFuseAndSparsify:
 
         def fused():
             # keep every entry so sparsification cannot reorder ties
-            return fuse_and_sparsify(spatial_graph(params), a_t, 0.5, 4, _one_pool(4)).a_hat.data
+            spatial = spatial_graph(params, 1.0)
+            return fuse_and_sparsify(spatial, a_t, 0.5, 4, _one_pool(4)).a_hat.data
 
         base = fused()
         params.e1.data, params.e2.data = params.e1.data[perm], params.e2.data[perm]
@@ -315,7 +315,7 @@ class TestFuseAndSparsify:
         assert np.allclose(shuffled, base[np.ix_(perm, perm)], atol=1e-15)
 
     def test_gradient_through_fusion(self):
-        store, params = _params(n=3, d_s=2, seed=17, alpha=0.9)
+        store, params = _params(n=3, d_s=2, seed=17)
         store2, ts = _timestamps(spd=5, d_t=2, seed=18)
         tod = np.array([[1, 4]])
         dow = np.array([[2, 4]])  # positive mean dot, so the fused graph is not empty
@@ -323,7 +323,7 @@ class TestFuseAndSparsify:
         assert temporal_graph(ts, tod, dow, 0.6).item() > 0.0
 
         def loss():
-            a_s = spatial_graph(params)
+            a_s = spatial_graph(params, 0.9)
             a_t = temporal_graph(ts, tod, dow, 0.6)
             g = fuse_and_sparsify(a_s, a_t, 0.6, 2, _one_pool(3))
             return sum_(g.a_hat * weights)
@@ -348,7 +348,7 @@ class TestClosedForm:
         with no_grad():
             graph = model.build_graph(probe.tod_index, probe.dow_index)
             e = temporal_graph(model.timestamps, probe.tod_index, probe.dow_index, cfg.beta)
-            a_s_all = spatial_graph(model.graph_params).dense().data
+            a_s_all = spatial_graph(model.graph_params, cfg.alpha).dense().data
         a_hat = graph.a_hat.data
         pools = [pool for pool in model.assignment.pools if pool]
         assert sum(len(pool) > 1 for pool in pools) >= 2
@@ -364,8 +364,8 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
     def test_k_zero_and_k_above_pool_size(self, mode):
-        store, params = _params(n=5, seed=21, alpha=2.0)
-        spatial = None if mode == "no_sg" else spatial_graph(params)
+        store, params = _params(n=5, seed=21)
+        spatial = None if mode == "no_sg" else spatial_graph(params, 2.0)
         temporal = None if mode == "no_tg" else Tensor(0.9)
         nodes = _one_pool(5)
         assert not fuse_and_sparsify(spatial, temporal, 0.5, 0, nodes).a_hat.data.any()
@@ -415,15 +415,15 @@ class TestNodeOrderGraph:
     @pytest.mark.parametrize("mode", ["full", "no_sg", "no_tg"])
     def test_a_hat_is_block_diagonal_of_pool_graphs(self, mode, layout):
         types, p, k = _LAYOUTS[layout]
-        store, params = _params(n=7, seed=24, alpha=1.5)
+        store, params = _params(n=7, seed=24)
         asg = ClusterAssignment.from_types(np.array(types), p)
         temporal = None if mode == "no_tg" else Tensor(0.9)
-        spatial = None if mode == "no_sg" else spatial_graph(params)
+        spatial = None if mode == "no_sg" else spatial_graph(params, 1.5)
         graph = fuse_and_sparsify(spatial, temporal, 0.8, k, onehot(asg))
         if mode != "no_tg":
             assert isinstance(graph, ConstantRowGraph) and graph.rows.shape == (7, 1)
         oracle = block_diagonal(
-            pool_graphs(None if mode == "no_sg" else params, asg, temporal, 0.8, k), 7
+            pool_graphs(spatial, asg, temporal, 0.8, k), 7
         )
         assert oracle.any() == (k > 0)
         a_hat = graph.a_hat.data

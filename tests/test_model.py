@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from gradcheck import check_gradient
 from graph_oracle import pool_by_pool_forward
 from mhgnet import dstgg, sie, std
 from mhgnet.clusterer import ClusterAssignment
@@ -19,7 +20,7 @@ from mhgnet.model import (
     restore,
     save_checkpoint,
 )
-from mhgnet.numcore import Tensor, check_gradient, no_grad, slice_axis, sum_
+from mhgnet.numcore import Tensor, no_grad, slice_axis, sum_
 from mhgnet.train_eval import masked_mae_loss
 
 

@@ -15,26 +15,26 @@ import copy
 import numpy as np
 import pytest
 
+from gradcheck import check_gradient
+from graph_oracle import model_pool_graphs
+from kernel_oracle import sigmoid
 from mhgnet import dstgg, sie, std
 from mhgnet.clusterer import ClusterAssignment
 from mhgnet.model import ForecastModel, ModelConfig
 from mhgnet.numcore import (
     Tensor,
     broadcast_to,
-    check_gradient,
     concat,
     matmul,
     mean,
     relu,
     reshape,
-    sigmoid,
     slice_axis,
     sum_,
     take,
     tanh,
     transpose,
 )
-from graph_oracle import model_pool_graphs
 from std_oracle import decouple_patterns, time_means
 
 MODES = {  # name: ModelConfig overrides

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import check_gradient
 from graph_oracle import onehot, pool_graphs
 from mhgnet.clusterer import ClusterAssignment, single_pool
 from mhgnet.dstgg import (
@@ -15,7 +16,6 @@ from mhgnet.numcore import (
     ParameterStore,
     SplitRng,
     Tensor,
-    check_gradient,
     no_grad,
     sum_,
     take,
@@ -204,7 +204,6 @@ class _ConstantRowSetup:
             e2=add("graph.e2", (n, 2), "normal(0,1)"),
             w1=add("graph.w1", (2, 2)),
             w2=add("graph.w2", (2, 2)),
-            alpha=1.5,
         )
         self.ts = TimestampEmbeddings(
             daily=add("time.daily", (6, 2), "normal(0,1)"),
@@ -224,11 +223,13 @@ class _ConstantRowSetup:
             return None
         return temporal_graph(self.ts, self.tod, self.dow, 0.8) if temporal is None else temporal
 
+    def _spatial(self, mode):
+        return None if mode == "no_sg" else spatial_graph(self.params, 1.5)
+
     def graph(self, mode, assignment, k, temporal=None):
         """The node-order graph of every pool, as the model builds it."""
-        spatial = None if mode == "no_sg" else spatial_graph(self.params)
         return fuse_and_sparsify(
-            spatial, self._temporal(mode, temporal), 0.8, k, onehot(assignment)
+            self._spatial(mode), self._temporal(mode, temporal), 0.8, k, onehot(assignment)
         )
 
     def fast(self, mode, assignment, k, temporal=None):
@@ -236,10 +237,10 @@ class _ConstantRowSetup:
 
     def dense(self, mode, assignment, k, temporal=None):
         """The oracle: each pool's dense graph built pool by pool, its walk, then reassembly."""
-        params = None if mode == "no_sg" else self.params
+        temporal = self._temporal(mode, temporal)
         parts = [
             propagate(take(self.h, g.members, axis=2), DenseGraph(g.a_hat), self.cfg)
-            for g in pool_graphs(params, assignment, self._temporal(mode, temporal), 0.8, k)
+            for g in pool_graphs(self._spatial(mode), assignment, temporal, 0.8, k)
         ]
         return reassemble(parts, assignment)
 

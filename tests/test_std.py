@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from gradcheck import check_gradient
 from mhgnet.errors import ConfigError
-from mhgnet.numcore import ParameterStore, SplitRng, Tensor, check_gradient, sum_
+from mhgnet.numcore import ParameterStore, SplitRng, Tensor, sum_
 from mhgnet.std import GateParams, TimestampEmbeddings, decouple, embed_input
 from std_oracle import decouple_patterns, split_means, time_means
 
