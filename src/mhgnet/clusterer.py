@@ -67,23 +67,29 @@ def _guard_denominator(d: np.ndarray) -> np.ndarray:
 
 
 def build_feature_space(
-    patterns: Callable[[np.ndarray], np.ndarray], x_hat: np.ndarray, p: int
+    patterns: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    channels: np.ndarray,
+    lift: np.ndarray,
+    p: int,
 ) -> FeatureSpace:
     """Per-node means of each pattern's share of the input's channel sum.
 
-    The ratio of pattern p at (b, t, i) is sum_d x_p / sum_d x_hat, its
-    denominator guarded away from 0, and R in [N, P] is its mean over batch
-    and time. The patterns sum to x_hat, so each row of R sums to 1.
-    ``patterns`` maps an input [B, T, N, D] to the time means of its P
-    patterns, [B, N, P·D] (:func:`mhgnet.std.decouple` with the window's
-    gate inputs bound). It is applied to x_hat divided by the denominator,
-    which is exact: a pattern is its input times a product of gates that
-    ignore the input's values, and the channel sum and time mean are
-    linear. So no [B, T, N, D] pattern is built.
+    The input is x_hat = ``channels @ lift``, K channels [B, T, N, K]
+    through a [K, D] lift, and is never built. The ratio of pattern p at
+    (b, t, i) is sum_d x_p / sum_d x_hat, its denominator guarded away from
+    0, and R in [N, P] is its mean over batch and time. The patterns sum to
+    x_hat, so each row of R sums to 1. ``patterns`` maps channels and a
+    lift to the time means of the P patterns of their product, [B, N, P·D]
+    (:func:`mhgnet.std.decouple` with the window's gate inputs bound). The
+    denominator is ``channels @ lift.sum(axis=1)``, and ``patterns`` is
+    applied to the channels divided by it, which is exact: a pattern is its
+    input times a product of gates that ignore the input's values, and the
+    lift, the channel sum and the time mean are linear. So no
+    [B, T, N, D] array is built.
     """
-    d = x_hat.shape[-1]
-    denom = _guard_denominator(x_hat.sum(axis=-1, keepdims=True))  # [B, T, N, 1]
-    means = patterns(x_hat / denom)
+    d = lift.shape[-1]
+    denom = _guard_denominator(channels @ lift.sum(axis=1))  # [B, T, N]
+    means = patterns(channels / denom[..., None], lift)
     if means.shape[-1] != p * d:
         raise ShapeError(
             f"pattern means of width {means.shape[-1]} for {p} patterns of width {d}"

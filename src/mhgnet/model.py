@@ -14,7 +14,7 @@ import numpy as np
 from . import clusterer, dstgg, sie, std
 from .clusterer import ClusterAssignment
 from .data import BinaryReader, Scaler, WindowedDataset
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, ShapeError
 from .numcore import (
     ParameterStore,
     SplitRng,
@@ -213,12 +213,15 @@ class ForecastModel:
             raise ConfigError(
                 f"input shape {x.shape} incompatible with T_h={cfg.t_h}, N={cfg.n}"
             )
+        if b == 0:
+            raise ShapeError(f"input shape {x.shape} holds no window to forecast")
 
-        x_hat = std.embed_input(x, self.embed_w, self.embed_b)
+        # x_hat = channels @ embed is never built; the kernels form it block by block
+        channels, embed = std.embed_input(x, self.embed_w, self.embed_b)
         # the gates get their gradient through these per-pattern time means
         # in the skip, [B, N, P·D]; the patterns themselves are never built
         pattern_means = std.decouple(
-            x_hat, tod, dow, self.node_embedding, self.timestamps, self.gates
+            channels, embed, tod, dow, self.node_embedding, self.timestamps, self.gates
         )
         # propagation reads the scalar x; hop_lift carries its hop states to
         # the D-wide features that propagating x_hat would give
@@ -228,7 +231,7 @@ class ForecastModel:
             states, lift, self.encoder, training=self.training, rng=self._dropout_rng
         )
 
-        skip = [x_out, mean(x_hat, axis=1), pattern_means]
+        skip = [x_out, matmul(mean(channels, axis=1), embed), pattern_means]
         d_last, w_last = self.timestamps.rows(tod[:, -1], dow[:, -1])  # [B, D_t]
         for rows in (d_last, w_last):
             skip.append(
@@ -263,15 +266,17 @@ class ForecastModel:
         probe = probe_windows(train_split)
         x = scaler.apply(probe.inputs[..., :1])
 
-        def pattern_means(h: np.ndarray) -> np.ndarray:
+        def pattern_means(channels: np.ndarray, lift: np.ndarray) -> np.ndarray:
             return std.decouple(
-                Tensor(h), probe.tod_index, probe.dow_index,
+                Tensor(channels), Tensor(lift), probe.tod_index, probe.dow_index,
                 self.node_embedding, self.timestamps, self.gates,
             ).data
 
         with no_grad():
-            x_hat = std.embed_input(Tensor(x), self.embed_w, self.embed_b)
-            return clusterer.build_feature_space(pattern_means, x_hat.data, self.cfg.p)
+            channels, lift = std.embed_input(Tensor(x), self.embed_w, self.embed_b)
+            return clusterer.build_feature_space(
+                pattern_means, channels.data, lift.data, self.cfg.p
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -302,50 +307,73 @@ def save_checkpoint(
         fh.write(types.tobytes())
 
 
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], np.ndarray, int]:
-    """Parameter values, raw node types, and the byte offset of the types.
+def load_checkpoint(
+    path,
+) -> tuple[dict[str, np.ndarray], np.ndarray, dict[str, tuple[int, int]], int]:
+    """Parameter values, raw node types, where each parameter sits, and
+    the byte offset of the node count.
 
-    A repeated name raises FormatError at its second copy. The types are
-    checked against a pattern count by :func:`restore`, not here.
+    Each parameter name maps to the byte offsets of its name and of its
+    dims; the node types follow the u32 node count. A repeated name raises
+    FormatError at its second copy. Names, shapes and types are checked
+    against a model by :func:`restore`, not here.
     """
     reader = BinaryReader(Path(path).read_bytes(), CKPT_MAGIC, CKPT_VERSION, "checkpoint")
     state: dict[str, np.ndarray] = {}
+    fields: dict[str, tuple[int, int]] = {}
     try:
         (count,) = reader.unpack("<I", "parameter count")
         for _ in range(count):
             (name_len,) = reader.unpack("<H", "parameter name length")
             (encoded,) = reader.unpack(f"<{name_len}s", "parameter name")
+            name_at = reader.field
             name = encoded.decode("utf-8")
             if name in state:
-                raise FormatError(f"repeated parameter name {name!r}", offset=reader.field)
+                raise FormatError(f"repeated parameter name {name!r}", offset=name_at)
             (rank,) = reader.unpack("<B", f"rank of {name!r}")
             dims = reader.unpack(f"<{rank}I", f"dims of {name!r}")
+            fields[name] = (name_at, reader.field)
             values = reader.array(math.prod(dims), "<f4", f"values of {name!r}")
             state[name] = values.astype(np.float64).reshape(dims)
         (n,) = reader.unpack("<I", "node count")
-        types_offset = reader.offset
+        count_at = reader.field
         types = reader.array(n, "<u4", "node types").astype(np.int64)
     except FormatError:
         raise
     except (struct.error, ValueError) as exc:  # includes UnicodeDecodeError
         raise FormatError(f"malformed checkpoint: {exc}", offset=reader.field) from exc
     reader.finish()
-    return state, types, types_offset
+    return state, types, fields, count_at
 
 
 def restore(model: ForecastModel, path) -> None:
     """Load a checkpoint into a model built with the matching config.
 
-    Every node type must lie in [0, p); otherwise a FormatError names the
-    offending entry's byte offset.
+    Faults raise FormatError at a byte offset, the first in file order: a
+    parameter the model lacks at its name, a shape the model does not
+    expect at its dims, a parameter the file lacks at the node count, and
+    a node type outside [0, p) at that entry.
     """
-    state, types, types_offset = load_checkpoint(path)
+    state, types, fields, count_at = load_checkpoint(path)
+    shapes = {p.name: p.tensor.shape for p in model.parameters()}
+    for name, values in state.items():
+        name_at, dims_at = fields[name]
+        if name not in shapes:
+            raise FormatError(f"the model has no parameter {name!r}", offset=name_at)
+        if values.shape != shapes[name]:
+            raise FormatError(
+                f"parameter {name!r} has shape {values.shape}, the model's is {shapes[name]}",
+                offset=dims_at,
+            )
+    missing = [name for name in shapes if name not in state]
+    if missing:
+        raise FormatError(f"checkpoint lacks parameters {missing}", offset=count_at)
     bad = np.flatnonzero(types >= model.cfg.p)
     if bad.size:
         i = int(bad[0])
         raise FormatError(
             f"node {i} has type {types[i]}, outside [0, {model.cfg.p})",
-            offset=types_offset + 4 * i,
+            offset=count_at + 4 + 4 * i,
         )
     model.store.load_state(state)
     model.set_assignment(ClusterAssignment.from_types(types, model.cfg.p))

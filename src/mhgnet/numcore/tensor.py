@@ -473,51 +473,65 @@ def matmul(a, b) -> Tensor:
 # gated recurrence
 
 
-def gru_sequence(px_zr, px_n, w_zr_h, w_n_h) -> Tensor:
+def gru_sequence(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h) -> Tensor:
     """GRU recurrence over axis 0 from a zero state, recorded as one graph node.
 
-    Channel-major: ``px_zr`` [T, 2W, M] holds the input-side update|reset
-    pre-activations of M independent sequences and ``px_n`` [T, W, M] the
-    candidate's, biases included; ``w_zr_h`` [W, 2W] and ``w_n_h`` [W, W]
+    Channel-major: ``inputs`` [T, K, M] holds K input channels of M
+    independent sequences; ``w_x_zr`` [K, 2W] and ``w_x_n`` [K, W] map them
+    to the update|reset and the candidate pre-activations (a bias rides on
+    a constant-one channel), and ``w_zr_h`` [W, 2W] and ``w_n_h`` [W, W]
     are the hidden-side weights. With the state h [W, M], per step:
-    ``z|r = sigmoid(px_zr + w_zr_hᵀ h)``, ``c = tanh(px_n + w_n_hᵀ (r * h))``,
-    ``h = (1 - z) * h + z * c``. Returns the stacked states [T, W, M]. Every
-    per-step array is W or 2W contiguous rows of length M, and z and r are
-    row blocks, so each elementwise op runs over whole rows. Each forward
-    step writes into buffers allocated once: the gates and candidate go to
-    their rows of the arrays kept for backpropagation when a gradient will
-    be taken, else to one reused [2W, M] and [W, M] pair. Products and sums
-    keep the operand order of the expression form, so the results are bit
-    for bit the same.
+    ``z|r = sigmoid(w_x_zrᵀ x + w_zr_hᵀ h)``,
+    ``c = tanh(w_x_nᵀ x + w_n_hᵀ (r * h))``, ``h = (1 - z) * h + z * c``.
+    Returns the stacked states [T, W, M]. Every per-step array is W or 2W
+    contiguous rows of length M, and z and r are row blocks, so each
+    elementwise op runs over whole rows. Each step's two input GEMMs and
+    everything after them write into buffers allocated once, so no
+    [T, 3W, M] pre-activation is built: the gates and candidate go to their
+    rows of the arrays kept for backpropagation when a gradient will be
+    taken, else to one reused [2W, M] and [W, M] pair. The backward forms
+    the input and input-weight gradients from the gate gradients it keeps.
     """
-    px_zr, px_n, w_zr_h, w_n_h = (_to_tensor(t) for t in (px_zr, px_n, w_zr_h, w_n_h))
-    if px_n.ndim != 3:
-        raise ShapeError(f"gru_sequence expects [T, W, M] inputs, got {px_n.shape}")
-    t, w, m = px_n.shape
-    if px_zr.shape != (t, 2 * w, m) or w_zr_h.shape != (w, 2 * w) or w_n_h.shape != (w, w):
+    inputs, w_x_zr, w_x_n, w_zr_h, w_n_h = (
+        _to_tensor(t) for t in (inputs, w_x_zr, w_x_n, w_zr_h, w_n_h)
+    )
+    if inputs.ndim != 3 or w_n_h.ndim != 2:
+        raise ShapeError(
+            f"gru_sequence expects [T, K, M] inputs and [W, W] weights, "
+            f"got {inputs.shape} and {w_n_h.shape}"
+        )
+    t, k, m = inputs.shape
+    w = w_n_h.shape[0]
+    if (w_x_zr.shape, w_x_n.shape, w_zr_h.shape, w_n_h.shape) != (
+        (k, 2 * w), (k, w), (w, 2 * w), (w, w)
+    ):
         raise ShapeError(
             "gru_sequence shapes disagree: "
-            f"{px_zr.shape}, {px_n.shape}, {w_zr_h.shape}, {w_n_h.shape}"
+            f"{inputs.shape}, {w_x_zr.shape}, {w_x_n.shape}, {w_zr_h.shape}, {w_n_h.shape}"
         )
-    parents = (px_zr, px_n, w_zr_h, w_n_h)
+    parents = (inputs, w_x_zr, w_x_n, w_zr_h, w_n_h)
     keep = _tracked(parents)
-    w_zr, w_n = w_zr_h.data, w_n_h.data
+    x, w_zr, w_n = inputs.data, w_zr_h.data, w_n_h.data
+    w_x_t = np.concatenate([w_x_zr.data, w_x_n.data], axis=1).T  # [3W, K]
     states = np.empty((t, w, m))
     # with a gradient, step j's gates and candidate are rows j of these
     zr_all = np.empty((t if keep else 1, 2 * w, m))
     cand_all = np.empty((t if keep else 1, w, m))
+    x_terms = np.empty((3 * w, m))  # the step's input terms: update|reset, candidate
+    x_zr, x_n = x_terms[: 2 * w], x_terms[2 * w :]
     scratch = np.empty((w, m))
     hidden = np.zeros((w, m))
     for j in range(t):
         row = j if keep else 0
         zr, cand = zr_all[row], cand_all[row]
+        np.matmul(w_x_t, x[j], out=x_terms)
         np.matmul(w_zr.T, hidden, out=zr)
-        np.add(px_zr.data[j], zr, out=zr)
+        np.add(x_zr, zr, out=zr)
         _logistic(zr, out=zr)
         z, r = zr[:w], zr[w:]
         np.multiply(r, hidden, out=scratch)
         np.matmul(w_n.T, scratch, out=cand)
-        np.add(px_n.data[j], cand, out=cand)
+        np.add(x_n, cand, out=cand)
         np.tanh(cand, out=cand)
         state = states[j]
         np.subtract(1.0, z, out=state)
@@ -540,8 +554,12 @@ def gru_sequence(px_zr, px_n, w_zr_h, w_n_h) -> Tensor:
             np.multiply(dh * (cand - hp) * z, z_keep, out=d_zr[j, :w])
             np.multiply(d_rh * hp * r, 1.0 - r, out=d_zr[j, w:])
             dh = dh * z_keep + d_rh * r + w_zr @ d_zr[j]
-        _accum(px_zr, d_zr)
-        _accum(px_n, d_n)
+        if inputs.requires_grad:
+            _accum(inputs, np.matmul(w_x_zr.data, d_zr) + np.matmul(w_x_n.data, d_n))
+        x_t = np.swapaxes(x, 1, 2)  # [T, M, K]
+        for weight, d_pre in ((w_x_zr, d_zr), (w_x_n, d_n)):
+            if weight.requires_grad:
+                _accum(weight, np.matmul(d_pre, x_t).sum(axis=0).T)
         # the state before step 0 is zero, so step 0 adds nothing to either
         h_prev = states[:-1]
         _accum(w_zr_h, np.matmul(h_prev, d_zr[1:].transpose(0, 2, 1)).sum(axis=0))
@@ -555,38 +573,47 @@ def gru_sequence(px_zr, px_n, w_zr_h, w_n_h) -> Tensor:
 STREAM_BUDGET = 2**16
 
 
-def gated_time_means(x, step_logits: Sequence, node_logits: Sequence) -> Tensor:
+def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequence) -> Tensor:
     """Time means of the patterns of sequential gating, recorded as one graph node.
 
-    ``x`` is [B, T, N, D]. Gate g is ``sigmoid(step_logits[g][b, t] +
-    node_logits[g][i])``, from G pre-activation parts [B, T, D] and [N, D].
-    Pattern g is the running residual times gate g, the residual then loses
-    that pattern, and pattern G is what remains, so the G + 1 patterns sum
-    to ``x``. Returns their time means as [B, N, (G+1)·D], pattern p in
-    channels p·D to (p+1)·D. The patterns are never built: T is streamed in
-    blocks of c = max(1, min(T, STREAM_BUDGET // (B·N·D))) steps, and each
-    block's patterns are added into the sums step by step, in time order, as
-    ``mean`` over axis 1 adds them. The block's residual and gated piece live
-    in two contiguous buffers allocated once; each gate is built in place in
-    the piece buffer and, when a gradient will be taken, copied from there
-    to the gates kept for the backward pass (building it in that strided
-    slot instead is slower).
+    The gated input is x = ``channels`` @ ``lift``: K scalar channels
+    [B, T, N, K] through a [K, D] lift, which is never built at full size.
+    Gate g is ``sigmoid(step_logits[g][b, t] + node_logits[g][i])``, from G
+    pre-activation parts [B, T, D] and [N, D]. Pattern g is the running
+    residual times gate g, the residual then loses that pattern, and
+    pattern G is what remains, so the G + 1 patterns sum to x. Returns
+    their time means as [B, N, (G+1)·D], pattern p in channels p·D to
+    (p+1)·D. Neither x nor the patterns are built: T is streamed in blocks
+    of c = max(1, min(T, STREAM_BUDGET // (B·N·D))) steps, each block's
+    residual starts as that block's ``channels @ lift``, and its patterns
+    are added into the sums step by step, in time order, as ``mean`` over
+    axis 1 adds them. The block's residual and gated piece live in two
+    contiguous buffers allocated once; each gate is built in place in the
+    piece buffer and, when a gradient will be taken, copied from there to
+    the gates kept for the backward pass (building it in that strided slot
+    instead is slower). The backward rebuilds each block's residual the
+    same way, adds the block's share of the lift's gradient, and builds
+    the channels' gradient only when they require one.
     """
-    x = _to_tensor(x)
+    channels, lift = _to_tensor(channels), _to_tensor(lift)
     steps = [_to_tensor(s) for s in step_logits]
     nodes = [_to_tensor(s) for s in node_logits]
-    if x.ndim != 4:
-        raise ShapeError(f"gated_time_means expects x as [B, T, N, D], got {x.shape}")
-    b, t, n, d = x.shape
+    if channels.ndim != 4 or lift.ndim != 2 or lift.shape[0] != channels.shape[-1]:
+        raise ShapeError(
+            "gated_time_means expects channels [B, T, N, K] and a lift [K, D], "
+            f"got {channels.shape} and {lift.shape}"
+        )
+    b, t, n, k = channels.shape
+    d = lift.shape[1]
     if len(steps) != len(nodes) or any(
         s.shape != (b, t, d) or v.shape != (n, d) for s, v in zip(steps, nodes)
     ):
         raise ShapeError(
-            f"gated_time_means: x {x.shape}, step logits {[s.shape for s in steps]}, "
+            f"gated_time_means: x {(b, t, n, d)}, step logits {[s.shape for s in steps]}, "
             f"node logits {[v.shape for v in nodes]}"
         )
     g_count = len(steps)
-    parents = (x, *steps, *nodes)
+    parents = (channels, lift, *steps, *nodes)
     keep = _tracked(parents)
     block = max(1, min(t, STREAM_BUDGET // max(1, b * n * d)))
     bounds = [(t0, min(t0 + block, t)) for t0 in range(0, t, block)]
@@ -597,7 +624,7 @@ def gated_time_means(x, step_logits: Sequence, node_logits: Sequence) -> Tensor:
     for t0, t1 in bounds:
         c = t1 - t0
         remaining, piece = (f[: b * c * n * d].reshape(b, c, n, d) for f in flat)
-        np.copyto(remaining, x.data[:, t0:t1])
+        np.matmul(channels.data[:, t0:t1], lift.data, out=remaining)
         for g in range(g_count):
             np.add(steps[g].data[:, t0:t1, None], nodes[g].data, out=piece)
             _logistic(piece, out=piece)
@@ -616,13 +643,15 @@ def gated_time_means(x, step_logits: Sequence, node_logits: Sequence) -> Tensor:
         # per pattern, the gradient reaching each step of its time mean: [B, 1, N, D]
         u = grad.reshape(b, 1, n, g_count + 1, d).transpose(3, 0, 1, 2, 4) / t
         ones = np.ones(n)  # sums over nodes as a product: numpy's sum over axis 2 is slow
-        dx = np.empty((b, t, n, d))
+        d_channels = np.empty((b, t, n, k)) if channels.requires_grad else None
+        d_lift = np.zeros((k, d))
         d_steps = np.empty((g_count, b, t, d))
         d_nodes = np.zeros((g_count, n, d))
         for t0, t1 in bounds:
+            block_channels = channels.data[:, t0:t1]
             # the residual ahead of each gate and after the last, rebuilt as
             # the forward built it
-            residuals = [x.data[:, t0:t1]]
+            residuals = [np.matmul(block_channels, lift.data)]
             for g in range(g_count):
                 residuals.append(residuals[g] - gates[g, :, t0:t1] * residuals[g])
             d_rem = u[g_count]
@@ -634,8 +663,14 @@ def gated_time_means(x, step_logits: Sequence, node_logits: Sequence) -> Tensor:
                 d_gated *= residuals[g + 1]
                 d_steps[g, :, t0:t1] = ones @ d_gated
                 d_nodes[g] += d_gated.sum(axis=(0, 1))
-            dx[:, t0:t1] = d_rem
-        _accum(x, dx)
+            # d_rem is [B, c, N, D], or the broadcast [B, 1, N, D] when there are no gates
+            if d_rem.shape[1] != t1 - t0:
+                block_channels = block_channels.sum(axis=1, keepdims=True)
+            d_lift += np.tensordot(block_channels, d_rem, axes=([0, 1, 2], [0, 1, 2]))
+            if d_channels is not None:
+                d_channels[:, t0:t1] = d_rem @ lift.data.T
+        _accum(channels, d_channels)
+        _accum(lift, d_lift)
         for g in range(g_count):
             _accum(steps[g], d_steps[g])
             _accum(nodes[g], d_nodes[g])

@@ -192,11 +192,11 @@ def gru_scan(features: Tensor, lift: Tensor, gru: GruParams) -> Tensor:
     The hop states are transposed to [T, C, B * N], the channel-major layout
     of :func:`gru_sequence`, with a constant-one row appended. The GRU's
     input at each step is [features, 1] @ ``lift`` ([C + 1, D]); the lift
-    and each gate's bias are folded into its input weights, so the
-    update|reset and the candidate pre-activations for all steps are one
-    GEMM each, ``(lift @ w_x + bias_row * b_x)ᵀ @ inputs`` with K = C + 1.
-    The recurrence itself is the single op :func:`gru_sequence`, which
-    checks the shapes.
+    and each gate's bias are folded into its input weights,
+    ``lift @ w_x + bias_row * b_x`` with K = C + 1 rows, and
+    :func:`gru_sequence` applies them one step at a time, so no
+    pre-activation of the whole window is built. The recurrence is that
+    single op, which checks the shapes.
     """
     b, t, n, c = features.shape
     channels = transpose(features, (1, 3, 0, 2))  # [T, C, B, N]
@@ -205,16 +205,16 @@ def gru_scan(features: Tensor, lift: Tensor, gru: GruParams) -> Tensor:
     )
     bias_row = Tensor(np.eye(c + 1)[:, c:])  # [C + 1, 1]: 1 in the constant channel's row
 
-    def preactivation(w_x: Tensor, b_x: Tensor) -> Tensor:
-        return matmul(swap_last2(matmul(lift, w_x) + bias_row * b_x), inputs)
+    def fold(w_x: Tensor, b_x: Tensor) -> Tensor:
+        return matmul(lift, w_x) + bias_row * b_x
 
-    px_zr = preactivation(
+    w_x_zr = fold(
         concat([gru.update_x, gru.reset_x], axis=1),
         concat([gru.update_b, gru.reset_b], axis=0),
     )
-    px_n = preactivation(gru.cand_x, gru.cand_b)
+    w_x_n = fold(gru.cand_x, gru.cand_b)
     w_zr_h = concat([gru.update_h, gru.reset_h], axis=1)
-    return gru_sequence(px_zr, px_n, w_zr_h, gru.cand_h)
+    return gru_sequence(inputs, w_x_zr, w_x_n, w_zr_h, gru.cand_h)
 
 
 def encode_sequence(

@@ -1,11 +1,14 @@
 """Traffic-pattern decoupling.
 
-The hidden input representation is split into P traffic patterns by sigmoid
-gates conditioned on time-of-day, day-of-week, and node embeddings. Gating
-is sequential on the running residual, so the patterns always sum back to
-the input exactly: the last pattern is the residual. Only the patterns' time
-means are read downstream, so only they are computed
-(:func:`mhgnet.numcore.gated_time_means`).
+The hidden input representation x_hat = x * w + b is split into P traffic
+patterns by sigmoid gates conditioned on time-of-day, day-of-week, and node
+embeddings. Gating is sequential on the running residual, so the patterns
+always sum back to the input exactly: the last pattern is the residual.
+Only the patterns' time means are read downstream, so only they are
+computed (:func:`mhgnet.numcore.gated_time_means`). x_hat itself is never
+built: it is carried in factored form, the channels [x, 1] [B, T, N, 2]
+and the lift [w; b] [2, D], and the gating kernel forms it one block of
+time steps at a time.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ import numpy as np
 from .errors import ConfigError
 from .numcore import (
     Tensor,
+    concat,
     gated_time_means,
     matmul,
     relu,
+    reshape,
     slice_axis,
     take,
 )
@@ -47,9 +52,15 @@ class GateParams:
     b2: Tensor  # [D]
 
 
-def embed_input(x, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine channel lift of the scaled target channel, 1 -> D."""
-    return matmul(x, weight) + bias
+def embed_input(x, weight: Tensor, bias: Tensor) -> tuple[Tensor, Tensor]:
+    """The affine lift x_hat = x * weight + bias of the scaled target channel, factored.
+
+    ``x`` is [B, T, N, 1], ``weight`` [1, D] and ``bias`` [D]. Returns the
+    channels [x, 1], [B, T, N, 2], and the lift [weight; bias], [2, D],
+    whose product is x_hat; the [B, T, N, D] product is not formed here.
+    """
+    channels = concat([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+    return channels, concat([weight, reshape(bias, (1, -1))], axis=0)
 
 
 def gate_features(
@@ -69,20 +80,22 @@ def gate_features(
 
 
 def decouple(
-    x_hat: Tensor,
+    channels: Tensor,
+    lift: Tensor,
     tod: np.ndarray,
     dow: np.ndarray,
     node_embedding: Tensor,
     ts: TimestampEmbeddings,
     gate_params: list[GateParams],
 ) -> Tensor:
-    """Time means of the len(gate_params) + 1 patterns of ``x_hat`` [B, T_h, N, D].
+    """Time means of the len(gate_params) + 1 patterns of x_hat = ``channels @ lift``.
 
-    Gate n is sigmoid((features @ w1 + b1) @ w2 + b2); pattern n multiplies
-    the running residual by the gate, and the final pattern is whatever
-    remains, so the patterns sum to ``x_hat``. Returns their means over
-    time as [B, N, P·D], pattern p in channels p·D to (p+1)·D; the
-    [B, T_h, N, D] patterns themselves are never built.
+    ``channels`` is [B, T_h, N, K] and ``lift`` [K, D] (:func:`embed_input`
+    gives K = 2). Gate n is sigmoid((features @ w1 + b1) @ w2 + b2);
+    pattern n multiplies the running residual by the gate, and the final
+    pattern is whatever remains, so the patterns sum to x_hat. Returns
+    their means over time as [B, N, P·D], pattern p in channels p·D to
+    (p+1)·D; neither x_hat nor the [B, T_h, N, D] patterns are built.
 
     Both gate layers are affine, so they are applied to the factors of
     ``features`` separately: the timestamp rows of ``w1`` on [B, T_h] and
@@ -101,4 +114,4 @@ def decouple(
             hidden = matmul(daily, w_daily) + matmul(weekly, w_weekly) + gp.b1
             per_step.append(matmul(hidden, gp.w2) + gp.b2)
             per_node.append(matmul(matmul(emb, w_node), gp.w2))
-    return gated_time_means(x_hat, per_step, per_node)
+    return gated_time_means(channels, lift, per_step, per_node)

@@ -189,8 +189,11 @@ def _batched(n: int, batch_size: int, order: np.ndarray | None = None):
 def predict(
     model: ForecastModel, data: WindowedDataset, scaler: Scaler, batch_size: int = 64
 ) -> np.ndarray:
-    """Inverse-scaled forecasts for a whole split (eval mode, no graph)."""
+    """Inverse-scaled forecasts [windows, T_f, N, 1] for a whole split (eval
+    mode, no graph); an empty split gives an empty array."""
     model.eval_mode()
+    if len(data) == 0:
+        return np.empty((0, model.cfg.t_f, model.cfg.n, 1))
     outputs = []
     with no_grad():
         for idx in _batched(len(data), batch_size):

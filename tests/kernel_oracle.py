@@ -1,13 +1,17 @@
 """The gate kernels in their expression form, and the logistic as an autodiff op.
 
-:func:`gru_sequence` and :func:`gated_time_means` are the earlier bodies of
-the ``numcore`` kernels of the same names, forward and backward: every step
-builds its intermediates as fresh arrays from numpy expressions. The kernels
-now write each step into buffers allocated once, with the same operand order
-in every product and sum, so they must match these bit for bit. Both call
-the current ``_logistic``, so the comparison isolates the buffer handling
-from the logistic's formula. :func:`sigmoid` serves the tests that build a
-gate from elementwise ops.
+:func:`gru_sequence` and :func:`gated_time_means` are earlier bodies of the
+``numcore`` kernels of the same names, forward and backward: they take the
+full-size gated input, the GRU's [T, 2W, M] and [T, W, M] pre-activations
+and the lifted [B, T, N, D] window, and every step builds its intermediates
+as fresh arrays from numpy expressions. The kernels now form those inputs
+themselves, one step or one block of steps at a time, and write into
+buffers allocated once, with the same operand order in every product and
+sum. Fed the inputs the kernels form, these must match them: bit for bit in
+the outputs and the gates' gradients, within rounding in the gradients the
+kernels sum by blocks. Both call the current ``_logistic``, so the
+comparison isolates the buffer handling from the logistic's formula.
+:func:`sigmoid` serves the tests that build a gate from elementwise ops.
 """
 
 from typing import Sequence

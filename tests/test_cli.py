@@ -448,6 +448,21 @@ class TestMalformedCheckpoint:
         assert main(["eval", "--data", str(synth_file), "--checkpoint", str(path)]) == 1
         assert f"(at byte {end + 2})" in capsys.readouterr().err
 
+    def test_renamed_parameter_gives_format_error_at_its_name(self, synth_file, tmp_path, capsys):
+        cfg = RunConfig().to_model_config(8, 24)
+        path = tmp_path / "m.mhgc"
+        save_checkpoint(path, ForecastModel(cfg).store.state(), ForecastModel(cfg).assignment)
+        blob = path.read_bytes()
+        at = blob.index(b"embed.weight")
+        path.write_bytes(blob.replace(b"embed.weight", b"EMBED.weight", 1))
+        with pytest.raises(FormatError) as exc:
+            restore(ForecastModel(cfg), path)
+        assert exc.value.offset == at
+        assert "'EMBED.weight'" in str(exc.value)
+        assert main(["eval", "--data", str(synth_file), "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"(at byte {at})" in err and "Traceback" not in err
+
     def test_version_1_checkpoint_rejected(self, synth_file, tmp_path, capsys):
         # version 1 stored the clusterer's ratio weights, which are gone
         model = ForecastModel(RunConfig().to_model_config(8, 24))

@@ -33,41 +33,61 @@ def _loop_feature_space(patterns, x_hat, eps=1e-8):
 
 
 def _gated(gates):
-    """The pattern-mean map of fixed gates: input times each gate, averaged over time."""
-    return lambda h: np.concatenate([(h * g).mean(axis=1) for g in gates], axis=-1)
+    """The pattern-mean map of fixed gates: the lifted input times each gate, averaged over time."""
+    return lambda channels, lift: np.concatenate(
+        [((channels @ lift) * g).mean(axis=1) for g in gates], axis=-1
+    )
+
+
+def _factored(rng, shape, k=2, shift=0.0):
+    """An input x_hat of ``shape`` [B, T, N, D] as channels [x, 1] and a lift [K, D]."""
+    channels = np.ones(shape[:-1] + (k,))
+    channels[..., :-1] = rng.normal(size=shape[:-1] + (k - 1,))
+    lift = rng.normal(size=(k, shape[-1]))
+    lift[-1] += shift  # a constant the channel sums stay clear of 0 by
+    return channels, lift
 
 
 class TestFeatureSpace:
     def test_single_pattern_all_ones(self):
         rng = np.random.default_rng(0)
-        x_hat = rng.normal(size=(2, 3, 4, 5)) + 2.0
-        fs = build_feature_space(_gated([1.0]), x_hat, 1)
+        channels, lift = _factored(rng, (2, 3, 4, 5), shift=2.0)
+        fs = build_feature_space(_gated([1.0]), channels, lift, 1)
         assert np.allclose(fs.ratios, 1.0)
         assert np.allclose(fs.limits, [1.0])
 
     def test_homogeneity(self):
         rng = np.random.default_rng(1)
-        x_hat = rng.normal(size=(1, 2, 3, 4)) + 3.0
-        fs1 = build_feature_space(_gated([1.0, 1.0]), x_hat, 2)
-        fs2 = build_feature_space(_gated([0.5, 0.5]), x_hat, 2)
+        channels, lift = _factored(rng, (1, 2, 3, 4), shift=3.0)
+        fs1 = build_feature_space(_gated([1.0, 1.0]), channels, lift, 2)
+        fs2 = build_feature_space(_gated([0.5, 0.5]), channels, lift, 2)
         assert np.allclose(fs2.ratios, 0.5 * fs1.ratios)
         assert np.allclose(fs2.limits, 0.5 * fs1.limits)
 
     def test_matches_loop_oracle(self):
+        self._check_loop_oracle(2)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_loop_oracle_for_other_channel_counts(self, k):
+        self._check_loop_oracle(k)
+
+    def _check_loop_oracle(self, k):
         # patterns whose gates ignore the input's values, as decoupling's do, so
         # gating the divided input gives the pattern shares the rule defines
         rng = np.random.default_rng(2)
         b, t, n, d, p = 2, 3, 3, 4, 2
-        x_hat = rng.normal(size=(b, t, n, d))
+        channels = rng.normal(size=(b, t, n, k))
+        lift = rng.normal(size=(k, d))
+        x_hat = channels @ lift
         gates = [rng.uniform(size=(b, t, n, d)) for _ in range(p)]
-        fs = build_feature_space(_gated(gates), x_hat, p)
+        fs = build_feature_space(_gated(gates), channels, lift, p)
         oracle = _loop_feature_space([x_hat * g for g in gates], x_hat)
         assert np.max(np.abs(fs.ratios - oracle)) < 1e-12
 
     def test_pattern_width_must_match_pattern_count(self):
-        x_hat = np.ones((1, 2, 3, 4))
+        channels, lift = np.ones((1, 2, 3, 2)), np.ones((2, 4))
         with pytest.raises(ShapeError):
-            build_feature_space(_gated([1.0]), x_hat, 2)
+            build_feature_space(_gated([1.0]), channels, lift, 2)
 
     def test_limits_are_column_maxima(self):
         rng = np.random.default_rng(3)

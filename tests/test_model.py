@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from graph_oracle import pool_by_pool_forward
 from mhgnet import dstgg, sie, std
 from mhgnet.clusterer import ClusterAssignment
 from mhgnet.data import make_bundle, synthesize
-from mhgnet.errors import ConfigError, FormatError
+from mhgnet.errors import ConfigError, FormatError, ShapeError
 from mhgnet.model import (
     CKPT_VERSION,
     ForecastModel,
@@ -65,6 +66,17 @@ class TestShapes:
         model = ForecastModel(cfg)
         with pytest.raises(ConfigError):
             model.forward(np.zeros((1, cfg.t_h + 1, cfg.n, 1)), np.zeros((1, 5), int), np.zeros((1, 5), int))
+
+    def test_empty_batch_raises_shape_error(self):
+        cfg = _tiny_cfg()
+        model = ForecastModel(cfg)
+        x = np.zeros((0, cfg.t_h, cfg.n, 1))
+        none = np.zeros((0, cfg.t_h), int)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice" on the way
+            with pytest.raises(ShapeError) as exc:
+                model.forward(x, none, none)
+        assert str(x.shape) in str(exc.value)
 
     def test_needs_concrete_node_count(self):
         ModelConfig(n=0).validate()  # 0 means "infer from data" in a config
@@ -310,13 +322,39 @@ class TestCheckpoint:
         assert exc.value.offset == values_at
 
     def test_name_mismatch_rejected(self, tmp_path):
+        model = ForecastModel(_tiny_cfg(p=3))
+        path = tmp_path / "m.mhgc"
+        save_checkpoint(path, model.store.state(), model.assignment)
+        other = ForecastModel(_tiny_cfg())  # p = 2: no second gate
+        with pytest.raises(FormatError) as exc:
+            restore(other, path)
+        assert exc.value.offset == path.read_bytes().index(b"std.gate1.w1")
+
+    def test_missing_parameter_rejected_at_the_node_count(self, tmp_path):
+        cfg = _tiny_cfg()
+        model = ForecastModel(cfg)
+        state = model.store.state()
+        del state["head.gain"]
+        path = tmp_path / "m.mhgc"
+        save_checkpoint(path, state, model.assignment)
+        with pytest.raises(FormatError) as exc:
+            restore(ForecastModel(cfg), path)
+        assert exc.value.offset == path.stat().st_size - 4 - 4 * cfg.n
+        assert "head.gain" in str(exc.value)
+
+    def test_shape_mismatch_rejected_at_its_dims(self, tmp_path):
         cfg = _tiny_cfg()
         model = ForecastModel(cfg)
         path = tmp_path / "m.mhgc"
         save_checkpoint(path, model.store.state(), model.assignment)
-        other = ForecastModel(_tiny_cfg(p=3))  # different parameter set
-        with pytest.raises(ConfigError):
-            restore(other, path)
+        blob = bytearray(path.read_bytes())
+        dims_at = blob.index(b"embed.weight") + len("embed.weight") + 1
+        # [1, D] stored as [D, 1]: the same value count, another shape
+        blob[dims_at : dims_at + 8] = np.array([cfg.d, 1], "<u4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as exc:
+            restore(ForecastModel(cfg), path)
+        assert exc.value.offset == dims_at
 
 
 class TestParameterCount:
@@ -400,10 +438,10 @@ class TestGraphLifetime:
         alive = []  # how many of them each propagate call saw alive
         gated, propagate = std.gated_time_means, sie.propagate
 
-        def recording_gated(x_hat, per_step, per_node):
+        def recording_gated(channels, lift, per_step, per_node):
             for t in (*per_step, *per_node):
                 decoupled.extend((weakref.ref(t), weakref.ref(t.data)))
-            return gated(x_hat, per_step, per_node)
+            return gated(channels, lift, per_step, per_node)
 
         def counting_propagate(*args, **kwargs):
             alive.append(sum(ref() is not None for ref in decoupled))
@@ -414,6 +452,25 @@ class TestGraphLifetime:
         with no_grad():
             model.forward(*_inputs(cfg))
         assert len(decoupled) == 8 and alive and set(alive) == {0}
+
+    def test_no_grad_forward_builds_no_lifted_input(self):
+        # the lifted window x_hat [B, T, N, D] and the GRU's input pre-activations
+        # [T, 3W, B·N] alone take more than the whole forward may allocate
+        cfg = ModelConfig(n=96, seed=1)
+        model = ForecastModel(cfg)
+        model.eval_mode()
+        b = 64
+        inputs = _inputs(cfg, b=b)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                model.forward(*inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lifted = 8 * b * cfg.t_h * cfg.n * cfg.d
+        preactivations = 8 * cfg.t_h * 3 * cfg.d * b * cfg.n  # the GRU's width is D
+        assert peak < lifted + preactivations
 
     def test_no_grad_decouple_peak_below_one_pattern(self, monkeypatch):
         # B·N·D = 64·128·8 fills one streamed block per step, so what decouple

@@ -304,27 +304,29 @@ class TestPrimitiveGradients:
 
 
 class TestGruSequence:
-    """The fused channel-major GRU op: [T, 2W, M], [T, W, M], [W, 2W], [W, W]."""
+    """The fused channel-major GRU op: [T, K, M], [K, 2W], [K, W], [W, 2W], [W, W]."""
 
-    T, W, M = 3, 2, 5  # no two of them equal, so a swapped axis cannot pass
+    T, K, W, M = 3, 6, 2, 5  # no two of them (or 2W) equal, so a swapped axis cannot pass
 
-    def shapes(self):
+    def shapes(self, k=K):
         t, w, m = self.T, self.W, self.M
-        return [(t, 2 * w, m), (t, w, m), (w, 2 * w), (w, w)]
+        return [(t, k, m), (k, 2 * w), (k, w), (w, 2 * w), (w, w)]
 
     @pytest.mark.parametrize(
         "arg, bad",
         [
-            (0, (3, 2, 5)),  # update|reset rows not 2W
-            (0, (2, 4, 5)),  # step count differs from px_n's
-            (0, (3, 4, 4)),  # sequence count differs from px_n's
-            (0, (3, 5, 4)),  # batch-major [T, M, 2W]
-            (1, (3, 2)),  # not [T, W, M]
-            (1, (3, 5, 2)),  # batch-major [T, M, W]
-            (2, (2, 2)),  # hidden update|reset weights not [W, 2W]
-            (2, (4, 2)),  # transposed
-            (3, (2, 4)),  # candidate weights not [W, W]
-            (3, (3, 3)),
+            (0, (3, 4, 5)),  # channel count differs from the input weights'
+            (0, (3, 6)),  # not [T, K, M]
+            (0, (3, 5, 6)),  # batch-major [T, M, K]
+            (0, (6, 3, 5)),  # channel-first [K, T, M]
+            (1, (6, 2)),  # update|reset input weights not [K, 2W]
+            (1, (4, 6)),  # transposed
+            (2, (6, 4)),  # candidate input weights not [K, W]
+            (2, (2, 6)),  # transposed
+            (3, (2, 2)),  # hidden update|reset weights not [W, 2W]
+            (3, (4, 2)),  # transposed
+            (4, (2, 4)),  # candidate weights not [W, W]
+            (4, (3, 3)),
         ],
     )
     def test_shape_error_for_each_argument(self, arg, bad):
@@ -338,26 +340,33 @@ class TestGruSequence:
 
     def test_matches_step_by_step_oracle(self):
         rng = np.random.default_rng(31)
-        px_zr, px_n, w_zr_h, w_n_h = (rng.normal(size=shape) for shape in self.shapes())
-        out = gru_sequence(px_zr, px_n, w_zr_h, w_n_h).data
+        inputs, w_x_zr, w_x_n, w_zr_h, w_n_h = (rng.normal(size=shape) for shape in self.shapes())
+        out = gru_sequence(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h).data
         w = self.W
         h = np.zeros((self.M, w))  # batch-major state, one row per sequence
         for j in range(self.T):
-            zr = 1.0 / (1.0 + np.exp(-(px_zr[j].T + h @ w_zr_h)))
+            x = inputs[j].T  # [M, K]
+            zr = 1.0 / (1.0 + np.exp(-(x @ w_x_zr + h @ w_zr_h)))
             z, r = zr[:, :w], zr[:, w:]
-            c = np.tanh(px_n[j].T + (r * h) @ w_n_h)
+            c = np.tanh(x @ w_x_n + (r * h) @ w_n_h)
             h = (1.0 - z) * h + z * c
             assert np.max(np.abs(out[j] - h.T)) < 1e-14
 
-    def test_gradient(self):
-        store = ParameterStore(SplitRng(32))
-        names = ("px_zr", "px_n", "w_zr_h", "w_n_h")
-        args = [store.add(name, shape, "normal(0,1)") for name, shape in zip(names, self.shapes())]
+    def _check_gradient(self, k, seed):
+        store = ParameterStore(SplitRng(seed))
+        names = ("inputs", "w_x_zr", "w_x_n", "w_zr_h", "w_n_h")
+        args = [store.add(name, shape, "normal(0,1)") for name, shape in zip(names, self.shapes(k))]
         weights = Tensor(np.random.default_rng(33).normal(size=(self.T, self.W, self.M)))
         err = check_gradient(
             lambda: sum_(gru_sequence(*args) * weights), store.parameters(), h=1e-5
         )
         assert err < 1e-6
+
+    def test_gradient(self):
+        self._check_gradient(self.K, seed=32)
+
+    def test_gradient_of_a_single_channel(self):
+        self._check_gradient(1, seed=34)
 
 
 def _sequential_gating(x, step_logits, node_logits):
@@ -373,19 +382,22 @@ def _sequential_gating(x, step_logits, node_logits):
 
 
 class TestGatedTimeMeans:
-    """The fused gating op: x [B, T, N, D], G parts [B, T, D] and [N, D]."""
+    """The fused gating op: channels [B, T, N, K], lift [K, D], G parts [B, T, D] and [N, D]."""
 
-    B, T, N, D = 2, 5, 3, 4  # no two of them equal, so a swapped axis cannot pass
+    # no two of them equal, so a swapped axis cannot pass; K = 1 as in no model
+    # path, so the lift's gradient sums a single channel
+    B, T, N, K, D = 2, 5, 3, 1, 4
     # budgets giving blocks of 1 step, of 2 steps (the last one shorter), and of all 5
     BLOCKS = {1: 1, 2: 2 * B * N * D, 5: 2**16}
 
     def args(self, p, seed):
         rng = np.random.default_rng(seed)
         g = p - 1
-        x = Tensor(rng.normal(size=(self.B, self.T, self.N, self.D)))
+        channels = Tensor(rng.normal(size=(self.B, self.T, self.N, self.K)))
+        lift = Tensor(rng.normal(size=(self.K, self.D)))
         steps = [Tensor(rng.normal(size=(self.B, self.T, self.D))) for _ in range(g)]
         nodes = [Tensor(rng.normal(size=(self.N, self.D))) for _ in range(g)]
-        return x, steps, nodes
+        return channels, lift, steps, nodes
 
     @pytest.mark.parametrize("block", sorted(BLOCKS))
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -393,39 +405,54 @@ class TestGatedTimeMeans:
         # the means are summed in time order whatever the block, so they are
         # bit-identical to the oracle's within one block and across blocks
         monkeypatch.setattr(tensor_module, "STREAM_BUDGET", self.BLOCKS[block])
-        x, steps, nodes = self.args(p, seed=40 + p)
-        out = gated_time_means(x, steps, nodes)
+        channels, lift, steps, nodes = self.args(p, seed=40 + p)
+        out = gated_time_means(channels, lift, steps, nodes)
         assert out.shape == (self.B, self.N, p * self.D)
-        assert np.array_equal(out.data, _sequential_gating(x, steps, nodes).data)
+        oracle = _sequential_gating(matmul(channels, lift), steps, nodes)
+        assert np.array_equal(out.data, oracle.data)
 
-    @pytest.mark.parametrize("block", sorted(BLOCKS))
-    @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_gradient(self, p, block, monkeypatch):
-        monkeypatch.setattr(tensor_module, "STREAM_BUDGET", self.BLOCKS[block])
-        store = ParameterStore(SplitRng(50 + p))
+    def _check_gradient(self, p, k, seed):
+        store = ParameterStore(SplitRng(seed))
         g = p - 1
-        x = store.add("x", (self.B, self.T, self.N, self.D), "normal(0,1)")
+        channels = store.add("channels", (self.B, self.T, self.N, k), "normal(0,1)")
+        lift = store.add("lift", (k, self.D), "normal(0,1)")
         steps = [store.add(f"s{i}", (self.B, self.T, self.D), "normal(0,1)") for i in range(g)]
         nodes = [store.add(f"n{i}", (self.N, self.D), "normal(0,1)") for i in range(g)]
         weights = Tensor(np.random.default_rng(60).normal(size=(self.B, self.N, p * self.D)))
-        err = check_gradient(
-            lambda: sum_(gated_time_means(x, steps, nodes) * weights), store.parameters(), h=1e-5
-        )
+
+        def loss(kernel):
+            return sum_(kernel(channels, lift, steps, nodes) * weights)
+
+        err = check_gradient(lambda: loss(gated_time_means), store.parameters(), h=1e-5)
         assert err < 1e-8
         # and the hand-written backward is the oracle's autodiff, to rounding
         fused = {q.name: q.tensor.grad.copy() for q in store.parameters()}
         store.zero_grad()
-        sum_(_sequential_gating(x, steps, nodes) * weights).backward()
+        loss(lambda c, lf, s, n: _sequential_gating(matmul(c, lf), s, n)).backward()
         for q in store.parameters():
-            assert np.allclose(fused[q.name], q.tensor.grad, rtol=1e-13, atol=1e-15), q.name
+            ref = q.tensor.grad
+            assert np.max(np.abs(fused[q.name] - ref)) <= 1e-13 * np.max(np.abs(ref)), q.name
+
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_gradient(self, p, block, monkeypatch):
+        # with p = 1 there are no gates, so the residual's gradient is the
+        # pattern's, broadcast over every step of a block
+        monkeypatch.setattr(tensor_module, "STREAM_BUDGET", self.BLOCKS[block])
+        self._check_gradient(p, self.K, seed=50 + p)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_gradient_of_several_channels(self, p, monkeypatch):
+        monkeypatch.setattr(tensor_module, "STREAM_BUDGET", self.BLOCKS[2])
+        self._check_gradient(p, 6, seed=55 + p)
 
     def test_keeps_nothing_without_gradient(self):
-        x, steps, nodes = self.args(3, seed=70)
-        assert gated_time_means(x, steps, nodes)._backward is None
-        x.requires_grad = True
+        channels, lift, steps, nodes = self.args(3, seed=70)
+        assert gated_time_means(channels, lift, steps, nodes)._backward is None
+        lift.requires_grad = True
         with no_grad():
-            assert gated_time_means(x, steps, nodes)._backward is None
-        assert gated_time_means(x, steps, nodes)._backward is not None
+            assert gated_time_means(channels, lift, steps, nodes)._backward is None
+        assert gated_time_means(channels, lift, steps, nodes)._backward is not None
 
     @pytest.mark.parametrize(
         "steps, nodes",
@@ -438,15 +465,21 @@ class TestGatedTimeMeans:
     )
     def test_shape_error_names_the_shapes(self, steps, nodes):
         rng = np.random.default_rng(71)
-        x = Tensor(rng.normal(size=(self.B, self.T, self.N, self.D)))
+        channels = Tensor(rng.normal(size=(self.B, self.T, self.N, self.K)))
+        lift = Tensor(rng.normal(size=(self.K, self.D)))
         parts = [[Tensor(rng.normal(size=shape)) for shape in group] for group in (steps, nodes)]
         with pytest.raises(ShapeError) as exc:
-            gated_time_means(x, *parts)
+            gated_time_means(channels, lift, *parts)
         assert str((self.B, self.T, self.N, self.D)) in str(exc.value)
 
     def test_x_must_be_four_dimensional(self):
         with pytest.raises(ShapeError):
-            gated_time_means(Tensor(np.ones((2, 5, 3))), [], [])
+            gated_time_means(Tensor(np.ones((2, 5, 3))), Tensor(np.ones((3, 4))), [], [])
+
+    def test_lift_rows_must_match_the_channels(self):
+        with pytest.raises(ShapeError) as exc:
+            gated_time_means(Tensor(np.ones((2, 5, 3, 2))), Tensor(np.ones((3, 4))), [], [])
+        assert "(2, 5, 3, 2)" in str(exc.value) and "(3, 4)" in str(exc.value)
 
 
 class TestLogistic:

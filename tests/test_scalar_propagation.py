@@ -18,7 +18,7 @@ import pytest
 from gradcheck import check_gradient
 from graph_oracle import model_pool_graphs
 from kernel_oracle import sigmoid
-from mhgnet import dstgg, sie, std
+from mhgnet import dstgg, sie
 from mhgnet.clusterer import ClusterAssignment
 from mhgnet.model import ForecastModel, ModelConfig
 from mhgnet.numcore import (
@@ -66,7 +66,7 @@ def _d_wide_forward(model, x, tod, dow):
     cfg, enc, gru = model.cfg, model.encoder, model.encoder.gru
     x = Tensor(x)
     b, t, n, _ = x.shape
-    x_hat = std.embed_input(x, model.embed_w, model.embed_b)
+    x_hat = matmul(x, model.embed_w) + model.embed_b
     patterns = decouple_patterns(
         x_hat, tod, dow, model.node_embedding, model.timestamps, model.gates
     )

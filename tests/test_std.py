@@ -3,12 +3,13 @@ import pytest
 
 from gradcheck import check_gradient
 from mhgnet.errors import ConfigError
-from mhgnet.numcore import ParameterStore, SplitRng, Tensor, sum_
+from mhgnet.numcore import ParameterStore, SplitRng, Tensor, matmul, sum_
 from mhgnet.std import GateParams, TimestampEmbeddings, decouple, embed_input
 from std_oracle import decouple_patterns, split_means, time_means
 
 
-def _setup(p, b=2, t=4, n=5, d=3, d_s=3, d_t=2, spd=8, seed=0, store=None):
+def _setup(p, b=2, t=4, n=5, d=3, d_s=3, d_t=2, spd=8, seed=0, store=None, k=2):
+    """Gate parameters, and an input x_hat in factored form: channels [B, T, N, K] and a lift [K, D]."""
     store = store or ParameterStore(SplitRng(seed))
     ts = TimestampEmbeddings(
         daily=store.add("daily", (spd, d_t), "normal(0,1)"),
@@ -25,34 +26,61 @@ def _setup(p, b=2, t=4, n=5, d=3, d_s=3, d_t=2, spd=8, seed=0, store=None):
         for i in range(p - 1)
     ]
     rng = np.random.default_rng(seed + 100)
-    x_hat = Tensor(rng.normal(size=(b, t, n, d)))
+    x_hat = _Lifted(rng.normal(size=(b, t, n, k)), rng.normal(size=(k, d)))
     tod = rng.integers(0, spd, (b, t))
     dow = rng.integers(0, 7, (b, t))
     return store, ts, emb, gates, x_hat, tod, dow
+
+
+class _Lifted:
+    """An input x_hat = channels @ lift, carried as both factors and their product."""
+
+    def __init__(self, channels, lift):
+        self.channels, self.lift = Tensor(channels), Tensor(lift)
+        self.full = matmul(self.channels, self.lift)
+        self.data, self.shape = self.full.data, self.full.shape
+
+    @classmethod
+    def ones(cls, shape):
+        """All ones: one channel of ones through a lift of ones."""
+        return cls(np.ones(shape[:-1] + (1,)), np.ones((1, shape[-1])))
 
 
 class TestEmbedInput:
     def test_zero_input_zero_bias(self):
         w = Tensor(np.random.default_rng(0).normal(size=(1, 4)))
         b = Tensor(np.zeros(4))
-        out = embed_input(np.zeros((2, 3, 5, 1)), w, b)
-        assert np.array_equal(out.data, np.zeros((2, 3, 5, 4)))
+        channels, lift = embed_input(np.zeros((2, 3, 5, 1)), w, b)
+        assert np.array_equal(channels.data[..., 0], np.zeros((2, 3, 5)))
+        assert np.array_equal(channels.data[..., 1], np.ones((2, 3, 5)))
+        assert np.array_equal(lift.data, np.concatenate([w.data, b.data[None]]))
+        assert np.array_equal(channels.data @ lift.data, np.zeros((2, 3, 5, 4)))
 
     def test_identity_when_unit_weight(self):
         x = np.random.default_rng(1).normal(size=(2, 3, 4, 1))
-        out = embed_input(x, Tensor([[1.0]]), Tensor([0.0]))
-        assert np.array_equal(out.data, x)
+        channels, lift = embed_input(x, Tensor([[1.0]]), Tensor([0.0]))
+        assert np.array_equal(channels.data @ lift.data, x)
+
+    def test_product_is_the_affine_lift(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 3, 4, 1))
+        w, b = rng.normal(size=(1, 5)), rng.normal(size=5)
+        channels, lift = embed_input(Tensor(x), Tensor(w), Tensor(b))
+        assert channels.shape == (2, 3, 4, 2) and lift.shape == (2, 5)
+        x_hat = x * w + b
+        assert np.max(np.abs(channels.data @ lift.data - x_hat)) <= 1e-15 * np.max(np.abs(x_hat))
 
     def test_gradient(self):
         store = ParameterStore(SplitRng(2))
         w = store.add("w", (1, 3))
         b = store.add("b", (3,), "zeros")
         x = np.random.default_rng(3).normal(size=(2, 2, 3, 1))
-        err = check_gradient(
-            lambda: sum_(embed_input(x, w, b) * embed_input(x, w, b)),
-            store.parameters(),
-            h=1e-5,
-        )
+
+        def loss():
+            x_hat = matmul(*embed_input(x, w, b))
+            return sum_(x_hat * x_hat)
+
+        err = check_gradient(loss, store.parameters(), h=1e-5)
         assert err < 1e-4
 
 
@@ -67,9 +95,12 @@ def _gates_of(patterns, x_hat):
 
 
 def _decouple_and_oracle(x_hat, tod, dow, emb, ts, gates):
-    """decouple's means, checked bit for bit against the oracle's, and the oracle's patterns."""
-    means = decouple(x_hat, tod, dow, emb, ts, gates)
-    patterns = decouple_patterns(x_hat, tod, dow, emb, ts, gates)
+    """decouple's means, checked bit for bit against the oracle's, and the oracle's patterns.
+
+    ``decouple`` gets x_hat's factors; the oracle gets their product.
+    """
+    means = decouple(x_hat.channels, x_hat.lift, tod, dow, emb, ts, gates)
+    patterns = decouple_patterns(x_hat.full, tod, dow, emb, ts, gates)
     assert np.array_equal(means.data, time_means(patterns).data)
     return split_means(means, len(gates) + 1), patterns
 
@@ -108,8 +139,8 @@ class TestDecouple:
         for gate in ratios:
             assert (gate > 0.0).all() and (gate < 1.0).all()
         # on a positive input every time mean then lies strictly inside (0, mean(x))
-        ones = Tensor(np.ones(x_hat.shape))
-        for piece in split_means(decouple(ones, tod, dow, emb, ts, gates), 3):
+        ones = _Lifted.ones(x_hat.shape)
+        for piece in split_means(decouple(ones.channels, ones.lift, tod, dow, emb, ts, gates), 3):
             assert (piece > 0.0).all() and (piece < 1.0).all()
 
     def test_time_shift_equivariance(self):
@@ -119,12 +150,12 @@ class TestDecouple:
         store, ts, emb, gates, x_hat, tod, dow = _setup(p=2, b=2, seed=6)
         tod[1] = tod[0]
         dow[1] = dow[0]
-        ones = Tensor(np.ones(x_hat.shape))
+        ones = _Lifted.ones(x_hat.shape)
         gate_means, gate_patterns = _decouple_and_oracle(ones, tod, dow, emb, ts, gates)
         assert np.array_equal(gate_means[0][0], gate_means[0][1])
         gate = gate_patterns[0].data
         assert np.array_equal(gate[0], gate[1])
-        x2 = Tensor(np.random.default_rng(99).normal(size=x_hat.shape))
+        x2 = _Lifted(np.random.default_rng(99).normal(size=x_hat.shape[:-1] + (1,)), np.ones((1, 3)))
         means, patterns = _decouple_and_oracle(x2, tod, dow, emb, ts, gates)
         assert np.array_equal(patterns[0].data, x2.data * gate)
         assert np.array_equal(means[0], (x2.data * gate).mean(axis=1))
@@ -132,9 +163,12 @@ class TestDecouple:
     def test_gradients_through_decouple(self):
         store, ts, emb, gates, x_hat, tod, dow = _setup(p=3, b=1, t=2, n=3, seed=7)
         weights = Tensor(np.random.default_rng(1).normal(size=(1, 3, 3 * x_hat.shape[-1])))
+        # the lift is a parameter too; the oracle reaches it through its product
+        x_hat.lift = store.add("lift", x_hat.lift.shape, "normal(0,1)")
+        x_hat.full = matmul(x_hat.channels, x_hat.lift)
 
         def loss():
-            return sum_(decouple(x_hat, tod, dow, emb, ts, gates) * weights)
+            return sum_(decouple(x_hat.channels, x_hat.lift, tod, dow, emb, ts, gates) * weights)
 
         err = check_gradient(loss, store.parameters(), h=1e-5)
         assert err < 1e-4
@@ -148,7 +182,8 @@ class TestDecouple:
         loss().backward()
         fused = {p.name: p.tensor.grad for p in store.parameters()}
         store.zero_grad()
-        sum_(time_means(decouple_patterns(x_hat, tod, dow, emb, ts, gates)) * weights).backward()
+        oracle = time_means(decouple_patterns(x_hat.full, tod, dow, emb, ts, gates))
+        sum_(oracle * weights).backward()
         for p in store.parameters():
             assert np.allclose(fused[p.name], p.tensor.grad, rtol=1e-12, atol=1e-15), p.name
 
@@ -181,4 +216,4 @@ class TestDecouple:
     def test_none_gate_params_rejected(self):
         store, ts, emb, gates, x_hat, tod, dow = _setup(p=1)
         with pytest.raises(ConfigError):
-            decouple(x_hat, tod, dow, emb, ts, None)
+            decouple(x_hat.channels, x_hat.lift, tod, dow, emb, ts, None)

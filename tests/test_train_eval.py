@@ -18,6 +18,7 @@ from mhgnet.train_eval import (
     evaluate,
     learning_rate,
     masked_metrics,
+    predict,
     run_ablation,
     train,
 )
@@ -312,6 +313,18 @@ class TestAblation:
 
 
 class TestEvaluate:
+    def test_predict_on_an_empty_split(self, monkeypatch):
+        series, bundle = _small_bundle()
+        cfg = _small_cfg()
+        model = ForecastModel(cfg)
+
+        def no_forward(*args):
+            raise AssertionError("forward called on an empty split")
+
+        monkeypatch.setattr(model, "forward", no_forward)
+        pred = predict(model, bundle.val.slice(slice(0, 0)), bundle.scaler)
+        assert pred.shape == (0, cfg.t_f, cfg.n, 1)
+
     def test_eval_runs_and_is_finite(self):
         series, bundle = _small_bundle()
         model = ForecastModel(_small_cfg())

@@ -3,10 +3,10 @@
     python3 tools/bench_pairs.py --base <parent> --change HEAD \\
         --workloads forecast_online --out BENCH_<n>.json
 
-Each commit is checked out once, as a detached ``git worktree`` in a
-temporary directory that is removed at the end, and ``perfbench/run.py`` runs
-inside each, so each side measures its own source, for BENCHMARK.json's
-``run_seconds``. Each workload runs 10 pairs: pair i runs both sides on seed
+Each commit is extracted once with ``git archive`` into a temporary
+directory that is removed at the end, so the repository gains no worktree,
+and ``perfbench/run.py`` runs inside each, so each side measures its own
+source, for BENCHMARK.json's ``run_seconds``. Each workload runs 10 pairs: pair i runs both sides on seed
 ``--first-seed + i``, the base first in even pairs and the change first in
 odd ones, so a drift of the machine within a pair favours neither side.
 
@@ -126,7 +126,11 @@ def main() -> int:
     trees = {side: tmp / side for side in commits}
     try:
         for side, sha in commits.items():
-            git("worktree", "add", "--detach", str(trees[side]), sha)
+            trees[side].mkdir()
+            archive = subprocess.run(
+                ["git", "archive", sha], cwd=ROOT, check=True, capture_output=True
+            ).stdout
+            subprocess.run(["tar", "-x", "-C", str(trees[side])], input=archive, check=True)
         for workload in args.workloads.split(","):
             pairs: list[dict] = []
             for i in range(PAIRS):
@@ -149,11 +153,7 @@ def main() -> int:
                 print(f"{workload} {name:<20} {c['base_median']:.5g} -> {c['change_median']:.5g}"
                       f" wins {c['wins']}/{PAIRS} iqr {c['base_iqr']:.4g}: {entry['verdict']}")
     finally:
-        for tree in trees.values():
-            if tree.exists():
-                subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT)
     return 0
 
 
