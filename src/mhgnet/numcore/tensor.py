@@ -485,12 +485,14 @@ def gru_sequence(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h) -> Tensor:
     ``c = tanh(w_x_nᵀ x + w_n_hᵀ (r * h))``, ``h = (1 - z) * h + z * c``.
     Returns the stacked states [T, W, M]. Every per-step array is W or 2W
     contiguous rows of length M, and z and r are row blocks, so each
-    elementwise op runs over whole rows. Each step's two input GEMMs and
-    everything after them write into buffers allocated once, so no
-    [T, 3W, M] pre-activation is built: the gates and candidate go to their
-    rows of the arrays kept for backpropagation when a gradient will be
-    taken, else to one reused [2W, M] and [W, M] pair. The backward forms
-    the input and input-weight gradients from the gate gradients it keeps.
+    elementwise op runs over whole rows. Each step's input terms are one
+    GEMM with the stacked [3W, K] input weights, and it and everything
+    after it write into buffers allocated once, so no [T, 3W, M]
+    pre-activation is built: the gates and candidate go to their rows of
+    the arrays kept for backpropagation when a gradient will be taken,
+    else to one reused [2W, M] and [W, M] pair. Products and sums keep the
+    operand order of the expression form. The backward forms the input and
+    input-weight gradients from the gate gradients it keeps.
     """
     inputs, w_x_zr, w_x_n, w_zr_h, w_n_h = (
         _to_tensor(t) for t in (inputs, w_x_zr, w_x_n, w_zr_h, w_n_h)
