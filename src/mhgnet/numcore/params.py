@@ -79,18 +79,8 @@ class ParameterStore:
         return {name: p.tensor.data.copy() for name, p in self._params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        missing = set(self._params) - set(state)
-        extra = set(state) - set(self._params)
-        if missing or extra:
-            raise ConfigError(
-                f"parameter name mismatch: missing={sorted(missing)} extra={sorted(extra)}"
-            )
+        """Copy in the values of a :meth:`state` of a store with the same names
+        and shapes; :func:`mhgnet.model.restore` checks a checkpoint's first."""
         for name, values in state.items():
-            t = self._params[name].tensor
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape != t.data.shape:
-                raise ConfigError(
-                    f"shape mismatch for {name!r}: {values.shape} vs {t.data.shape}"
-                )
-            t.data = values.copy()
+            self._params[name].tensor.data = np.asarray(values, dtype=np.float64).copy()
 

@@ -8,8 +8,8 @@ from mhgnet.std import GateParams, TimestampEmbeddings, decouple, embed_input
 from std_oracle import decouple_patterns, split_means, time_means
 
 
-def _setup(p, b=2, t=4, n=5, d=3, d_s=3, d_t=2, spd=8, seed=0, store=None, k=2):
-    """Gate parameters, and an input x_hat in factored form: channels [B, T, N, K] and a lift [K, D]."""
+def _setup(p, b=2, t=4, n=5, d=3, d_s=3, d_t=2, spd=8, seed=0, store=None):
+    """Gate parameters, and an input x_hat in factored form: channels [B, T, N, 2] and a lift [2, D]."""
     store = store or ParameterStore(SplitRng(seed))
     ts = TimestampEmbeddings(
         daily=store.add("daily", (spd, d_t), "normal(0,1)"),
@@ -26,7 +26,7 @@ def _setup(p, b=2, t=4, n=5, d=3, d_s=3, d_t=2, spd=8, seed=0, store=None, k=2):
         for i in range(p - 1)
     ]
     rng = np.random.default_rng(seed + 100)
-    x_hat = _Lifted(rng.normal(size=(b, t, n, k)), rng.normal(size=(k, d)))
+    x_hat = _Lifted(rng.normal(size=(b, t, n, 2)), rng.normal(size=(2, d)))
     tod = rng.integers(0, spd, (b, t))
     dow = rng.integers(0, 7, (b, t))
     return store, ts, emb, gates, x_hat, tod, dow
