@@ -44,7 +44,10 @@ class RunConfig:
         return (self.train_ratio, self.val_ratio, self.test_ratio)
 
     def to_model_config(self, n: int, steps_per_day: int) -> ModelConfig:
-        return replace(self.model, n=self.model.n or n, steps_per_day=steps_per_day)
+        """The model for a series of ``n`` nodes, which a nonzero ``n`` key must match."""
+        if self.model.n not in (0, n):
+            raise ConfigError(f"config n = {self.model.n} does not match the series' {n} nodes")
+        return replace(self.model, n=n, steps_per_day=steps_per_day)
 
     def to_schedule(self) -> Schedule:
         return replace(self.schedule, max_horizon=self.model.t_f)

@@ -268,20 +268,20 @@ def relu(a) -> Tensor:
     return _result(np.maximum(a.data, 0.0), (a,), bw)
 
 
-def _logistic(x: Array, out: Array | None = None) -> Array:
-    """The logistic function ``1 / (1 + exp(-x))`` in four in-place passes.
+def _logistic(neg: Array, out: Array | None = None) -> Array:
+    """The logistic function ``1 / (1 + exp(-x))`` of x, given ``neg`` = -x.
 
-    Negate, exp, add one and take the reciprocal, all in ``out`` (fresh
-    when None; it may be ``x`` itself). Below x = -709 the exp overflows to
-    inf and the result is the exact limit 0, so that overflow is not
-    reported. For x >= 0 this is bit-identical to the two-buffer form
-    ``exp(min(x, 0)) / (1 + exp(-|x|))``; for x < 0 it differs from it by
-    about 1 ulp, and against a 50-digit reference on [-700, 700] either
-    form is within 2.6e-16 relative.
+    Three in-place passes: exp, add one and take the reciprocal, all in
+    ``out`` (fresh when None; it may be ``neg`` itself). The callers fold
+    the negation into the operands they build x from, where it is exact.
+    Below x = -709 the exp overflows to inf and the result is the exact
+    limit 0, so that overflow is not reported. For x >= 0 this is
+    bit-identical to the two-buffer form ``exp(min(x, 0)) / (1 + exp(-|x|))``;
+    for x < 0 it differs from it by about 1 ulp, and against a 50-digit
+    reference on [-700, 700] either form is within 2.6e-16 relative.
     """
-    out = np.negative(x, out=out)
     with np.errstate(over="ignore"):
-        np.exp(out, out=out)
+        out = np.exp(neg, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
 
@@ -472,6 +472,10 @@ def matmul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 # gated recurrence
 
+# sequences per column span of the GRU recurrence: a span's step buffers stay
+# within L2
+GRU_COLUMNS = 2048
+
 
 def gru_sequence(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h) -> Tensor:
     """GRU recurrence over axis 0 from a zero state, recorded as one graph node.
@@ -481,18 +485,23 @@ def gru_sequence(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h) -> Tensor:
     to the update|reset and the candidate pre-activations (a bias rides on
     a constant-one channel), and ``w_zr_h`` [W, 2W] and ``w_n_h`` [W, W]
     are the hidden-side weights. With the state h [W, M], per step:
-    ``z|r = sigmoid(w_x_zrᵀ x + w_zr_hᵀ h)``,
-    ``c = tanh(w_x_nᵀ x + w_n_hᵀ (r * h))``, ``h = (1 - z) * h + z * c``.
-    Returns the stacked states [T, W, M]. Every per-step array is W or 2W
-    contiguous rows of length M, and z and r are row blocks, so each
-    elementwise op runs over whole rows. Each step's input terms are one
-    GEMM with the stacked [3W, K] input weights, and it and everything
-    after it write into buffers allocated once, so no [T, 3W, M]
-    pre-activation is built: the gates and candidate go to their rows of
-    the arrays kept for backpropagation when a gradient will be taken,
-    else to one reused [2W, M] and [W, M] pair. Products and sums keep the
-    operand order of the expression form. The backward forms the input and
-    input-weight gradients from the gate gradients it keeps.
+    ``z|r = sigmoid([w_x_zr; w_zr_h]ᵀ [x; h])``,
+    ``c = tanh([w_x_n; w_n_h]ᵀ [x; r * h])``, ``h = h + z * (c - h)``.
+    Returns the stacked states [T, W, M].
+
+    A step is two GEMMs with these stacked [K + W, ·] weights, on [x; h] and
+    [x; r * h] buffers whose rows it writes in place. The update|reset
+    weights are negated once per call, so their GEMM gives minus the
+    pre-activation for the three-pass :func:`_logistic`; the state update is
+    three passes too. The M sequences run in equal column spans of at most
+    ``GRU_COLUMNS``, so the buffers, allocated once per call, stay
+    cache-sized and no span is a narrow remainder, on which BLAS takes
+    another kernel path. With a gradient each span keeps its gates and
+    candidates, and the backward walks the spans from the last step: two
+    GEMMs with the stacked weights give a step's input and state gradients,
+    and the weight gradients are summed step by step from copies of
+    [x; h_prev] and [x; r * h_prev]. Argument slices reach a GEMM only as
+    such copies.
     """
     inputs, w_x_zr, w_x_n, w_zr_h, w_n_h = (
         _to_tensor(t) for t in (inputs, w_x_zr, w_x_n, w_zr_h, w_n_h)
@@ -513,60 +522,84 @@ def gru_sequence(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h) -> Tensor:
         )
     parents = (inputs, w_x_zr, w_x_n, w_zr_h, w_n_h)
     keep = _tracked(parents)
-    x, w_zr, w_n = inputs.data, w_zr_h.data, w_n_h.data
-    w_x_t = np.concatenate([w_x_zr.data, w_x_n.data], axis=1).T  # [3W, K]
+    x = inputs.data
+    w_zr = np.concatenate([w_x_zr.data, w_zr_h.data])  # [K + W, 2W]
+    w_n = np.concatenate([w_x_n.data, w_n_h.data])  # [K + W, W]
+    neg_zr_t, w_n_t = np.ascontiguousarray(-w_zr.T), np.ascontiguousarray(w_n.T)
+    count = max(1, -(-m // GRU_COLUMNS))
+    spans = [(i * m // count, (i + 1) * m // count) for i in range(count)]
+    widest = -(-m // count)
+
+    def buffers(flat, rows, c):
+        """Contiguous [r, c] buffers, one per entry of ``rows``, end to end in ``flat``."""
+        ends = np.cumsum([0, *rows]) * c
+        return [flat[a:b].reshape(-1, c) for a, b in zip(ends[:-1], ends[1:])]
+
     states = np.empty((t, w, m))
-    # with a gradient, step j's gates and candidate are rows j of these
-    zr_all = np.empty((t if keep else 1, 2 * w, m))
-    cand_all = np.empty((t if keep else 1, w, m))
-    x_terms = np.empty((3 * w, m))  # the step's input terms: update|reset, candidate
-    x_zr, x_n = x_terms[: 2 * w], x_terms[2 * w :]
-    scratch = np.empty((w, m))
-    hidden = np.zeros((w, m))
-    for j in range(t):
-        row = j if keep else 0
-        zr, cand = zr_all[row], cand_all[row]
-        np.matmul(w_x_t, x[j], out=x_terms)
-        np.matmul(w_zr.T, hidden, out=zr)
-        np.add(x_zr, zr, out=zr)
-        _logistic(zr, out=zr)
-        z, r = zr[:w], zr[w:]
-        np.multiply(r, hidden, out=scratch)
-        np.matmul(w_n.T, scratch, out=cand)
-        np.add(x_n, cand, out=cand)
-        np.tanh(cand, out=cand)
-        state = states[j]
-        np.subtract(1.0, z, out=state)
-        state *= hidden
-        np.multiply(z, cand, out=scratch)
-        state += scratch
-        hidden = state
+    # with a gradient, each span's gates and candidates of every step, else one step's
+    kept = [[np.empty((t if keep else 1, r * w, hi - lo)) for r in (2, 1)] for lo, hi in spans]
+    rows = (k + w, k + w, w)  # [x; h], [x; r * h], c - h
+    flat = np.empty(sum(rows) * widest)
+    for (lo, hi), (zr_kept, cand_kept) in zip(spans, kept):
+        xh, xrh, diff = buffers(flat, rows, hi - lo)
+        hidden, rh = xh[k:], xrh[k:]
+        hidden.fill(0.0)
+        for j in range(t):
+            zr, cand = zr_kept[j if keep else 0], cand_kept[j if keep else 0]
+            xh[:k] = x[j, :, lo:hi]
+            np.matmul(neg_zr_t, xh, out=zr)
+            _logistic(zr, out=zr)
+            z, r = zr[:w], zr[w:]
+            np.multiply(r, hidden, out=rh)
+            xrh[:k] = xh[:k]
+            np.matmul(w_n_t, xrh, out=cand)
+            np.tanh(cand, out=cand)
+            np.subtract(cand, hidden, out=diff)
+            diff *= z
+            hidden += diff
+            states[j, :, lo:hi] = hidden
 
     def bw(g):
-        d_zr = np.empty_like(zr_all)
-        d_n = np.empty_like(cand_all)
-        dh = np.zeros((w, m))
-        for j in reversed(range(t)):
-            dh = dh + g[j]
-            z, r, cand = zr_all[j, :w], zr_all[j, w:], cand_all[j]
-            hp = states[j - 1] if j else np.zeros((w, m))
-            z_keep = 1.0 - z
-            np.multiply(dh * z, 1.0 - cand * cand, out=d_n[j])
-            d_rh = w_n @ d_n[j]
-            np.multiply(dh * (cand - hp) * z, z_keep, out=d_zr[j, :w])
-            np.multiply(d_rh * hp * r, 1.0 - r, out=d_zr[j, w:])
-            dh = dh * z_keep + d_rh * r + w_zr @ d_zr[j]
-        if inputs.requires_grad:
-            _accum(inputs, np.matmul(w_x_zr.data, d_zr) + np.matmul(w_x_n.data, d_n))
-        x_t = np.swapaxes(x, 1, 2)  # [T, M, K]
-        for weight, d_pre in ((w_x_zr, d_zr), (w_x_n, d_n)):
-            if weight.requires_grad:
-                _accum(weight, np.matmul(d_pre, x_t).sum(axis=0).T)
-        # the state before step 0 is zero, so step 0 adds nothing to either
-        h_prev = states[:-1]
-        _accum(w_zr_h, np.matmul(h_prev, d_zr[1:].transpose(0, 2, 1)).sum(axis=0))
-        rh_prev = zr_all[1:, w:] * h_prev
-        _accum(w_n_h, np.matmul(rh_prev, d_n[1:].transpose(0, 2, 1)).sum(axis=0))
+        d_x = np.empty((t, k, m)) if inputs.requires_grad else None
+        d_w = np.zeros((k + w, 3 * w))  # the stacked weights' gradient: z|r, then c
+        rows = (k + w, k + w, w, 2 * w, w, w, k + w, k + w)
+        flat = np.empty(sum(rows) * widest)
+        for (lo, hi), (zr_kept, cand_kept) in zip(spans, kept):
+            xh, xrh, dh, d_zr, d_n, spare, d_xh, d_xrh = buffers(flat, rows, hi - lo)
+            h_prev, rh_prev, d_z, d_r, d_rh = xh[k:], xrh[k:], d_zr[:w], d_zr[w:], d_xrh[k:]
+            dh.fill(0.0)
+            for j in reversed(range(t)):
+                z, r, cand = zr_kept[j, :w], zr_kept[j, w:], cand_kept[j]
+                xh[:k] = x[j, :, lo:hi]
+                h_prev[:] = states[j - 1, :, lo:hi] if j else 0.0
+                xrh[:k] = xh[:k]
+                np.multiply(r, h_prev, out=rh_prev)
+                dh += g[j, :, lo:hi]
+                np.multiply(dh, z, out=spare)  # the candidate's share of dh
+                np.multiply(cand, cand, out=d_n)
+                np.subtract(1.0, d_n, out=d_n)
+                d_n *= spare
+                np.subtract(cand, h_prev, out=d_z)
+                d_z *= spare
+                np.subtract(1.0, z, out=spare)
+                d_z *= spare
+                dh *= spare
+                np.matmul(w_n, d_n, out=d_xrh)
+                np.subtract(1.0, r, out=d_r)
+                d_r *= rh_prev
+                d_r *= d_rh
+                np.multiply(d_rh, r, out=spare)
+                dh += spare
+                np.matmul(w_zr, d_zr, out=d_xh)
+                dh += d_xh[k:]
+                if d_x is not None:
+                    np.add(d_xh[:k], d_xrh[:k], out=d_x[j, :, lo:hi])
+                d_w[:, : 2 * w] += xh @ d_zr.T
+                d_w[:, 2 * w :] += xrh @ d_n.T
+        _accum(inputs, d_x)
+        grads = (d_w[:k, : 2 * w], d_w[:k, 2 * w :], d_w[k:, : 2 * w], d_w[k:, 2 * w :])
+        for weight, grad in zip(parents[1:], grads):  # w_x_zr, w_x_n, w_zr_h, w_n_h
+            _accum(weight, grad)
 
     return _result(states, parents, bw)
 
@@ -590,9 +623,11 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
     residual starts as that block's ``channels @ lift``, and its patterns
     are added into the sums step by step, in time order, as ``mean`` over
     axis 1 adds them. The block's residual and gated piece live in two
-    contiguous buffers allocated once; each gate is built in place in the
-    piece buffer and, when a gradient will be taken, copied from there to
-    the gates kept for the backward pass (building it in that strided slot
+    contiguous buffers allocated once. The logit parts are negated once per
+    call, so their sum is exactly minus the logit, which the three-pass
+    :func:`_logistic` takes. Each gate is built in place in the piece
+    buffer and, when a gradient will be taken, copied from there to the
+    gates kept for the backward pass (building it in that strided slot
     instead is slower). The backward rebuilds each block's residual the
     same way, adds the block's share of the lift's gradient, and builds
     the channels' gradient only when they require one.
@@ -619,6 +654,9 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
     keep = _tracked(parents)
     block = max(1, min(t, STREAM_BUDGET // max(1, b * n * d)))
     bounds = [(t0, min(t0 + block, t)) for t0 in range(0, t, block)]
+    # the logit parts, negated once: (-a) + (-b) is exactly -(a + b)
+    neg_steps = [np.negative(s.data) for s in steps]
+    neg_nodes = [np.negative(v.data) for v in nodes]
     gates = np.empty((g_count, b, t, n, d)) if keep else None
     sums = np.zeros((g_count + 1, b, n, d))
     # one block's residual and gated piece; the last block may be shorter
@@ -628,7 +666,7 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
         remaining, piece = (f[: b * c * n * d].reshape(b, c, n, d) for f in flat)
         np.matmul(channels.data[:, t0:t1], lift.data, out=remaining)
         for g in range(g_count):
-            np.add(steps[g].data[:, t0:t1, None], nodes[g].data, out=piece)
+            np.add(neg_steps[g][:, t0:t1, None], neg_nodes[g], out=piece)
             _logistic(piece, out=piece)
             if keep:
                 gates[g, :, t0:t1] = piece

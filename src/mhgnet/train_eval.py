@@ -275,6 +275,10 @@ def train(
         result.log.append(record)
         if log_path is not None:
             write_log(result.log, log_path)
+        if not np.isfinite(report.mae):
+            raise DivergenceError(
+                f"non-finite val MAE {report.mae}: {_diagnostics(model, epoch, batch_no)}"
+            )
         if report.mae < result.best_val_mae:
             result.best_val_mae = report.mae
             result.best_epoch = epoch

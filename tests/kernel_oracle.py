@@ -1,16 +1,24 @@
-"""The gate kernels in their expression form, and the logistic as an autodiff op.
+"""The gate kernels in their expression forms, and the logistic as an autodiff op.
+
+:func:`gru_lean` is the GRU step ``numcore.gru_sequence`` takes, written
+with fresh arrays: per step, the stacked update|reset weights, negated, times
+[x; h] through the three-pass logistic, the stacked candidate weights times
+[x; r * h] through tanh, and ``h + z * (c - h)``, and a backward in the
+same terms. The kernel runs it in column spans with buffers allocated once,
+so it must match it bit for bit in the states and within rounding in the
+gradients it sums step by step and span by span.
 
 :func:`gru_sequence` and :func:`gated_time_means` are earlier bodies of the
-``numcore`` kernels of the same names, forward and backward: they take the
-full-size gated input, the GRU's [T, 2W, M] and [T, W, M] pre-activations
-and the lifted [B, T, N, D] window, and every step builds its intermediates
-as fresh arrays from numpy expressions. The kernels now form those inputs
-themselves, one step or one block of steps at a time, and write into
-buffers allocated once, with the same operand order in every product and
-sum. Fed the inputs the kernels form, these must match them: bit for bit in
-the outputs and the gates' gradients, within rounding in the gradients the
-kernels sum by blocks. Both call the current ``_logistic``, so the
-comparison isolates the buffer handling from the logistic's formula.
+``numcore`` kernels: they take the full-size gated input, the GRU's
+[T, 2W, M] and [T, W, M] pre-activations and the lifted [B, T, N, D]
+window, and every step builds its intermediates as fresh arrays from numpy
+expressions. The GRU here keeps the earlier arithmetic (separate input and
+hidden terms, ``(1 - z) * h + z * c``), which the kernel now departs from
+by rounding. The gating kernel forms its inputs itself, one block of steps
+at a time, with the same operand order in every product and sum, so fed
+the inputs it forms this must match it bit for bit in the outputs and the
+gates' gradients, and within rounding in the gradients it sums by blocks.
+All of them call ``_logistic``, whose argument is the negated logit.
 :func:`sigmoid` serves the tests that build a gate from elementwise ops.
 """
 
@@ -26,12 +34,61 @@ from mhgnet.numcore.tensor import _accum, _logistic, _result, _to_tensor, _track
 
 def sigmoid(a) -> Tensor:
     a = _to_tensor(a)
-    out = _logistic(a.data)
+    out = _logistic(-a.data)
 
     def bw(g):
         _accum(a, g * (out * (1.0 - out)))
 
     return _result(out, (a,), bw)
+
+
+def gru_lean(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h) -> Tensor:
+    """GRU recurrence over axis 0 from a zero state, one fresh array per expression.
+
+    Arguments as ``numcore.gru_sequence``'s: [T, K, M], [K, 2W], [K, W],
+    [W, 2W] and [W, W].
+    """
+    parents = tuple(_to_tensor(a) for a in (inputs, w_x_zr, w_x_n, w_zr_h, w_n_h))
+    inputs, w_x_zr, w_x_n, w_zr_h, w_n_h = parents
+    x = inputs.data
+    t, k, m = x.shape
+    w = w_n_h.shape[0]
+    w_zr = np.concatenate([w_x_zr.data, w_zr_h.data])  # [K + W, 2W]
+    w_n = np.concatenate([w_x_n.data, w_n_h.data])  # [K + W, W]
+    states, gates, cands = np.empty((t, w, m)), np.empty((t, 2 * w, m)), np.empty((t, w, m))
+    hidden = np.zeros((w, m))
+    for j in range(t):
+        zr = _logistic((-w_zr.T) @ np.concatenate([x[j], hidden]))
+        z, r = zr[:w], zr[w:]
+        cand = np.tanh(w_n.T @ np.concatenate([x[j], r * hidden]))
+        hidden = hidden + z * (cand - hidden)
+        states[j], gates[j], cands[j] = hidden, zr, cand
+
+    def bw(g):
+        d_x = np.empty((t, k, m))
+        d_w_zr, d_w_n = np.zeros((k + w, 2 * w)), np.zeros((k + w, w))
+        dh = np.zeros((w, m))
+        for j in reversed(range(t)):
+            dh = dh + g[j]
+            z, r, cand = gates[j, :w], gates[j, w:], cands[j]
+            h_prev = states[j - 1] if j else np.zeros((w, m))
+            d_n = dh * z * (1.0 - cand * cand)
+            d_z = dh * z * (cand - h_prev) * (1.0 - z)
+            d_xrh = w_n @ d_n
+            d_r = d_xrh[k:] * (r * h_prev) * (1.0 - r)
+            d_zr = np.concatenate([d_z, d_r])
+            d_xh = w_zr @ d_zr
+            dh = dh * (1.0 - z) + d_xrh[k:] * r + d_xh[k:]
+            d_x[j] = d_xh[:k] + d_xrh[:k]
+            d_w_zr += np.concatenate([x[j], h_prev]) @ d_zr.T
+            d_w_n += np.concatenate([x[j], r * h_prev]) @ d_n.T
+        _accum(inputs, d_x)
+        _accum(w_x_zr, d_w_zr[:k])
+        _accum(w_zr_h, d_w_zr[k:])
+        _accum(w_x_n, d_w_n[:k])
+        _accum(w_n_h, d_w_n[k:])
+
+    return _result(states, parents, bw)
 
 
 def gru_sequence(px_zr, px_n, w_zr_h, w_n_h) -> Tensor:
@@ -48,7 +105,7 @@ def gru_sequence(px_zr, px_n, w_zr_h, w_n_h) -> Tensor:
     cand_all = np.empty((t, w, m)) if keep else None
     hidden = np.zeros((w, m))
     for j in range(t):
-        zr = _logistic(px_zr.data[j] + w_zr.T @ hidden)
+        zr = _logistic(-(px_zr.data[j] + w_zr.T @ hidden))
         z, r = zr[:w], zr[w:]
         cand = np.tanh(px_n.data[j] + w_n.T @ (r * hidden))
         hidden = (1.0 - z) * hidden + z * cand
@@ -102,7 +159,7 @@ def gated_time_means(x, step_logits: Sequence, node_logits: Sequence) -> Tensor:
         remaining = x.data[:, t0:t1].copy()
         for g in range(g_count):
             piece = steps[g].data[:, t0:t1, None] + nodes[g].data
-            _logistic(piece, out=piece)
+            _logistic(np.negative(piece, out=piece), out=piece)
             if keep:
                 gates[g, :, t0:t1] = piece
             piece *= remaining

@@ -306,6 +306,44 @@ class TestTrainEvalFlow:
         assert "error:" in capsys.readouterr().err
 
 
+class TestMismatchedRuns:
+    """Runs the CLI must refuse with exit 1, leaving no checkpoint and leaking no numpy error."""
+
+    @staticmethod
+    def _synth(tmp_path, nodes):
+        path = tmp_path / f"s{nodes}.mhgt"
+        argv = ["synth", "--nodes", str(nodes), "--days", "3", "--patterns", "2"]
+        assert main(argv + ["--steps-per-day", "24", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging step overflows
+    def test_diverged_training_writes_no_checkpoint(self, tmp_path, capsys):
+        # at lr = 1e308 the training loss stays finite, but the parameters reach inf
+        data = self._synth(tmp_path, 6)
+        cfg_path = tmp_path / "div.cfg"
+        cfg_path.write_text("p = 2\nd = 4\nd_s = 4\nd_t = 4\nt_h = 6\nt_f = 6\nk = 4\n"
+                            "epochs = 1\nlr = 1e308\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "non-finite val MAE nan: epoch=0" in capsys.readouterr().err
+        assert not (out / "checkpoint.mhgc").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "cluster-inspect", "graph-dump"])
+    def test_node_count_must_match_the_checkpoint_config(self, command, tmp_path, capsys):
+        cfg = RunConfig(model=ModelConfig(p=2, d=4, d_s=4, d_t=4, t_h=6, t_f=6, k=4))
+        model = ForecastModel(cfg.to_model_config(6, 24))
+        cfg.model.n = 6
+        (tmp_path / "config.cfg").write_text(render_config(cfg))
+        ckpt = tmp_path / "checkpoint.mhgc"
+        save_checkpoint(ckpt, model.store.state(), model.assignment)
+        data = self._synth(tmp_path, 7)
+        capsys.readouterr()
+        assert main([command, "--data", str(data), "--checkpoint", str(ckpt)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: config n = 6 does not match the series' 7 nodes\n"
+        assert captured.out == ""
+
+
 class TestInspection:
     def test_cluster_inspect_output(self, synth_file, capsys, tmp_path):
         cfg_path = _fast_config(tmp_path)

@@ -1,14 +1,16 @@
 """The buffered gate kernels against their expression forms in ``kernel_oracle``.
 
-The kernels form their gated input themselves: ``gated_time_means`` lifts
-K channels one block of time steps at a time, and ``gru_sequence`` runs
-each step's input GEMM. The oracles are fed the full-size inputs the
-kernels never build, ``channels @ lift`` and ``w_xᵀ @ inputs``, formed by
-autodiff ops so that every gradient reaches the same leaves. Outputs and the
-gradients of the logits and hidden weights must match bit for bit; the
-lift's, the channels' and the input weights' gradients, which the kernels
-sum block by block or step by step, within 1e-13 relative. This holds with
-and without a gradient, at ragged shapes with K = 1, over streamed blocks
+``gru_sequence`` runs the lean GRU step in column spans; its states must
+match ``kernel_oracle.gru_lean`` bit for bit, and its gradients, which it
+sums step by step, within 1e-13 relative. Against the earlier arithmetic,
+fed the full pre-activations ``w_xᵀ @ inputs``, everything matches within
+1e-13 relative. ``gated_time_means`` lifts K channels one block of time
+steps at a time; the oracle is fed the full ``channels @ lift`` the kernel
+never builds, formed by autodiff ops so that every gradient reaches the
+same leaves. Its outputs and the logits' gradients must match bit for bit;
+the lift's and the channels' gradients, which the kernel sums block by
+block, within 1e-13 relative. This holds with and without a gradient, at
+ragged shapes with K = 1, over several column spans, over streamed blocks
 of one step, of several steps with a shorter remainder, and of the whole
 window, and at pre-activations of ±800, where the logistic's exp
 overflows.
@@ -62,34 +64,72 @@ def _assert_same(kernel, oracle, leaves, weights, summed):
     return out
 
 
-def _gru_oracle(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h):
+def _gru_parent(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h):
     """The earlier kernel fed the full [T, 2W, M] and [T, W, M] pre-activations."""
     px_zr = matmul(swap_last2(w_x_zr), inputs)
     px_n = matmul(swap_last2(w_x_n), inputs)
     return kernel_oracle.gru_sequence(px_zr, px_n, w_zr_h, w_n_h)
 
 
+def _assert_close(kernel, oracle, leaves, weights):
+    """Outputs and every gradient within RTOL of the oracle's."""
+    for got, ref in zip(*(_forward_and_grads(op, leaves, weights) for op in (kernel, oracle))):
+        for a, b in zip([got] if isinstance(got, np.ndarray) else got,
+                        [ref] if isinstance(ref, np.ndarray) else ref):
+            assert np.max(np.abs(a - b)) <= RTOL * np.max(np.abs(b))
+
+
 class TestGruSequenceBuffers:
     # (T, K, W, M): one step and one channel, ragged, and the model's K and W at an odd M
     SHAPES = [(1, 1, 1, 1), (3, 1, 2, 5), (5, 2, 3, 7), (12, 3, 10, 37)]
-    SUMMED = (0, 1, 2)  # inputs and input weights
+    SUMMED = (0, 1, 2, 3, 4)  # the inputs and all four weights: summed step by step
 
     def shapes(self, t, k, w, m):
         return [(t, k, m), (k, 2 * w), (k, w), (w, 2 * w), (w, w)]
+
+    def check(self, leaves, weights):
+        """Bitwise against the lean step, within RTOL of the earlier arithmetic."""
+        out = _assert_same(gru_sequence, kernel_oracle.gru_lean, leaves, weights, self.SUMMED)
+        _assert_close(gru_sequence, _gru_parent, leaves, weights)
+        return out
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_bitwise_against_expression_form(self, shape):
         rng = np.random.default_rng(80 + sum(shape))
         leaves = _leaves(rng, self.shapes(*shape))
         t, _, w, m = shape
-        _assert_same(gru_sequence, _gru_oracle, leaves, rng.normal(size=(t, w, m)), self.SUMMED)
+        self.check(leaves, rng.normal(size=(t, w, m)))
+
+    @pytest.mark.parametrize("columns", [10, 20])
+    def test_column_spans(self, columns, monkeypatch):
+        # M = 37 runs in 4 spans of 9 or 10 columns, or in 2 of 18 or 19
+        monkeypatch.setattr(tensor_module, "GRU_COLUMNS", columns)
+        rng = np.random.default_rng(87)
+        t, k, w, m = 4, 3, 10, 37
+        leaves = _leaves(rng, self.shapes(t, k, w, m))
+        self.check(leaves, rng.normal(size=(t, w, m)))
+
+    def test_strided_inputs_match_a_contiguous_copy(self):
+        rng = np.random.default_rng(88)
+        t, k, w, m = 5, 3, 4, 24
+        weights = rng.normal(size=(t, w, m))
+        leaves = _leaves(rng, self.shapes(t, k, w, m))
+        strided = rng.normal(size=(m, k, t)).transpose(2, 1, 0)  # [T, K, M], no unit stride along M
+        leaves[0] = Tensor(strided, requires_grad=True)
+        out, grads = _forward_and_grads(gru_sequence, leaves, weights)
+        leaves[0] = Tensor(np.ascontiguousarray(strided), requires_grad=True)
+        ref, ref_grads = _forward_and_grads(gru_sequence, leaves, weights)
+        assert np.array_equal(out, ref)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
 
     def test_without_gradient_keeps_nothing(self):
         rng = np.random.default_rng(85)
         args = [Tensor(rng.normal(size=s)) for s in self.shapes(4, 3, 3, 6)]
         out = gru_sequence(*args)
         assert out._backward is None
-        assert np.array_equal(out.data, _gru_oracle(*args).data)
+        assert np.array_equal(out.data, kernel_oracle.gru_lean(*args).data)
+        ref = _gru_parent(*args).data
+        assert np.max(np.abs(out.data - ref)) <= RTOL * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_saturated_gates_are_finite_and_quiet(self, sign):
@@ -104,9 +144,7 @@ class TestGruSequenceBuffers:
         leaves[3].data[:] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _assert_same(
-                gru_sequence, _gru_oracle, leaves, rng.normal(size=(t, w, m)), self.SUMMED
-            )
+            out = self.check(leaves, rng.normal(size=(t, w, m)))
         assert np.isfinite(out).all()
 
 

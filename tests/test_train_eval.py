@@ -249,6 +249,22 @@ class TestTrainLoop:
         rows = path.read_text().splitlines()
         assert len(calls) == 2 and len(rows) == 2 and rows[1].startswith("0,")
 
+    def test_non_finite_val_mae_raises_after_logging_the_epoch(self, tmp_path, monkeypatch):
+        series, bundle = _small_bundle()
+        model = ForecastModel(_small_cfg())
+        evaluate = train_eval.evaluate
+
+        def nan_mae(*args):
+            return dataclasses.replace(evaluate(*args), mae=float("nan"))
+
+        monkeypatch.setattr(train_eval, "evaluate", nan_mae)
+        path = tmp_path / "log.csv"
+        with pytest.raises(DivergenceError, match="non-finite val MAE nan: epoch=0 batch=0"):
+            train(model, bundle, Schedule(max_horizon=6), epochs=2,
+                  batch_size=len(bundle.train), log_path=path)
+        rows = path.read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0,")
+
     def test_step_graphs_do_not_coexist(self, monkeypatch):
         series, bundle = _small_bundle()
         model = ForecastModel(_small_cfg())
