@@ -525,7 +525,7 @@ def gru_sequence(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h) -> Tensor:
     x = inputs.data
     w_zr = np.concatenate([w_x_zr.data, w_zr_h.data])  # [K + W, 2W]
     w_n = np.concatenate([w_x_n.data, w_n_h.data])  # [K + W, W]
-    neg_zr_t, w_n_t = np.ascontiguousarray(-w_zr.T), np.ascontiguousarray(w_n.T)
+    neg_zr_t, w_n_t = -w_zr.T, w_n.T
     count = max(1, -(-m // GRU_COLUMNS))
     spans = [(i * m // count, (i + 1) * m // count) for i in range(count)]
     widest = -(-m // count)

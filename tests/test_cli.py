@@ -307,7 +307,7 @@ class TestTrainEvalFlow:
 
 
 class TestMismatchedRuns:
-    """Runs the CLI must refuse with exit 1, leaving no checkpoint and leaking no numpy error."""
+    """Runs the CLI must refuse with exit 1, leaving no checkpoint."""
 
     @staticmethod
     def _synth(tmp_path, nodes):

@@ -73,10 +73,10 @@ def _gru_parent(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h):
 
 def _assert_close(kernel, oracle, leaves, weights):
     """Outputs and every gradient within RTOL of the oracle's."""
-    for got, ref in zip(*(_forward_and_grads(op, leaves, weights) for op in (kernel, oracle))):
-        for a, b in zip([got] if isinstance(got, np.ndarray) else got,
-                        [ref] if isinstance(ref, np.ndarray) else ref):
-            assert np.max(np.abs(a - b)) <= RTOL * np.max(np.abs(b))
+    out, grads = _forward_and_grads(kernel, leaves, weights)
+    ref, ref_grads = _forward_and_grads(oracle, leaves, weights)
+    for got, want in zip([out, *grads], [ref, *ref_grads]):
+        assert np.max(np.abs(got - want)) <= RTOL * np.max(np.abs(want))
 
 
 class TestGruSequenceBuffers:
