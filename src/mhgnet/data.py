@@ -345,6 +345,8 @@ def synthesize(
         raise ConfigError(f"need nodes >= patterns, got {nodes} < {patterns}")
     if days < 2:
         raise ConfigError("need at least 2 days")
+    if steps_per_day < 1:
+        raise ConfigError(f"steps_per_day must be positive, got {steps_per_day}")
     steps = days * steps_per_day
     types = (np.arange(nodes) % patterns).astype(np.int32)
 

@@ -35,9 +35,9 @@ from .numcore import (
     relu,
     reshape,
     sum_,
-    swap_last2,
     tanh,
     topk_row_mask,
+    transpose,
 )
 from .std import TimestampEmbeddings
 
@@ -67,7 +67,7 @@ class SpatialGraph:
     def dense(self) -> Tensor:
         """The [N, N] matrix; antisymmetric by construction."""
         m1, m2 = self.m1, self.m2
-        return self.alpha * (matmul(m1, swap_last2(m2)) - matmul(m2, swap_last2(m1)))
+        return self.alpha * (matmul(m1, transpose(m2, (1, 0))) - matmul(m2, transpose(m1, (1, 0))))
 
     def row_sums(self, onehot: np.ndarray) -> Tensor:
         """Each row's sum [N, 1] over its own pool, ``onehot`` [N, P] marking the

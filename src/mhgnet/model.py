@@ -351,8 +351,9 @@ def restore(model: ForecastModel, path) -> None:
 
     Faults raise FormatError at a byte offset, the first in file order: a
     parameter the model lacks at its name, a shape the model does not
-    expect at its dims, a parameter the file lacks at the node count, and
-    a node type outside [0, p) at that entry.
+    expect at its dims, a parameter the file lacks or a node count other
+    than the model's N at the node count, and a node type outside [0, p)
+    at that entry. Nothing is loaded before every check has passed.
     """
     state, types, fields, count_at = load_checkpoint(path)
     shapes = {p.name: p.tensor.shape for p in model.parameters()}
@@ -368,6 +369,8 @@ def restore(model: ForecastModel, path) -> None:
     missing = [name for name in shapes if name not in state]
     if missing:
         raise FormatError(f"checkpoint lacks parameters {missing}", offset=count_at)
+    if types.size != model.cfg.n:
+        raise FormatError(f"node count {types.size}, the model's is {model.cfg.n}", offset=count_at)
     bad = np.flatnonzero(types >= model.cfg.p)
     if bad.size:
         i = int(bad[0])

@@ -16,7 +16,6 @@ from .tensor import (
     reshape,
     slice_axis,
     sum_,
-    swap_last2,
     take,
     tanh,
     topk_row_mask,
@@ -40,7 +39,6 @@ __all__ = [
     "reshape",
     "slice_axis",
     "sum_",
-    "swap_last2",
     "take",
     "tanh",
     "topk_row_mask",

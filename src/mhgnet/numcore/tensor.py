@@ -340,26 +340,13 @@ def reshape(a, shape) -> Tensor:
 
 
 def transpose(a, axes) -> Tensor:
+    """Permute the axes as ``axes`` orders them; the backward applies the inverse."""
     a = _to_tensor(a)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
 
     def bw(g):
-        _accum(a, g.transpose(inverse))
+        _accum(a, g.transpose(np.argsort(axes)))
 
     return _result(a.data.transpose(axes), (a,), bw)
-
-
-def swap_last2(a) -> Tensor:
-    """Transpose the trailing two axes (matrix transpose under batching)."""
-    a = _to_tensor(a)
-    if a.ndim < 2:
-        raise ShapeError(f"swap_last2 needs ndim >= 2, got shape {a.shape}")
-
-    def bw(g):
-        _accum(a, np.swapaxes(g, -1, -2))
-
-    return _result(np.swapaxes(a.data, -1, -2), (a,), bw)
 
 
 def broadcast_to(a, shape) -> Tensor:
@@ -429,42 +416,23 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy-style broadcasting of leading batch dims."""
+    """The product [..., K] @ [K, N] as one GEMM, a's leading dims folded into rows.
+
+    The right operand must be a matrix; any other shape raises ShapeError.
+    """
     a, b = _to_tensor(a), _to_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(
-            f"matmul needs ndim >= 2 operands, got shapes {a.shape} and {b.shape}"
-        )
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
-        )
-
-    if b.ndim == 2:
-        # single GEMM fast path: fold all leading dims of a into rows
-        k, n = b.shape
-        a2 = a.data.reshape(-1, k)
-        data = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
-
-        def bw(g):
-            g2 = g.reshape(-1, n)
-            if a.requires_grad:
-                _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
-            if b.requires_grad:
-                _accum(b, a2.T @ g2)
-
-        return _result(data, (a, b), bw)
-
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError as exc:
-        raise ShapeError(
-            f"matmul batch dims not broadcastable: {a.shape} x {b.shape}"
-        ) from exc
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul needs [..., K] @ [K, N], got shapes {a.shape} and {b.shape}")
+    k, n = b.shape
+    a2 = a.data.reshape(-1, k)
+    data = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
 
     def bw(g):
-        _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+        g2 = g.reshape(-1, n)
+        if a.requires_grad:
+            _accum(a, (g2 @ b.data.T).reshape(a.data.shape))
+        if b.requires_grad:
+            _accum(b, a2.T @ g2)
 
     return _result(data, (a, b), bw)
 
@@ -477,55 +445,43 @@ def matmul(a, b) -> Tensor:
 GRU_COLUMNS = 2048
 
 
-def gru_sequence(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h) -> Tensor:
+def gru_sequence(inputs, w_zr, w_n) -> Tensor:
     """GRU recurrence over axis 0 from a zero state, recorded as one graph node.
 
     Channel-major: ``inputs`` [T, K, M] holds K input channels of M
-    independent sequences; ``w_x_zr`` [K, 2W] and ``w_x_n`` [K, W] map them
-    to the update|reset and the candidate pre-activations (a bias rides on
-    a constant-one channel), and ``w_zr_h`` [W, 2W] and ``w_n_h`` [W, W]
-    are the hidden-side weights. With the state h [W, M], per step:
-    ``z|r = sigmoid([w_x_zr; w_zr_h]ᵀ [x; h])``,
-    ``c = tanh([w_x_n; w_n_h]ᵀ [x; r * h])``, ``h = h + z * (c - h)``.
-    Returns the stacked states [T, W, M].
+    independent sequences (a bias rides on a constant-one channel). The
+    weights are stacked input rows over hidden rows: ``w_zr`` [K + W, 2W]
+    maps [x; h] to the update|reset pre-activations and ``w_n`` [K + W, W]
+    maps [x; r * h] to the candidate's. With the state h [W, M], per step:
+    ``z|r = sigmoid(w_zrᵀ [x; h])``, ``c = tanh(w_nᵀ [x; r * h])``,
+    ``h = h + z * (c - h)``. Returns the stacked states [T, W, M].
 
-    A step is two GEMMs with these stacked [K + W, ·] weights, on [x; h] and
-    [x; r * h] buffers whose rows it writes in place. The update|reset
-    weights are negated once per call, so their GEMM gives minus the
-    pre-activation for the three-pass :func:`_logistic`; the state update is
-    three passes too. The M sequences run in equal column spans of at most
-    ``GRU_COLUMNS``, so the buffers, allocated once per call, stay
-    cache-sized and no span is a narrow remainder, on which BLAS takes
-    another kernel path. With a gradient each span keeps its gates and
-    candidates, and the backward walks the spans from the last step: two
-    GEMMs with the stacked weights give a step's input and state gradients,
-    and the weight gradients are summed step by step from copies of
-    [x; h_prev] and [x; r * h_prev]. Argument slices reach a GEMM only as
-    such copies.
+    A step is these two GEMMs, on [x; h] and [x; r * h] buffers whose rows
+    it writes in place. ``w_zr`` is negated once per call, so its GEMM
+    gives minus the pre-activation for the three-pass :func:`_logistic`;
+    the state update is three passes too. The M sequences run in equal
+    column spans of at most ``GRU_COLUMNS``, so the buffers, allocated once
+    per call, stay cache-sized and no span is a narrow remainder, on which
+    BLAS takes another kernel path. With a gradient each span keeps its
+    gates and candidates, and the backward walks the spans from the last
+    step: two GEMMs with the stacked weights give a step's input and state
+    gradients, and the weights' gradients are summed step by step from
+    copies of [x; h_prev] and [x; r * h_prev]. Argument slices reach a GEMM
+    only as such copies.
     """
-    inputs, w_x_zr, w_x_n, w_zr_h, w_n_h = (
-        _to_tensor(t) for t in (inputs, w_x_zr, w_x_n, w_zr_h, w_n_h)
-    )
-    if inputs.ndim != 3 or w_n_h.ndim != 2:
+    inputs, w_zr, w_n = (_to_tensor(t) for t in (inputs, w_zr, w_n))
+    k = inputs.shape[1] if inputs.ndim == 3 else 0
+    w = w_n.shape[1] if w_n.ndim == 2 else 0
+    if inputs.ndim != 3 or (w_zr.shape, w_n.shape) != ((k + w, 2 * w), (k + w, w)):
         raise ShapeError(
-            f"gru_sequence expects [T, K, M] inputs and [W, W] weights, "
-            f"got {inputs.shape} and {w_n_h.shape}"
+            "gru_sequence expects [T, K, M] inputs and [K + W, 2W] and [K + W, W] weights, "
+            f"got {inputs.shape}, {w_zr.shape} and {w_n.shape}"
         )
-    t, k, m = inputs.shape
-    w = w_n_h.shape[0]
-    if (w_x_zr.shape, w_x_n.shape, w_zr_h.shape, w_n_h.shape) != (
-        (k, 2 * w), (k, w), (w, 2 * w), (w, w)
-    ):
-        raise ShapeError(
-            "gru_sequence shapes disagree: "
-            f"{inputs.shape}, {w_x_zr.shape}, {w_x_n.shape}, {w_zr_h.shape}, {w_n_h.shape}"
-        )
-    parents = (inputs, w_x_zr, w_x_n, w_zr_h, w_n_h)
+    t, _, m = inputs.shape
+    parents = (inputs, w_zr, w_n)
     keep = _tracked(parents)
     x = inputs.data
-    w_zr = np.concatenate([w_x_zr.data, w_zr_h.data])  # [K + W, 2W]
-    w_n = np.concatenate([w_x_n.data, w_n_h.data])  # [K + W, W]
-    neg_zr_t, w_n_t = -w_zr.T, w_n.T
+    neg_zr_t, w_n_t = -w_zr.data.T, w_n.data.T
     count = max(1, -(-m // GRU_COLUMNS))
     spans = [(i * m // count, (i + 1) * m // count) for i in range(count)]
     widest = -(-m // count)
@@ -561,7 +517,7 @@ def gru_sequence(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h) -> Tensor:
 
     def bw(g):
         d_x = np.empty((t, k, m)) if inputs.requires_grad else None
-        d_w = np.zeros((k + w, 3 * w))  # the stacked weights' gradient: z|r, then c
+        d_w_zr, d_w_n = np.zeros((k + w, 2 * w)), np.zeros((k + w, w))
         rows = (k + w, k + w, w, 2 * w, w, w, k + w, k + w)
         flat = np.empty(sum(rows) * widest)
         for (lo, hi), (zr_kept, cand_kept) in zip(spans, kept):
@@ -584,22 +540,21 @@ def gru_sequence(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h) -> Tensor:
                 np.subtract(1.0, z, out=spare)
                 d_z *= spare
                 dh *= spare
-                np.matmul(w_n, d_n, out=d_xrh)
+                np.matmul(w_n.data, d_n, out=d_xrh)
                 np.subtract(1.0, r, out=d_r)
                 d_r *= rh_prev
                 d_r *= d_rh
                 np.multiply(d_rh, r, out=spare)
                 dh += spare
-                np.matmul(w_zr, d_zr, out=d_xh)
+                np.matmul(w_zr.data, d_zr, out=d_xh)
                 dh += d_xh[k:]
                 if d_x is not None:
                     np.add(d_xh[:k], d_xrh[:k], out=d_x[j, :, lo:hi])
-                d_w[:, : 2 * w] += xh @ d_zr.T
-                d_w[:, 2 * w :] += xrh @ d_n.T
+                d_w_zr += xh @ d_zr.T
+                d_w_n += xrh @ d_n.T
         _accum(inputs, d_x)
-        grads = (d_w[:k, : 2 * w], d_w[:k, 2 * w :], d_w[k:, : 2 * w], d_w[k:, 2 * w :])
-        for weight, grad in zip(parents[1:], grads):  # w_x_zr, w_x_n, w_zr_h, w_n_h
-            _accum(weight, grad)
+        _accum(w_zr, d_w_zr)
+        _accum(w_n, d_w_n)
 
     return _result(states, parents, bw)
 

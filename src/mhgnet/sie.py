@@ -18,8 +18,9 @@ x_hat = x * w + b. This is exact: every walk is linear and row-stochastic
 itself, and hop j of x_hat is hop j of x times w plus b. The D-wide
 features the GRU reads, the hop states of x_hat through ``out_proj``, are
 then the [B, T, N, hops] hop states of x through the [hops + 1, D] matrix
-of :func:`hop_lift`, which :func:`gru_scan` folds into the GRU's input
-weights. No [B, T, N, D] tensor is propagated or projected.
+of :func:`hop_lift`, which :func:`gru_scan` folds into the input rows of
+the GRU's two stacked weights. No [B, T, N, D] tensor is propagated or
+projected.
 
 Every mode propagates once, over the node-order graph of all clusters, so
 nothing needs reassembling. A graph of constant rows (``full``, ``no_sg``;
@@ -43,8 +44,8 @@ from .numcore import (
     matmul,
     relu,
     reshape,
+    slice_axis,
     sum_,
-    swap_last2,
     take,
     transpose,
 )
@@ -87,16 +88,17 @@ def propagate(
     else:
         a_tilde = graph.a_hat + np.eye(graph.a_hat.shape[0])
         degree = reshape(sum_(a_tilde, axis=1), (-1, 1))
-        walk_t = swap_last2(keep * a_tilde / degree)
+        walk_t = transpose(keep * a_tilde / degree, (1, 0))
 
         def walk(current: Tensor) -> Tensor:
             return matmul(current, walk_t)
 
-    field = swap_last2(h)  # [..., C, N]
+    swap = (*range(h.ndim - 2), h.ndim - 1, h.ndim - 2)  # the last two axes exchanged
+    field = transpose(h, swap)  # [..., C, N]
     states = [field]
     for _ in range(cfg.hops - 1):
         states.append(cfg.gamma * field + walk(states[-1]))
-    return swap_last2(concat(states, axis=-2))
+    return transpose(concat(states, axis=-2), swap)
 
 
 def _constant_row_walk(graph: ConstantRowGraph, n: int, keep: float):
@@ -136,10 +138,10 @@ def hop_lift(weight: Tensor, bias: Tensor, cfg: PropagationConfig) -> Tensor:
     channel, is bias sum_j P_j.
     """
     d = cfg.out_proj.shape[1]
+    rows = [matmul(weight, slice_axis(cfg.out_proj, 0, j * d, j * d + d)) for j in range(cfg.hops)]
     blocks = reshape(cfg.out_proj, (cfg.hops, d, d))
-    hop_rows = reshape(matmul(weight, blocks), (cfg.hops, d))
-    bias_row = matmul(reshape(bias, (1, d)), sum_(blocks, axis=0))
-    return concat([hop_rows, bias_row], axis=0)
+    rows.append(matmul(reshape(bias, (1, d)), sum_(blocks, axis=0)))
+    return concat(rows, axis=0)
 
 
 def reassemble(cluster_outputs: list[Tensor], assignment: ClusterAssignment) -> Tensor:
@@ -193,7 +195,10 @@ def gru_scan(features: Tensor, lift: Tensor, gru: GruParams) -> Tensor:
     of :func:`gru_sequence`, with a constant-one row appended. The GRU's
     input at each step is [features, 1] @ ``lift`` ([C + 1, D]); the lift
     and each gate's bias are folded into its input weights,
-    ``lift @ w_x + bias_row * b_x`` with K = C + 1 rows, and
+    ``lift @ w_x + bias_row * b_x`` with K = C + 1 rows, and each folded
+    block is stacked over its hidden weights: ``w_zr`` is the update|reset
+    block over ``update_h|reset_h``, ``w_n`` the candidate block over
+    ``cand_h``. The concats' backward splits the weights' gradients again.
     :func:`gru_sequence` applies them one step at a time, so no
     pre-activation of the whole window is built. The recurrence is that
     single op, which checks the shapes.
@@ -212,9 +217,9 @@ def gru_scan(features: Tensor, lift: Tensor, gru: GruParams) -> Tensor:
         concat([gru.update_x, gru.reset_x], axis=1),
         concat([gru.update_b, gru.reset_b], axis=0),
     )
-    w_x_n = fold(gru.cand_x, gru.cand_b)
-    w_zr_h = concat([gru.update_h, gru.reset_h], axis=1)
-    return gru_sequence(inputs, w_x_zr, w_x_n, w_zr_h, gru.cand_h)
+    w_zr = concat([w_x_zr, concat([gru.update_h, gru.reset_h], axis=1)], axis=0)
+    w_n = concat([fold(gru.cand_x, gru.cand_b), gru.cand_h], axis=0)
+    return gru_sequence(inputs, w_zr, w_n)
 
 
 def encode_sequence(
@@ -244,6 +249,6 @@ def encode_sequence(
         keep = 1.0 - enc.dropout
         drawn = (rng.random((b, t, n, width)) < keep).transpose(1, 3, 0, 2)
         h = h * Tensor(drawn.reshape(t, width, m) / keep)
-    hidden = relu(matmul(swap_last2(enc.redist_w1), reshape(h, (t * width, m))))
-    squeezed = matmul(swap_last2(enc.redist_w2), hidden) * reshape(enc.gain, (width, 1))
+    hidden = relu(matmul(transpose(enc.redist_w1, (1, 0)), reshape(h, (t * width, m))))
+    squeezed = matmul(transpose(enc.redist_w2, (1, 0)), hidden) * reshape(enc.gain, (width, 1))
     return transpose(reshape(squeezed, (width, b, n)), (1, 2, 0))

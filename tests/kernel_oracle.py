@@ -42,19 +42,16 @@ def sigmoid(a) -> Tensor:
     return _result(out, (a,), bw)
 
 
-def gru_lean(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h) -> Tensor:
+def gru_lean(inputs, w_zr, w_n) -> Tensor:
     """GRU recurrence over axis 0 from a zero state, one fresh array per expression.
 
-    Arguments as ``numcore.gru_sequence``'s: [T, K, M], [K, 2W], [K, W],
-    [W, 2W] and [W, W].
+    Arguments as ``numcore.gru_sequence``'s: [T, K, M], [K + W, 2W] and
+    [K + W, W].
     """
-    parents = tuple(_to_tensor(a) for a in (inputs, w_x_zr, w_x_n, w_zr_h, w_n_h))
-    inputs, w_x_zr, w_x_n, w_zr_h, w_n_h = parents
-    x = inputs.data
+    parents = tuple(_to_tensor(a) for a in (inputs, w_zr, w_n))
+    x, w_zr, w_n = (p.data for p in parents)
     t, k, m = x.shape
-    w = w_n_h.shape[0]
-    w_zr = np.concatenate([w_x_zr.data, w_zr_h.data])  # [K + W, 2W]
-    w_n = np.concatenate([w_x_n.data, w_n_h.data])  # [K + W, W]
+    w = w_n.shape[1]
     states, gates, cands = np.empty((t, w, m)), np.empty((t, 2 * w, m)), np.empty((t, w, m))
     hidden = np.zeros((w, m))
     for j in range(t):
@@ -82,11 +79,8 @@ def gru_lean(inputs, w_x_zr, w_x_n, w_zr_h, w_n_h) -> Tensor:
             d_x[j] = d_xh[:k] + d_xrh[:k]
             d_w_zr += np.concatenate([x[j], h_prev]) @ d_zr.T
             d_w_n += np.concatenate([x[j], r * h_prev]) @ d_n.T
-        _accum(inputs, d_x)
-        _accum(w_x_zr, d_w_zr[:k])
-        _accum(w_zr_h, d_w_zr[k:])
-        _accum(w_x_n, d_w_n[:k])
-        _accum(w_n_h, d_w_n[k:])
+        for parent, grad in zip(parents, (d_x, d_w_zr, d_w_n)):
+            _accum(parent, grad)
 
     return _result(states, parents, bw)
 

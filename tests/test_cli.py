@@ -192,6 +192,13 @@ class TestUsageErrors:
         args = ["convert", "--csv", str(tmp_path / "r.csv"), "--out", str(tmp_path / "r.mhgt")]
         assert main(args + ["--seed", "1"]) == 2
 
+    def test_negative_steps_per_day_exits_1_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "x.mhgt"
+        args = ["synth", "--nodes", "4", "--days", "2", "--patterns", "2", "--out", str(out)]
+        assert main(args + ["--steps-per-day", "-3"]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_subcommand_exits_2(self):
         assert main([]) == 2
 

@@ -299,6 +299,11 @@ class TestSynthesize:
         with pytest.raises(ConfigError):
             synthesize(nodes=2, days=3, patterns=3, seed=1)
 
+    @pytest.mark.parametrize("steps_per_day", [0, -3])
+    def test_nonpositive_steps_per_day(self, steps_per_day):
+        with pytest.raises(ConfigError, match="steps_per_day"):
+            synthesize(nodes=4, days=2, patterns=2, seed=1, steps_per_day=steps_per_day)
+
     def test_types_distinguishable(self):
         series = synthesize(nodes=8, days=7, patterns=2, seed=5, steps_per_day=48)
         x = series.values[:, :, 0]

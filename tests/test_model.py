@@ -342,6 +342,19 @@ class TestCheckpoint:
         assert exc.value.offset == path.stat().st_size - 4 - 4 * cfg.n
         assert "head.gain" in str(exc.value)
 
+    @pytest.mark.parametrize("nodes", [5, 7])
+    def test_node_count_mismatch_rejected_before_loading(self, nodes, tmp_path):
+        cfg = _tiny_cfg()  # n = 6
+        path = tmp_path / "m.mhgc"
+        assignment = ClusterAssignment.from_types(np.arange(nodes) % 2, cfg.p)
+        save_checkpoint(path, ForecastModel(cfg).store.state(), assignment)
+        other = ForecastModel(_tiny_cfg(seed=99))
+        before = other.store.state()
+        with pytest.raises(FormatError) as exc:
+            restore(other, path)
+        assert exc.value.offset == path.stat().st_size - 4 - 4 * nodes
+        assert all(np.array_equal(v, before[k]) for k, v in other.store.state().items())
+
     def test_shape_mismatch_rejected_at_its_dims(self, tmp_path):
         cfg = _tiny_cfg()
         model = ForecastModel(cfg)

@@ -61,6 +61,13 @@ def _batch_major_gru(x, gru):
     return concat(states, axis=1)
 
 
+def _walk_nodes(walk, x):
+    """``walk`` [m, m] applied along the node axis of x [B, T, m, D]: x with
+    its nodes last times ``walk``ᵀ, a product by a matrix."""
+    nodes_last = transpose(x, (0, 1, 3, 2))
+    return transpose(matmul(nodes_last, transpose(walk, (1, 0))), (0, 1, 3, 2))
+
+
 def _d_wide_forward(model, x, tod, dow):
     """The forecast from propagating x_hat, with each cluster's dense walk."""
     cfg, enc, gru = model.cfg, model.encoder, model.encoder.gru
@@ -77,7 +84,7 @@ def _d_wide_forward(model, x, tod, dow):
         walk = a_tilde / reshape(sum_(a_tilde, axis=1), (-1, 1))
         states, current = [h], h
         for _ in range(cfg.hops - 1):
-            current = cfg.gamma * h + (1.0 - cfg.gamma) * matmul(walk, current)
+            current = cfg.gamma * h + (1.0 - cfg.gamma) * _walk_nodes(walk, current)
             states.append(current)
         parts.append(matmul(concat(states, axis=-1), model.prop_cfg.out_proj))
     repositioned = sie.reassemble(parts, model.assignment)
