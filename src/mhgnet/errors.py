@@ -31,7 +31,7 @@ class MetricsError(MhgnetError, ValueError):
 
 
 class DivergenceError(MhgnetError, RuntimeError):
-    """Training produced a non-finite loss; carries diagnostic context."""
+    """Training diverged (a non-finite loss, parameter or val MAE); carries diagnostic context."""
 
 
 class GraphReleasedError(MhgnetError, RuntimeError):

@@ -440,6 +440,12 @@ def matmul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 # gated recurrence
 
+def _spans(m: int, widest: int) -> list[tuple[int, int]]:
+    """The fewest equal [lo, hi) spans that cover range(m), each at most ``widest`` long."""
+    count = max(1, -(-m // widest))
+    return [(i * m // count, (i + 1) * m // count) for i in range(count)]
+
+
 # sequences per column span of the GRU recurrence: a span's step buffers stay
 # within L2
 GRU_COLUMNS = 2048
@@ -482,9 +488,8 @@ def gru_sequence(inputs, w_zr, w_n) -> Tensor:
     keep = _tracked(parents)
     x = inputs.data
     neg_zr_t, w_n_t = -w_zr.data.T, w_n.data.T
-    count = max(1, -(-m // GRU_COLUMNS))
-    spans = [(i * m // count, (i + 1) * m // count) for i in range(count)]
-    widest = -(-m // count)
+    spans = _spans(m, GRU_COLUMNS)
+    widest = max(hi - lo for lo, hi in spans)
 
     def buffers(flat, rows, c):
         """Contiguous [r, c] buffers, one per entry of ``rows``, end to end in ``flat``."""
@@ -559,8 +564,37 @@ def gru_sequence(inputs, w_zr, w_n) -> Tensor:
     return _result(states, parents, bw)
 
 
-# float64 values per [B, c, N, D] buffer of a streamed gating block
+# float64 values per streamed gating block: a block holds c >= 1 steps of the
+# batch's B windows, and a tile of windows as many as one step of it fits
 STREAM_BUDGET = 2**16
+
+
+def _distinct_rows(stacked: Array) -> tuple[Array, Array]:
+    """The distinct [G, D] rows of contiguous ``stacked`` [W, T, G, D].
+
+    Rows are told apart by their bytes, so rows that share a key are equal
+    bit for bit (0.0 and -0.0 differ; a NaN matches only its own bit
+    pattern). Returns the distinct rows [U, G, D] in order of first
+    appearance and, for each (window, step), the index of its row [W, T].
+    """
+    w, t, g, d = stacked.shape
+    keys = stacked.reshape(w * t, g * d).view(np.dtype((np.void, 8 * g * d)))
+    seen: dict[bytes, int] = {}
+    index = [seen.setdefault(key, len(seen)) for key in keys.ravel().tolist()]
+    rows = np.frombuffer(b"".join(seen), dtype=np.float64).reshape(-1, g, d)
+    return rows, np.array(index, dtype=np.intp).reshape(w, t)
+
+
+def _gate_block(table: Array, index: Array | None, g: int, t0: int, t1: int, out: Array) -> Array:
+    """Gate g of steps [t0, t1) of a tile, [W, c, N, D], read from its table.
+
+    A table with an index holds distinct gates [G, U, N, D], gathered into
+    ``out``; without one it holds every step's gates [G, W, T, N, D].
+    """
+    if index is None:
+        return table[g, :, t0:t1]
+    # "clip" does not buffer the gather the way the default "raise" does
+    return np.take(table[g], index[:, t0:t1], axis=0, out=out, mode="clip")
 
 
 def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequence) -> Tensor:
@@ -573,19 +607,39 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
     residual times gate g, the residual then loses that pattern, and
     pattern G is what remains, so the G + 1 patterns sum to x. Returns
     their time means as [B, N, (G+1)·D], pattern p in channels p·D to
-    (p+1)·D. Neither x nor the patterns are built: T is streamed in blocks
-    of c = max(1, min(T, STREAM_BUDGET // (B·N·D))) steps, each block's
-    residual starts as that block's ``channels @ lift``, and its patterns
-    are added into the sums step by step, in time order, as ``mean`` over
-    axis 1 adds them. The block's residual and gated piece live in two
-    contiguous buffers allocated once. The logit parts are negated once per
-    call, so their sum is exactly minus the logit, which the three-pass
-    :func:`_logistic` takes. Each gate is built in place in the piece
-    buffer and, when a gradient will be taken, copied from there to the
-    gates kept for the backward pass (building it in that strided slot
-    instead is slower). The backward rebuilds each block's residual the
-    same way, adds the block's share of the lift's gradient, and builds
-    the channels' gradient only when they require one.
+    (p+1)·D.
+
+    Neither x nor the patterns are built. The batch runs in equal tiles of
+    at most STREAM_BUDGET // (N·D) whole windows, and each tile's T steps
+    in blocks of c = max(1, min(T, STREAM_BUDGET // (B·N·D))) steps (c is
+    1 whenever there are two tiles or more). Each block's residual starts
+    as that block's ``channels @ lift``, and its patterns are added into
+    the sums step by step, in time order, as ``mean`` over axis 1 adds
+    them. The block's residual and gated piece live in two contiguous
+    buffers allocated once.
+
+    A gate depends on its (window, step) only through the G stacked
+    step-logit rows, and windows that share timestamps share those rows. So
+    a tile takes each distinct row's gates once, as a table [G, U, N, D]
+    (:func:`_distinct_rows` keys the rows by their bytes, so the result is
+    bit-identical), and each block gathers its gates from it. A tile of one
+    window or whose rows never repeat takes its gates per block instead,
+    and so does one whose table would be larger than two [B, c, N, D]
+    blocks when no gradient will be taken; then all tables of a call share
+    one allocation. The logit parts are negated once per call, so a gate's
+    argument is exactly minus its logit, which the three-pass
+    :func:`_logistic` takes.
+
+    When a gradient will be taken every tile keeps its gates for the
+    backward pass: its table, or else every step's gates [G, W, T, N, D]
+    copied from the piece buffer. The backward walks the same tiles and
+    blocks in buffers allocated once: it rebuilds each block's G + 1
+    residuals as the forward built them, updates the residual's and the
+    gated pieces' gradients in place, adds the block's share of the lift's
+    gradient, and builds the channels' gradient only when they require one.
+    A block's node-logit gradient is summed window by window across the
+    tiles, in the order one sum over the whole block takes, so it does not
+    depend on the tiling.
     """
     channels, lift = _to_tensor(channels), _to_tensor(lift)
     steps = [_to_tensor(s) for s in step_logits]
@@ -609,28 +663,56 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
     keep = _tracked(parents)
     block = max(1, min(t, STREAM_BUDGET // max(1, b * n * d)))
     bounds = [(t0, min(t0 + block, t)) for t0 in range(0, t, block)]
+    tiles = _spans(b, max(1, STREAM_BUDGET // max(1, n * d)))
+    size = -(-b // len(tiles)) * block * n * d  # floats in one block buffer of the widest tile
     # the logit parts, negated once: (-a) + (-b) is exactly -(a + b)
     neg_steps = [np.negative(s.data) for s in steps]
     neg_nodes = [np.negative(v.data) for v in nodes]
-    gates = np.empty((g_count, b, t, n, d)) if keep else None
+    # each tile's distinct rows and the row of each of its steps, or (None, None)
+    distinct = [(None, None)] * len(tiles)
+    largest = 0  # floats in the largest table
+    if g_count and b > len(tiles):
+        stacked = np.stack(neg_steps, axis=2)  # [B, T, G, D]
+        for i, (w0, w1) in enumerate(tiles):
+            rows, index = _distinct_rows(stacked[w0:w1])
+            # a table without a gradient is no larger than two [B, c, N, D] blocks
+            if len(rows) < (w1 - w0) * t and (keep or rows.size * n <= 2 * b * block * n * d):
+                distinct[i] = rows, index
+                largest = max(largest, rows.size * n)
+    shared = np.empty(largest) if largest and not keep else None
+    kept = []  # each tile's (table, index), which the backward pass reads
     sums = np.zeros((g_count + 1, b, n, d))
-    # one block's residual and gated piece; the last block may be shorter
-    flat = np.empty((2, b * block * n * d))
-    for t0, t1 in bounds:
-        c = t1 - t0
-        remaining, piece = (f[: b * c * n * d].reshape(b, c, n, d) for f in flat)
-        np.matmul(channels.data[:, t0:t1], lift.data, out=remaining)
-        for g in range(g_count):
-            np.add(neg_steps[g][:, t0:t1, None], neg_nodes[g], out=piece)
-            _logistic(piece, out=piece)
-            if keep:
-                gates[g, :, t0:t1] = piece
-            piece *= remaining
+    flat = np.empty((2, size))
+    for (w0, w1), (rows, index) in zip(tiles, distinct):
+        tile_sums = sums[:, w0:w1]
+        table = None
+        if rows is not None:
+            table = np.empty(rows.size * n) if keep else shared[: rows.size * n]
+            table = table.reshape(g_count, len(rows), n, d)
+            for g in range(g_count):
+                np.add(rows[:, g, None], neg_nodes[g], out=table[g])
+            _logistic(table, out=table)
+        elif keep:
+            table = np.empty((g_count, w1 - w0, t, n, d))
+        kept.append((table, index))
+        for t0, t1 in bounds:
+            c = t1 - t0
+            remaining, piece = (f[: (w1 - w0) * c * n * d].reshape(w1 - w0, c, n, d) for f in flat)
+            np.matmul(channels.data[w0:w1, t0:t1], lift.data, out=remaining)
+            for g in range(g_count):
+                if index is not None:
+                    _gate_block(table, index, g, t0, t1, out=piece)
+                else:
+                    np.add(neg_steps[g][w0:w1, t0:t1, None], neg_nodes[g], out=piece)
+                    _logistic(piece, out=piece)
+                    if keep:
+                        table[g, :, t0:t1] = piece
+                piece *= remaining
+                for j in range(c):
+                    tile_sums[g] += piece[:, j]
+                remaining -= piece
             for j in range(c):
-                sums[g] += piece[:, j]
-            remaining -= piece
-        for j in range(c):
-            sums[g_count] += remaining[:, j]
+                tile_sums[g_count] += remaining[:, j]
     sums /= t
     out = sums.transpose(1, 2, 0, 3).reshape(b, n, (g_count + 1) * d)
 
@@ -641,29 +723,44 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
         d_channels = np.empty((b, t, n, k)) if channels.requires_grad else None
         d_lift = np.zeros((k, d))
         d_steps = np.empty((g_count, b, t, d))
+        # each block's node-logit gradient, summed window by window across the
+        # tiles in the order the whole block's sum over windows and steps takes
+        partial = np.zeros((len(bounds), g_count, n, d))
+        # the residual ahead of each gate and after the last, the gathered
+        # gates and the residual's gradient; and a gated piece's gradient
+        # after one row that carries its block's node-logit sum so far
+        flat = np.empty((2 * g_count + 2, size))
+        chain = np.empty(n * d + size)
+        for (w0, w1), (table, index) in zip(tiles, kept):
+            for i, (t0, t1) in enumerate(bounds):
+                block_channels = channels.data[w0:w1, t0:t1]
+                shape = (w1 - w0, t1 - t0, n, d)
+                views = [f[: (w1 - w0) * (t1 - t0) * n * d].reshape(shape) for f in flat]
+                residuals, gathered, d_rem = views[: g_count + 1], views[g_count + 1 : -1], views[-1]
+                chained = chain[: n * d + views[0].size].reshape(-1, n, d)
+                d_gated = chained[1:].reshape(shape)
+                np.matmul(block_channels, lift.data, out=residuals[0])
+                gates = [_gate_block(table, index, g, t0, t1, out) for g, out in enumerate(gathered)]
+                for g, gate in enumerate(gates):
+                    np.multiply(gate, residuals[g], out=residuals[g + 1])
+                    np.subtract(residuals[g], residuals[g + 1], out=residuals[g + 1])
+                d_rem[:] = u[g_count, w0:w1]
+                for g in reversed(range(g_count)):
+                    # pattern g is s·r_g and r_(g+1) = (1 - s)·r_g, so with v = u_g - d_rem
+                    # r_g gets d_rem + v·s and the logit v·s·(1 - s)·r_g = v·s·r_(g+1)
+                    np.subtract(u[g, w0:w1], d_rem, out=d_gated)
+                    d_gated *= gates[g]
+                    d_rem += d_gated
+                    d_gated *= residuals[g + 1]
+                    d_steps[g, w0:w1, t0:t1] = ones @ d_gated
+                    chained[0] = partial[i, g]
+                    np.add.reduce(chained, axis=0, out=partial[i, g])
+                d_lift += np.tensordot(block_channels, d_rem, axes=([0, 1, 2], [0, 1, 2]))
+                if d_channels is not None:
+                    d_channels[w0:w1, t0:t1] = d_rem @ lift.data.T
         d_nodes = np.zeros((g_count, n, d))
-        for t0, t1 in bounds:
-            block_channels = channels.data[:, t0:t1]
-            # the residual ahead of each gate and after the last, rebuilt as
-            # the forward built it
-            residuals = [np.matmul(block_channels, lift.data)]
-            for g in range(g_count):
-                residuals.append(residuals[g] - gates[g, :, t0:t1] * residuals[g])
-            d_rem = u[g_count]
-            for g in reversed(range(g_count)):
-                # pattern g is s·r_g and r_(g+1) = (1 - s)·r_g, so with v = u_g - d_rem
-                # r_g gets d_rem + v·s and the logit v·s·(1 - s)·r_g = v·s·r_(g+1)
-                d_gated = (u[g] - d_rem) * gates[g, :, t0:t1]
-                d_rem = d_rem + d_gated
-                d_gated *= residuals[g + 1]
-                d_steps[g, :, t0:t1] = ones @ d_gated
-                d_nodes[g] += d_gated.sum(axis=(0, 1))
-            # d_rem is [B, c, N, D], or the broadcast [B, 1, N, D] when there are no gates
-            if d_rem.shape[1] != t1 - t0:
-                block_channels = block_channels.sum(axis=1, keepdims=True)
-            d_lift += np.tensordot(block_channels, d_rem, axes=([0, 1, 2], [0, 1, 2]))
-            if d_channels is not None:
-                d_channels[:, t0:t1] = d_rem @ lift.data.T
+        for block_sum in partial:
+            d_nodes += block_sum
         _accum(channels, d_channels)
         _accum(lift, d_lift)
         for g in range(g_count):

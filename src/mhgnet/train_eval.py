@@ -211,11 +211,25 @@ def evaluate(
 
 
 def _diagnostics(model: ForecastModel, epoch: int, batch: int) -> str:
-    norms = ", ".join(
-        f"{p.name}={float(np.linalg.norm(p.tensor.data)):.3e}"
-        for p in model.parameters()[:8]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged norm reads inf or nan
+        norms = ", ".join(
+            f"{p.name}={float(np.linalg.norm(p.tensor.data)):.3e}"
+            for p in model.parameters()[:8]
+        )
     return f"epoch={epoch} batch={batch} param_norms: {norms}"
+
+
+def _first_diverged(model: ForecastModel) -> str | None:
+    """The name of the first parameter whose sum of squares is not finite, if any.
+
+    That sum is finite only when every value is finite and no larger than
+    about 1e154 in magnitude; beyond that the next forward overflows.
+    """
+    for p in model.parameters():
+        values = p.tensor.data.ravel()
+        if not np.isfinite(values @ values):
+            return p.name
+    return None
 
 
 def train(
@@ -258,7 +272,14 @@ def train(
                 )
             model.zero_grad()
             loss.backward()
-            optimizer.step(lr)
+            with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                optimizer.step(lr)
+                diverged = _first_diverged(model)
+            if diverged is not None:
+                raise DivergenceError(
+                    f"parameter {diverged} has a non-finite sum of squares after the Adam step: "
+                    f"{_diagnostics(model, epoch, batch_no)}"
+                )
             batch_losses.append(value)
 
         report = evaluate(model, data.val, data.scaler, batch_size)

@@ -323,16 +323,22 @@ class TestMismatchedRuns:
         assert main(argv + ["--steps-per-day", "24", "--out", str(path)]) == 0
         return path
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging step overflows
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_training_writes_no_checkpoint(self, tmp_path, capsys):
-        # at lr = 1e308 the training loss stays finite, but the parameters reach inf
+        # at lr = 1e308 the training loss stays finite, but the first Adam step
+        # takes every parameter to about 5e306, whose square overflows: the run
+        # stops there with one line, before any forward overflows and warns
         data = self._synth(tmp_path, 6)
         cfg_path = tmp_path / "div.cfg"
         cfg_path.write_text("p = 2\nd = 4\nd_s = 4\nd_t = 4\nt_h = 6\nt_f = 6\nk = 4\n"
                             "epochs = 1\nlr = 1e308\n")
         out = tmp_path / "run"
+        capsys.readouterr()
         assert main(["train", "--data", str(data), "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert "non-finite val MAE nan: epoch=0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: parameter embed.weight has a non-finite sum of squares "
+                              "after the Adam step: epoch=0 batch=0 param_norms: embed.weight=inf")
         assert not (out / "checkpoint.mhgc").exists()
 
     @pytest.mark.parametrize("command", ["eval", "cluster-inspect", "graph-dump"])
