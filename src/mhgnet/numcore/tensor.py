@@ -625,8 +625,7 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
     bit-identical), and each block gathers its gates from it. A tile of one
     window or whose rows never repeat takes its gates per block instead,
     and so does one whose table would be larger than two [B, c, N, D]
-    blocks when no gradient will be taken; then all tables of a call share
-    one allocation. The logit parts are negated once per call, so a gate's
+    blocks when no gradient will be taken. The logit parts are negated once per call, so a gate's
     argument is exactly minus its logit, which the three-pass
     :func:`_logistic` takes.
 
@@ -663,41 +662,41 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
     keep = _tracked(parents)
     block = max(1, min(t, STREAM_BUDGET // max(1, b * n * d)))
     bounds = [(t0, min(t0 + block, t)) for t0 in range(0, t, block)]
-    tiles = _spans(b, max(1, STREAM_BUDGET // max(1, n * d)))
+    # without a gradient a tile holds at most half the batch, so that at least
+    # half of the block allocation below is left for its table
+    tiles = _spans(b, max(1, min(STREAM_BUDGET // max(1, n * d), b if keep else -(-b // 2))))
     size = -(-b // len(tiles)) * block * n * d  # floats in one block buffer of the widest tile
     # the logit parts, negated once: (-a) + (-b) is exactly -(a + b)
     neg_steps = [np.negative(s.data) for s in steps]
     neg_nodes = [np.negative(v.data) for v in nodes]
-    # each tile's distinct rows and the row of each of its steps, or (None, None)
-    distinct = [(None, None)] * len(tiles)
-    largest = 0  # floats in the largest table
-    if g_count and b > len(tiles):
-        stacked = np.stack(neg_steps, axis=2)  # [B, T, G, D]
-        for i, (w0, w1) in enumerate(tiles):
-            rows, index = _distinct_rows(stacked[w0:w1])
-            # a table without a gradient is no larger than two [B, c, N, D] blocks
-            if len(rows) < (w1 - w0) * t and (keep or rows.size * n <= 2 * b * block * n * d):
-                distinct[i] = rows, index
-                largest = max(largest, rows.size * n)
-    shared = np.empty(largest) if largest and not keep else None
-    kept = []  # each tile's (table, index), which the backward pass reads
+    stacked = np.stack(neg_steps, axis=2) if g_count and b > len(tiles) else None  # [B, T, G, D]
+    kept = []  # with a gradient, each tile's (table, index) for the backward pass
     sums = np.zeros((g_count + 1, b, n, d))
-    flat = np.empty((2, size))
-    for (w0, w1), (rows, index) in zip(tiles, distinct):
+    # one allocation as large as two [B, c, N, D] blocks: a tile's residual and
+    # gated piece and, without a gradient, its table in the rest if it fits
+    flat = np.empty(2 * b * block * n * d)
+    for w0, w1 in tiles:
         tile_sums = sums[:, w0:w1]
-        table = None
-        if rows is not None:
-            table = np.empty(rows.size * n) if keep else shared[: rows.size * n]
-            table = table.reshape(g_count, len(rows), n, d)
-            for g in range(g_count):
-                np.add(rows[:, g, None], neg_nodes[g], out=table[g])
-            _logistic(table, out=table)
-        elif keep:
-            table = np.empty((g_count, w1 - w0, t, n, d))
-        kept.append((table, index))
+        table = index = None
+        if stacked is not None and w1 - w0 > 1:
+            rows, index = _distinct_rows(stacked[w0:w1])
+            if len(rows) == (w1 - w0) * t or not keep and rows.size * n > flat.size - 2 * size:
+                index = None
+            else:
+                table = np.empty(rows.size * n) if keep else flat[2 * size : 2 * size + rows.size * n]
+                table = table.reshape(g_count, len(rows), n, d)
+                for g in range(g_count):
+                    np.add(rows[:, g, None], neg_nodes[g], out=table[g])
+                _logistic(table, out=table)
+        if keep:
+            if index is None:
+                table = np.empty((g_count, w1 - w0, t, n, d))
+            kept.append((table, index))
         for t0, t1 in bounds:
             c = t1 - t0
-            remaining, piece = (f[: (w1 - w0) * c * n * d].reshape(w1 - w0, c, n, d) for f in flat)
+            remaining, piece = (
+                flat[lo : lo + (w1 - w0) * c * n * d].reshape(w1 - w0, c, n, d) for lo in (0, size)
+            )
             np.matmul(channels.data[w0:w1, t0:t1], lift.data, out=remaining)
             for g in range(g_count):
                 if index is not None:

@@ -208,3 +208,136 @@ class TestGatedTimeMeansBuffers:
         x = leaves[0].data @ leaves[1].data
         assert np.allclose(out[..., :d], x.mean(axis=1), rtol=1e-15, atol=0.0)
         assert not out[..., d:].any()
+
+
+def _consecutive_steps(rng, b, t, d, g):
+    """G step-logit parts [B, T, D] of B consecutive windows: window w's step j
+    reads timestamp w + j, so the batch holds B + T - 1 distinct rows."""
+    rows = rng.normal(size=(g, b + t - 1, d))
+    at = np.arange(b)[:, None] + np.arange(t)
+    return [rows[i][at] for i in range(g)]
+
+
+class TestGateTables:
+    """Gates taken once per distinct stacked step-logit row, in window tiles."""
+
+    G = 2
+
+    def leaves(self, shape, seed, steps=None):
+        b, t, n, k, d = shape
+        rng = np.random.default_rng(seed)
+        steps = _consecutive_steps(rng, b, t, d, self.G) if steps is None else steps
+        parts = [rng.normal(size=(b, t, n, k)), rng.normal(size=(k, d))]
+        parts += steps + [rng.normal(size=(n, d)) for _ in range(self.G)]
+        return [Tensor(p, requires_grad=True) for p in parts], rng.normal(size=(b, n, 3 * d))
+
+    def count_logistic(self, monkeypatch):
+        """Patch the kernel's logistic to count the elements it is given."""
+        seen = []
+        logistic = tensor_module._logistic
+
+        def counting(neg, out=None):
+            seen.append(neg.size)
+            return logistic(neg, out=out)
+
+        monkeypatch.setattr(tensor_module, "_logistic", counting)
+        return seen
+
+    def test_a_window_alone_and_in_a_batch_match_bitwise(self):
+        b, t, n, k, d = shape = (6, 5, 4, 2, 3)
+        leaves, _ = self.leaves(shape, seed=120)
+        batch = _gated_kernel(self.G)(*leaves).data
+        for w in range(b):
+            alone = [Tensor(p.data[w : w + 1]) for p in leaves[:1]] + [leaves[1]]
+            alone += [Tensor(s.data[w : w + 1]) for s in leaves[2 : 2 + self.G]]
+            alone += leaves[2 + self.G :]
+            with no_grad():
+                assert np.array_equal(_gated_kernel(self.G)(*alone).data[0], batch[w])
+
+    def test_logistic_sees_each_distinct_row_once(self, monkeypatch):
+        # with a gradient the 6 windows are one tile
+        b, t, n, k, d = shape = (6, 5, 4, 2, 3)
+        leaves, weights = self.leaves(shape, seed=121)
+        seen = self.count_logistic(monkeypatch)
+        out, _ = _forward_and_grads(_gated_kernel(self.G), leaves, weights)
+        assert sum(seen) == self.G * (b + t - 1) * n * d
+        ref, _ = _forward_and_grads(_gated_oracle(self.G), leaves, weights)
+        assert np.array_equal(out, ref)
+
+    def test_without_gradient_each_half_of_the_batch_is_a_tile(self, monkeypatch):
+        # two runs of 3 consecutive windows that share no timestamp, one per tile
+        b, t, n, k, d = shape = (6, 5, 4, 2, 3)
+        rng = np.random.default_rng(127)
+        halves = [_consecutive_steps(rng, b // 2, t, d, self.G) for _ in range(2)]
+        steps = [np.concatenate([h[i] for h in halves]) for i in range(self.G)]
+        leaves, _ = self.leaves(shape, seed=128, steps=steps)
+        seen = self.count_logistic(monkeypatch)
+        with no_grad():
+            out = _gated_kernel(self.G)(*leaves).data
+        assert sum(seen) == self.G * 2 * (b // 2 + t - 1) * n * d
+        with no_grad():
+            assert np.array_equal(out, _gated_oracle(self.G)(*leaves).data)
+
+    def test_a_fifth_of_the_logistic_at_n300_on_64_consecutive_windows(self, monkeypatch):
+        b, t, n, d = 64, 12, 300, 10
+        rng = np.random.default_rng(122)
+        steps = [Tensor(s) for s in _consecutive_steps(rng, b, t, d, self.G)]
+        nodes = [Tensor(rng.normal(size=(n, d))) for _ in range(self.G)]
+        channels, lift = Tensor(rng.normal(size=(b, t, n, 2))), Tensor(rng.normal(size=(2, d)))
+        seen = self.count_logistic(monkeypatch)
+        gated_time_means(channels, lift, steps, nodes)
+        assert sum(seen) <= self.G * b * t * n * d / 5
+
+    # (B, T, N, K, D), budget, and the rows the logistic takes with and
+    # without a gradient. "tiles": with a gradient, tiles of 1, 2 and 2
+    # windows, the first taking its gates per block (4 rows), the others a
+    # table of 5 rows each; without one, no table fits beside one-step
+    # blocks. "blocks": blocks of 2 steps and a 1-step remainder; with a
+    # gradient one tile (7 rows); without one, tiles of 2 and 3 windows, the
+    # first with a table of 4 rows in the block allocation, the second's too
+    # large for it (9 rows per block). "no room": with a gradient one tile (8
+    # rows); without one, no table fits beside one-step blocks.
+    RAGGED = {
+        "tiles": ((5, 4, 3, 2, 2), lambda b, n, d: 2 * n * d, 14, 20),
+        "blocks": ((5, 3, 2, 1, 3), lambda b, n, d: 2 * b * n * d, 7, 13),
+        "no room": ((4, 5, 3, 2, 2), lambda b, n, d: b * n * d, 8, 20),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RAGGED))
+    def test_ragged_tiles_and_blocks_match_the_oracle(self, case, monkeypatch):
+        shape, budget, with_gradient, without = self.RAGGED[case]
+        b, t, n, k, d = shape
+        monkeypatch.setattr(tensor_module, "STREAM_BUDGET", budget(b, n, d))
+        leaves, weights = self.leaves(shape, seed=123)
+        _assert_same(_gated_kernel(self.G), _gated_oracle(self.G), leaves, weights, (0, 1))
+        seen = self.count_logistic(monkeypatch)
+        _gated_kernel(self.G)(*leaves)
+        assert sum(seen) == self.G * with_gradient * n * d
+        seen.clear()
+        with no_grad():
+            _gated_kernel(self.G)(*leaves)
+        assert sum(seen) == self.G * without * n * d
+
+    def test_signed_zeros_and_nans_match_the_oracle(self):
+        b, t, n, k, d = shape = (3, 4, 3, 2, 2)
+        rng = np.random.default_rng(125)
+        steps = _consecutive_steps(rng, b, t, d, self.G)
+        # timestamp 1 is window 0's step 1 and window 1's step 0: -0.0 in one, 0.0 in the other
+        steps[0][0, 1, 0], steps[0][1, 0, 0] = -0.0, 0.0
+        # timestamp 3 holds a NaN in all three windows that read it
+        for w in range(b):
+            steps[1][w, 3 - w, 1] = np.nan
+        leaves, weights = self.leaves(shape, seed=126, steps=steps)
+        leaves[2 + self.G].data[0, 0] = -0.0  # the node logit the signed zeros meet
+        rows, index = tensor_module._distinct_rows(np.stack(steps, axis=2))
+        assert index[0, 1] != index[1, 0]  # told apart by their bytes
+        assert index[0, 3] == index[1, 2] == index[2, 1]  # one NaN bit pattern
+        assert len(rows) == b + t
+        out, grads = _forward_and_grads(_gated_kernel(self.G), leaves, weights)
+        ref, ref_grads = _forward_and_grads(_gated_oracle(self.G), leaves, weights)
+        assert np.isnan(out).any() and np.array_equal(out, ref, equal_nan=True)
+        for i, (grad, ref_grad) in enumerate(zip(grads, ref_grads)):
+            if i >= 2:  # the logits' gradients; the lift's and channels' are all NaN
+                assert np.array_equal(grad, ref_grad, equal_nan=True), i
+        with no_grad():
+            assert np.array_equal(_gated_kernel(self.G)(*leaves).data, ref, equal_nan=True)

@@ -1,11 +1,12 @@
-"""Tracemalloc peaks of a batched forecast and of a train step.
+"""Tracemalloc peaks of a batched forecast and of a train step, and a serving process's peak RSS.
 
     PYTHONPATH=src python3 tools/memory_probe.py [--smoke]
 
 Each case builds ``ModelConfig(n=N, seed=1)`` on ``synthesize(N, 7, 3,
-seed=1)`` windowed to 12 -> 12 steps, refreshes its clusters on the probe
-windows as training does, and reports the peak bytes that Python and numpy
-allocate while the case runs (tracemalloc counts numpy's array buffers):
+seed=1)`` windowed to 12 -> 12 steps and refreshes its clusters on the
+probe windows as training does. The first two kinds of case report the
+peak bytes that Python and numpy allocate while the case runs (tracemalloc
+counts numpy's array buffers):
 
 - ``forecast``: one ``no_grad`` eval-mode forward of the first B = 64
   training windows at N = 300;
@@ -15,21 +16,29 @@ allocate while the case runs (tracemalloc counts numpy's array buffers):
   Adam moments that the first step allocates for good are already in
   place.
 
-``--smoke`` runs both kinds of case at N = 8, B = 4 in a second or two.
+``serve`` runs in a fresh child process, as a server would: after the set
+up it forecasts the first B test windows one at a time, then all of them in
+one ``predict`` at batch size B (N = 300, B = 64). It reports the peak
+resident set size, ``VmHWM`` of ``/proc/self/status`` (Linux only), after
+the set up and at the end, in MiB as the benchmark's ``peak_rss_mb``.
+
+``--smoke`` runs every kind of case at N = 8, B = 4 in a few seconds.
 """
 
 from __future__ import annotations
 
 import argparse
+import subprocess
+import sys
 import tracemalloc
 
 from mhgnet.data import make_bundle, synthesize
 from mhgnet.model import ForecastModel, ModelConfig
 from mhgnet.numcore import no_grad
-from mhgnet.train_eval import Adam, Schedule, masked_mae_loss
+from mhgnet.train_eval import Adam, Schedule, masked_mae_loss, predict
 
-FULL = [("forecast", 300, 64), ("train step", 24, 64), ("train step", 300, 16)]
-SMOKE = [("forecast", 8, 4), ("train step", 8, 4)]
+FULL = [("forecast", 300, 64), ("train step", 24, 64), ("train step", 300, 16), ("serve", 300, 64)]
+SMOKE = [("forecast", 8, 4), ("train step", 8, 4), ("serve", 8, 4)]
 
 
 def _peak(run) -> int:
@@ -42,10 +51,33 @@ def _peak(run) -> int:
         tracemalloc.stop()
 
 
-def measure(case: str, n: int, b: int) -> int:
+def _set_up(n: int):
     bundle = make_bundle(synthesize(n, 7, 3, seed=1), 12, 12)
     model = ForecastModel(ModelConfig(n=n, seed=1))
     model.refresh_clusters(bundle.train, bundle.scaler)
+    return bundle, model
+
+
+def _vm_hwm_mib() -> float:
+    """The peak resident set size of this process, ``VmHWM``, in MiB."""
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith("VmHWM:"))
+    return int(line.split()[1]) / 1024.0  # the field is in KiB
+
+
+def serve(n: int, b: int) -> str:
+    """The serve case's ``VmHWM`` after the set up and at the end (run in a fresh process)."""
+    bundle, model = _set_up(n)
+    windows = bundle.test.slice(slice(0, b))
+    after_set_up = _vm_hwm_mib()
+    for j in range(b):
+        predict(model, windows.slice(slice(j, j + 1)), bundle.scaler, batch_size=1)
+    predict(model, windows, bundle.scaler, batch_size=b)
+    return f"VmHWM {_vm_hwm_mib():.1f} MiB ({after_set_up:.1f} after the set up)"
+
+
+def measure(case: str, n: int, b: int) -> int:
+    bundle, model = _set_up(n)
     windows = bundle.train.slice(slice(0, b))
     x = bundle.scaler.apply(windows.inputs[..., :1])
 
@@ -75,9 +107,18 @@ def measure(case: str, n: int, b: int) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="tiny shapes, for CI")
+    parser.add_argument("--serve", nargs=2, type=int, metavar=("N", "B"), help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.serve:  # the child process of a serve case
+        print(serve(*args.serve))
+        return 0
     for case, n, b in SMOKE if args.smoke else FULL:
-        print(f"{case:<10} N={n:<3} B={b:<2} tracemalloc peak {measure(case, n, b) / 1e6:.1f} MB")
+        if case == "serve":
+            child = [sys.executable, __file__, "--serve", str(n), str(b)]
+            report = subprocess.run(child, check=True, capture_output=True, text=True).stdout.strip()
+        else:
+            report = f"tracemalloc peak {measure(case, n, b) / 1e6:.1f} MB"
+        print(f"{case:<10} N={n:<3} B={b:<2} {report}")
     return 0
 
 
