@@ -564,8 +564,8 @@ def gru_sequence(inputs, w_zr, w_n) -> Tensor:
     return _result(states, parents, bw)
 
 
-# float64 values per streamed gating block: a block holds c >= 1 steps of the
-# batch's B windows, and a tile of windows as many as one step of it fits
+# float64 values per [B, c, N, D] block of the streamed gating (c >= 1 steps),
+# and per step of a tile of windows
 STREAM_BUDGET = 2**16
 
 
@@ -610,24 +610,25 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
     (p+1)·D.
 
     Neither x nor the patterns are built. The batch runs in equal tiles of
-    at most STREAM_BUDGET // (N·D) whole windows, and each tile's T steps
-    in blocks of c = max(1, min(T, STREAM_BUDGET // (B·N·D))) steps (c is
-    1 whenever there are two tiles or more). Each block's residual starts
-    as that block's ``channels @ lift``, and its patterns are added into
-    the sums step by step, in time order, as ``mean`` over axis 1 adds
-    them. The block's residual and gated piece live in two contiguous
-    buffers allocated once.
+    at most STREAM_BUDGET // (N·D) whole windows (and, without a gradient,
+    at most half the batch), and each tile's T steps in blocks of
+    c = max(1, min(T, STREAM_BUDGET // (B·N·D))) steps. Each block's
+    residual starts as that block's ``channels @ lift``, and its patterns
+    are added into the sums step by step, in time order, as ``mean`` over
+    axis 1 adds them. The block's residual and gated piece live in one
+    allocation the size of two [B, c, N, D] blocks, made once per call.
 
     A gate depends on its (window, step) only through the G stacked
     step-logit rows, and windows that share timestamps share those rows. So
     a tile takes each distinct row's gates once, as a table [G, U, N, D]
     (:func:`_distinct_rows` keys the rows by their bytes, so the result is
     bit-identical), and each block gathers its gates from it. A tile of one
-    window or whose rows never repeat takes its gates per block instead,
-    and so does one whose table would be larger than two [B, c, N, D]
-    blocks when no gradient will be taken. The logit parts are negated once per call, so a gate's
-    argument is exactly minus its logit, which the three-pass
-    :func:`_logistic` takes.
+    window or whose rows never repeat takes its gates per block instead.
+    Without a gradient the table goes in the block allocation, after the
+    tile's two block buffers, and a tile whose table does not fit there
+    takes its gates per block too. The logit parts are negated once per
+    call, so a gate's argument is exactly minus its logit, which the
+    three-pass :func:`_logistic` takes.
 
     When a gradient will be taken every tile keeps its gates for the
     backward pass: its table, or else every step's gates [G, W, T, N, D]

@@ -13,7 +13,12 @@ block, within 1e-13 relative. This holds with and without a gradient, at
 ragged shapes with K = 1, over several column spans, over streamed blocks
 of one step, of several steps with a shorter remainder, and of the whole
 window, and at pre-activations of ±800, where the logistic's exp
-overflows.
+overflows. ``gated_time_means`` also runs the batch in window tiles and
+takes each distinct step-logit row's gates once per tile: ``TestGateTables``
+checks the same agreement over ragged tiles and blocks, with tables, per
+block and with a table too large for the block allocation, counts the
+elements the logistic takes, and feeds rows that differ only in the sign
+of a zero or that hold a NaN.
 """
 
 import warnings
