@@ -251,7 +251,9 @@ class TestGateTables:
     def test_a_window_alone_and_in_a_batch_match_bitwise(self):
         b, t, n, k, d = shape = (6, 5, 4, 2, 3)
         leaves, _ = self.leaves(shape, seed=120)
-        batch = _gated_kernel(self.G)(*leaves).data
+        batch = _gated_kernel(self.G)(*leaves).data  # one tile, kept for a gradient
+        with no_grad():  # two tiles, the tables in the block allocation
+            assert np.array_equal(_gated_kernel(self.G)(*leaves).data, batch)
         for w in range(b):
             alone = [Tensor(p.data[w : w + 1]) for p in leaves[:1]] + [leaves[1]]
             alone += [Tensor(s.data[w : w + 1]) for s in leaves[2 : 2 + self.G]]
