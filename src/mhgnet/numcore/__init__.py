@@ -1,5 +1,6 @@
 """Minimal dense tensor engine with reverse-mode automatic differentiation."""
 
+from . import heap
 from .params import Parameter, ParameterStore
 from .rng import SplitRng
 from .tensor import (
@@ -21,6 +22,8 @@ from .tensor import (
     topk_row_mask,
     transpose,
 )
+
+heap.fix_thresholds()
 
 __all__ = [
     "Parameter",

@@ -1,6 +1,11 @@
+import ctypes
 import decimal
+import os
+import subprocess
+import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +41,7 @@ from mhgnet.numcore import (
     topk_row_mask,
     transpose,
 )
+from mhgnet.numcore import heap
 from mhgnet.numcore import tensor as tensor_module
 
 
@@ -620,3 +626,51 @@ class TestRngAndParameters:
         w.data = w.data * 0.0
         store.load_state(snapshot)
         assert np.array_equal(w.data, snapshot["w"])
+
+
+_MAPPED_PROBE = """
+import ctypes, sys
+import numpy as np
+
+if sys.argv[1] == "import":
+    import mhgnet.numcore
+
+class Info(ctypes.Structure):
+    names = "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost"
+    _fields_ = [(name, ctypes.c_size_t) for name in names.split()]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Info
+held = np.ones(3 << 20)  # 24 MB
+print(mallinfo2().hblkhd)
+"""
+
+
+def _glibc_with_mallinfo2() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION")) and hasattr(ctypes.CDLL(None), "mallinfo2")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestHeapThresholds:
+    @pytest.mark.skipif(not _glibc_with_mallinfo2(), reason="needs glibc 2.33 or later")
+    def test_a_24_mb_array_comes_from_the_heap_once_numcore_is_imported(self):
+        import mhgnet
+
+        env = {k: v for k, v in os.environ.items() if k not in heap.ENVIRONMENT}
+        env["PYTHONPATH"] = str(Path(mhgnet.__file__).parents[1])
+
+        def mapped(mode):
+            cmd = [sys.executable, "-c", _MAPPED_PROBE, mode]
+            out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+            return int(out.stdout)
+
+        # glibc's starting threshold (128 kB) maps the array; numcore's (32 MB) does not
+        assert mapped("plain") >= 24 << 20
+        assert mapped("import") < 1 << 20
+
+    @pytest.mark.parametrize("name", heap.ENVIRONMENT)
+    def test_thresholds_the_environment_sets_are_left_alone(self, monkeypatch, name):
+        monkeypatch.setenv(name, "131072")
+        assert heap.fix_thresholds() is False
