@@ -216,11 +216,12 @@ class ForecastModel:
         # x_hat = channels @ embed is never built; the kernels form it block by block
         channels, embed = std.embed_input(x, self.embed_w, self.embed_b)
         # propagation reads the scalar x; hop_lift carries its hop states to
-        # the D-wide features that propagating x_hat would give
-        states = sie.propagate(x, self.build_graph(tod, dow), self.prop_cfg)
+        # the D-wide features that propagating x_hat would give. No name keeps
+        # the hop states, so without a gradient they go once the encoder has read them
         lift = sie.hop_lift(self.embed_w, self.embed_b, self.prop_cfg)
         x_out = sie.encode_sequence(
-            states, lift, self.encoder, training=self.training, rng=self._dropout_rng
+            sie.propagate(x, self.build_graph(tod, dow), self.prop_cfg),
+            lift, self.encoder, training=self.training, rng=self._dropout_rng,
         )
         # the gates get their gradient through these per-pattern time means
         # in the skip, [B, N, P·D]; the patterns themselves are never built.

@@ -452,7 +452,7 @@ def _spans(m: int, widest: int) -> list[tuple[int, int]]:
 GRU_COLUMNS = 2048
 
 
-def gru_sequence(inputs, w_zr, w_n) -> Tensor:
+def gru_sequence(inputs, w_zr, w_n, redistribute: Sequence = (), mask=None) -> Tensor:
     """GRU recurrence over axis 0 from a zero state, recorded as one graph node.
 
     Channel-major: ``inputs`` [T, K, M] holds K input channels of M
@@ -461,7 +461,10 @@ def gru_sequence(inputs, w_zr, w_n) -> Tensor:
     maps [x; h] to the update|reset pre-activations and ``w_n`` [K + W, W]
     maps [x; r * h] to the candidate's. With the state h [W, M], per step:
     ``z|r = sigmoid(w_zrᵀ [x; h])``, ``c = tanh(w_nᵀ [x; r * h])``,
-    ``h = h + z * (c - h)``. Returns the stacked states [T, W, M].
+    ``h = h + z * (c - h)``. Returns the stacked states [T, W, M] or, given
+    ``redistribute`` = (w1 [T·W, V], w2 [V, U], gain [U]), their encoding
+    ``(w2ᵀ @ relu(w1ᵀ @ S)) * gain`` [U, M], the gain on rows, where S is
+    the states times the dropout ``mask`` [T, W, M], if given, as [T·W, M].
 
     A step is these two GEMMs, on [x; h] and [x; r * h] buffers whose rows
     it writes in place. ``w_zr`` is negated once per call, so its GEMM
@@ -469,45 +472,71 @@ def gru_sequence(inputs, w_zr, w_n) -> Tensor:
     the state update is three passes too. The M sequences run in equal
     column spans of at most ``GRU_COLUMNS``, so the buffers, allocated once
     per call, stay cache-sized and no span is a narrow remainder, on which
-    BLAS takes another kernel path. With a gradient each span keeps its
-    gates and candidates, and the backward walks the spans from the last
-    step: two GEMMs with the stacked weights give a step's input and state
-    gradients, and the weights' gradients are summed step by step from
-    copies of [x; h_prev] and [x; r * h_prev]. Argument slices reach a GEMM
-    only as such copies.
+    BLAS takes another kernel path. Without a gradient an encoding holds
+    one span's states at a time and runs the GEMM by ``w1ᵀ`` span by span:
+    bit for bit the whole batch's product, but on a one-column span, where
+    numpy takes a matrix-vector product.
+
+    With a gradient the states are kept, with each span's gates and
+    candidates, and an encoding's GEMMs and their backward run over the
+    whole batch in the composed ops' order and layouts. The states'
+    gradient, ``w1 @ d_relu`` times the mask, goes into one buffer, which
+    first holds S again for ``w1``'s gradient. The backward then walks the
+    spans from the last step: two GEMMs with the stacked weights give a
+    step's input and state gradients, and the weights' gradients are summed
+    step by step from copies of [x; h_prev] and [x; r * h_prev]. Argument
+    slices reach a GEMM only as such copies.
     """
     inputs, w_zr, w_n = (_to_tensor(t) for t in (inputs, w_zr, w_n))
-    k = inputs.shape[1] if inputs.ndim == 3 else 0
+    extra = [_to_tensor(p) for p in redistribute]
+    t, k, m = inputs.shape if inputs.ndim == 3 else (0, 0, 0)
     w = w_n.shape[1] if w_n.ndim == 2 else 0
-    if inputs.ndim != 3 or (w_zr.shape, w_n.shape) != ((k + w, 2 * w), (k + w, w)):
+    v, u = extra[1].shape if len(extra) == 3 and extra[1].ndim == 2 else (0, 0)
+    if (
+        inputs.ndim != 3
+        or (w_zr.shape, w_n.shape) != ((k + w, 2 * w), (k + w, w))
+        or [p.shape for p in extra] not in ([], [(t * w, v), (v, u), (u,)])
+        or (mask is not None and (not extra or np.shape(mask) != (t, w, m)))
+    ):
         raise ShapeError(
-            "gru_sequence expects [T, K, M] inputs and [K + W, 2W] and [K + W, W] weights, "
-            f"got {inputs.shape}, {w_zr.shape} and {w_n.shape}"
+            "gru_sequence expects [T, K, M] inputs, [K + W, 2W] and [K + W, W] weights, and "
+            "optionally [T·W, V], [V, U] and [U] weights and a [T, W, M] mask; got "
+            f"{inputs.shape}, {w_zr.shape}, {w_n.shape}, {[p.shape for p in extra]}, "
+            f"{np.shape(mask)}"
         )
-    t, _, m = inputs.shape
-    parents = (inputs, w_zr, w_n)
+    parents = (inputs, w_zr, w_n, *extra)
     keep = _tracked(parents)
     x = inputs.data
     neg_zr_t, w_n_t = -w_zr.data.T, w_n.data.T
     spans = _spans(m, GRU_COLUMNS)
     widest = max(hi - lo for lo, hi in spans)
+    streamed = bool(extra) and not keep  # an encoding that keeps one span's states only
+    states = np.empty(t * w * widest if streamed else (t, w, m))
+    if extra:
+        w1, w2, gain = extra
+        gain_col = gain.data.reshape(u, 1)
+        layer = np.empty((v, m))  # relu(w1ᵀ @ S)
 
     def buffers(flat, rows, c):
         """Contiguous [r, c] buffers, one per entry of ``rows``, end to end in ``flat``."""
         ends = np.cumsum([0, *rows]) * c
         return [flat[a:b].reshape(-1, c) for a, b in zip(ends[:-1], ends[1:])]
 
-    states = np.empty((t, w, m))
-    # with a gradient, each span's gates and candidates of every step, else one step's
-    kept = [[np.empty((t if keep else 1, r * w, hi - lo)) for r in (2, 1)] for lo, hi in spans]
-    rows = (k + w, k + w, w)  # [x; h], [x; r * h], c - h
+    # with a gradient, each span's gates and candidates of every step
+    kept = [[np.empty((t, r * w, hi - lo)) for r in (2, 1)] for lo, hi in spans] if keep else []
+    # [x; h], [x; r * h], c - h, and without a gradient one step's gates and candidate
+    rows = (k + w, k + w, w) if keep else (k + w, k + w, w, 2 * w, w)
     flat = np.empty(sum(rows) * widest)
-    for (lo, hi), (zr_kept, cand_kept) in zip(spans, kept):
-        xh, xrh, diff = buffers(flat, rows, hi - lo)
+    for i, (lo, hi) in enumerate(spans):
+        xh, xrh, diff, *step = buffers(flat, rows, hi - lo)
         hidden, rh = xh[k:], xrh[k:]
         hidden.fill(0.0)
+        if streamed:
+            span_states = states[: t * w * (hi - lo)].reshape(t, w, hi - lo)
+        else:
+            span_states = states[:, :, lo:hi]
         for j in range(t):
-            zr, cand = zr_kept[j if keep else 0], cand_kept[j if keep else 0]
+            zr, cand = (kept[i][0][j], kept[i][1][j]) if keep else step
             xh[:k] = x[j, :, lo:hi]
             np.matmul(neg_zr_t, xh, out=zr)
             _logistic(zr, out=zr)
@@ -519,9 +548,38 @@ def gru_sequence(inputs, w_zr, w_n) -> Tensor:
             np.subtract(cand, hidden, out=diff)
             diff *= z
             hidden += diff
-            states[j, :, lo:hi] = hidden
+            span_states[j] = hidden
+        if streamed:
+            if mask is not None:
+                span_states *= mask[:, :, lo:hi]
+            np.matmul(w1.data.T, span_states.reshape(t * w, hi - lo), out=layer[:, lo:hi])
+    if extra:
+        if keep:
+            s = states if mask is None else states * mask
+            np.matmul(w1.data.T, s.reshape(t * w, m), out=layer)
+            del s  # the backward forms S again
+        np.maximum(layer, 0.0, out=layer)
+        pre = w2.data.T @ layer
+        out = pre * gain_col if keep else np.multiply(pre, gain_col, out=pre)
+    else:
+        out = states
 
     def bw(g):
+        if extra:
+            if gain.requires_grad:
+                _accum(gain, (g * pre).sum(axis=1, keepdims=True).reshape(u))
+            d_pre = g * gain_col
+            if w2.requires_grad:
+                _accum(w2, (d_pre @ layer.T).T)
+            d_layer = w2.data @ d_pre
+            d_layer *= layer > 0
+            g = np.empty((t, w, m))  # S, then the states' gradient
+            if w1.requires_grad:
+                s = states if mask is None else np.multiply(states, mask, out=g)
+                _accum(w1, (d_layer @ s.reshape(t * w, m).T).T)
+            np.matmul(w1.data, d_layer, out=g.reshape(t * w, m))
+            if mask is not None:
+                g *= mask
         d_x = np.empty((t, k, m)) if inputs.requires_grad else None
         d_w_zr, d_w_n = np.zeros((k + w, 2 * w)), np.zeros((k + w, w))
         rows = (k + w, k + w, w, 2 * w, w, w, k + w, k + w)
@@ -562,7 +620,7 @@ def gru_sequence(inputs, w_zr, w_n) -> Tensor:
         _accum(w_zr, d_w_zr)
         _accum(w_n, d_w_n)
 
-    return _result(states, parents, bw)
+    return _result(out, parents, bw)
 
 
 # float64 values per [B, c, N, D] block of the streamed gating (c >= 1 steps),

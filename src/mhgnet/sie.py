@@ -5,12 +5,14 @@ gated multi-hop recurrence, fed through a GRU over the input window, and
 the stacked hidden states are redistributed by a pair of 1x1 projections and
 a learned gain.
 
-The GRU and the redistribution run channel-major, on [T, channels, B * N]:
-every per-step array is a few contiguous rows of length B * N, so each
-elementwise op of the recurrence and of its backward runs over whole rows
-rather than over runs of W = width values, and the redistribution is one
-GEMM over the states as a [T * W, B * N] matrix. Only the small hop states
-enter this layout and only the [B, N, W] encoding leaves it.
+The GRU and the redistribution are one ``numcore`` op, which runs
+channel-major, on [T, channels, B * N]: every per-step array is a few
+contiguous rows of length B * N, so each elementwise op of the recurrence
+and of its backward runs over whole rows rather than over runs of W =
+width values, and the redistribution is a GEMM over the states as a
+[T * W, B * N] matrix. Only the small hop states enter this layout and only
+the [W, B * N] encoding leaves it; without a gradient the states [T, W,
+B * N] are never held at once.
 
 What is propagated is the scalar input x [B, T, N, 1], not its D-wide lift
 x_hat = x * w + b. This is exact: every walk is linear and row-stochastic
@@ -42,7 +44,6 @@ from .numcore import (
     concat,
     gru_sequence,
     matmul,
-    relu,
     reshape,
     slice_axis,
     sum_,
@@ -188,8 +189,10 @@ class RecurrentEncoder:
     dropout: float
 
 
-def gru_scan(features: Tensor, lift: Tensor, gru: GruParams) -> Tensor:
-    """Run the GRU over axis 1 of [B, T, N, C]; returns states [T, W, B * N].
+def gru_scan(
+    features: Tensor, lift: Tensor, enc: RecurrentEncoder, mask: np.ndarray | None = None
+) -> Tensor:
+    """Run the GRU over axis 1 of [B, T, N, C] and redistribute; returns [W, B * N].
 
     The hop states are transposed to [T, C, B * N], the channel-major layout
     of :func:`gru_sequence`, with a constant-one row appended. The GRU's
@@ -200,8 +203,9 @@ def gru_scan(features: Tensor, lift: Tensor, gru: GruParams) -> Tensor:
     block over ``update_h|reset_h``, ``w_n`` the candidate block over
     ``cand_h``. The concats' backward splits the weights' gradients again.
     :func:`gru_sequence` applies them one step at a time, so no
-    pre-activation of the whole window is built. The recurrence is that
-    single op, which checks the shapes.
+    pre-activation of the whole window is built, and it applies the
+    dropout ``mask`` [T, W, B * N] and the encoder's redistribution in the
+    same graph node. That op checks the shapes.
     """
     b, t, n, c = features.shape
     channels = transpose(features, (1, 3, 0, 2))  # [T, C, B, N]
@@ -209,6 +213,7 @@ def gru_scan(features: Tensor, lift: Tensor, gru: GruParams) -> Tensor:
         concat([channels, Tensor(np.ones((t, 1, b, n)))], axis=1), (t, c + 1, b * n)
     )
     bias_row = Tensor(np.eye(c + 1)[:, c:])  # [C + 1, 1]: 1 in the constant channel's row
+    gru = enc.gru
 
     def fold(w_x: Tensor, b_x: Tensor) -> Tensor:
         return matmul(lift, w_x) + bias_row * b_x
@@ -219,7 +224,7 @@ def gru_scan(features: Tensor, lift: Tensor, gru: GruParams) -> Tensor:
     )
     w_zr = concat([w_x_zr, concat([gru.update_h, gru.reset_h], axis=1)], axis=0)
     w_n = concat([fold(gru.cand_x, gru.cand_b), gru.cand_h], axis=0)
-    return gru_sequence(inputs, w_zr, w_n)
+    return gru_sequence(inputs, w_zr, w_n, (enc.redist_w1, enc.redist_w2, enc.gain), mask)
 
 
 def encode_sequence(
@@ -231,24 +236,23 @@ def encode_sequence(
 ) -> Tensor:
     """Encode per-step node features [B, T, N, C] into one vector per node, [B, N, W].
 
-    The features reach the GRU through ``lift`` (see :func:`gru_scan`). All
-    hidden states [T, W, B * N] are kept and optionally dropped out
-    (training mode only). The dropout mask is drawn as [B, T, N, W] and
-    transposed, so every state element keeps the draw it would get in
-    batch-major order. The time axis is then collapsed by two
-    ReLU-separated projections, ``redist_w2ᵀ @ relu(redist_w1ᵀ @ h)`` on
-    the states as one [T * W, B * N] matrix, and the result is gated
-    elementwise by ``gain``.
+    The features reach the GRU through ``lift`` and :func:`gru_scan` runs
+    the GRU, the dropout and the redistribution as one op: the hidden
+    states [T, W, B * N] are dropped out in training mode only, the time
+    axis is collapsed by two ReLU-separated projections, ``redist_w2ᵀ @
+    relu(redist_w1ᵀ @ h)`` on the states as one [T * W, B * N] matrix, and
+    the result is gated elementwise by ``gain``. Here the dropout mask is
+    drawn as [B, T, N, W] and transposed, so every state element keeps the
+    draw it would get in batch-major order.
     """
-    h = gru_scan(features, lift, enc.gru)
-    t, width, m = h.shape
-    b, n = features.shape[0], features.shape[2]
+    b, t, n, _ = features.shape
+    width = enc.gru.update_h.shape[0]
+    mask = None
     if training and enc.dropout > 0.0:
         if rng is None:
             raise ConfigError("training-mode dropout needs an rng")
         keep = 1.0 - enc.dropout
         drawn = (rng.random((b, t, n, width)) < keep).transpose(1, 3, 0, 2)
-        h = h * Tensor(drawn.reshape(t, width, m) / keep)
-    hidden = relu(matmul(transpose(enc.redist_w1, (1, 0)), reshape(h, (t * width, m))))
-    squeezed = matmul(transpose(enc.redist_w2, (1, 0)), hidden) * reshape(enc.gain, (width, 1))
-    return transpose(reshape(squeezed, (width, b, n)), (1, 2, 0))
+        mask = drawn.reshape(t, width, b * n) / keep
+    encoded = gru_scan(features, lift, enc, mask)
+    return transpose(reshape(encoded, (encoded.shape[0], b, n)), (1, 2, 0))

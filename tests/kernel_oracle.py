@@ -8,6 +8,12 @@ same terms. The kernel runs it in column spans with buffers allocated once,
 so it must match it bit for bit in the states and within rounding in the
 gradients it sums step by step and span by span.
 
+:func:`gru_encode` is the GRU encoding in the composed ops
+``sie.encode_sequence`` used before ``numcore.gru_sequence`` took in the
+dropout and the redistribution: :func:`gru_lean`, ``* mask``, then
+``matmul``, ``relu``, ``matmul`` and ``* gain`` on the states as one
+[T·W, M] matrix.
+
 :func:`gru_sequence` and :func:`gated_time_means` are earlier bodies of the
 ``numcore`` kernels: they take the full-size gated input, the GRU's
 [T, 2W, M] and [T, W, M] pre-activations and the lifted [B, T, N, D]
@@ -89,6 +95,18 @@ def gru_lean(inputs, w_zr, w_n) -> Tensor:
             _accum(parent, grad)
 
     return _result(states, parents, bw)
+
+
+def gru_encode(inputs, w_zr, w_n, redistribute: Sequence, mask=None) -> Tensor:
+    """The encoding [U, M] of ``numcore.gru_sequence`` given ``redistribute``
+    = (w1 [T·W, V], w2 [V, U], gain [U]) and a [T, W, M] ``mask`` or None."""
+    w1, w2, gain = redistribute
+    h = gru_lean(inputs, w_zr, w_n)
+    t, w, m = h.shape
+    if mask is not None:
+        h = h * Tensor(mask)
+    hidden = relu(matmul(transpose(w1, (1, 0)), reshape(h, (t * w, m))))
+    return matmul(transpose(w2, (1, 0)), hidden) * reshape(gain, (-1, 1))
 
 
 def gru_sequence(px_zr, px_n, w_zr_h, w_n_h) -> Tensor:

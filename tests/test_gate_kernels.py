@@ -173,6 +173,108 @@ def _gated_kernel(g):
     return lambda channels, lift, *parts: gated_time_means(channels, lift, parts[:g], parts[g:])
 
 
+def _encoder(mask):
+    """``gru_sequence`` with a redistribution, and its composed oracle, on six leaves."""
+    return (
+        lambda *a: gru_sequence(*a[:3], a[3:], mask),
+        lambda *a: kernel_oracle.gru_encode(*a[:3], a[3:], mask),
+    )
+
+
+class TestGruEncoding:
+    """``gru_sequence`` given a redistribution against ``kernel_oracle.gru_encode``.
+
+    The GRU weights' and the inputs' gradients are summed step by step, so
+    they match within RTOL; the encoding and the redistribution's
+    gradients match bit for bit, with and without a gradient.
+    """
+
+    # (T, K, W, M, V, U): one of each, ragged, and the model's shapes at an odd M
+    SHAPES = [(1, 1, 1, 1, 1, 1), (3, 1, 2, 5, 4, 3), (12, 3, 10, 37, 10, 10)]
+    SUMMED = (0, 1, 2)
+
+    def leaves(self, rng, t, k, w, m, v, u):
+        shapes = [(t, k, m), (k + w, 2 * w), (k + w, w), (t * w, v), (v, u), (u,)]
+        return _leaves(rng, shapes)
+
+    def mask(self, rng, t, w, m):
+        return (rng.random((t, w, m)) < 0.6) / 0.6
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bitwise_against_composed_ops(self, shape, masked):
+        rng = np.random.default_rng(90 + sum(shape))
+        leaves = self.leaves(rng, *shape)
+        t, _, w, m, _, u = shape
+        mask = self.mask(rng, t, w, m) if masked else None
+        _assert_same(*_encoder(mask), leaves, rng.normal(size=(u, m)), self.SUMMED)
+
+    @pytest.mark.parametrize("columns", [7, 64])
+    def test_ragged_column_spans(self, columns, monkeypatch):
+        # M = 37 runs in 6 spans of 6 or 7 columns, or in one span narrower than 64
+        monkeypatch.setattr(tensor_module, "GRU_COLUMNS", columns)
+        rng = np.random.default_rng(97)
+        shape = t, _, w, m, _, u = (4, 3, 10, 37, 10, 10)
+        leaves = self.leaves(rng, *shape)
+        kernel, oracle = _encoder(self.mask(rng, t, w, m))
+        _assert_same(kernel, oracle, leaves, rng.normal(size=(u, m)), self.SUMMED)
+
+    def test_one_column_spans_agree_within_rounding(self, monkeypatch):
+        # numpy takes a matrix-vector product for a single column, which
+        # rounds otherwise than the whole batch's GEMM: already in the GRU's
+        # steps, and without a gradient in the GEMM by w1ᵀ too
+        monkeypatch.setattr(tensor_module, "GRU_COLUMNS", 1)
+        rng = np.random.default_rng(98)
+        shape = t, _, w, m, _, u = (4, 3, 10, 9, 10, 10)
+        leaves = self.leaves(rng, *shape)
+        kernel, oracle = _encoder(self.mask(rng, t, w, m))
+        _assert_close(kernel, oracle, leaves, rng.normal(size=(u, m)))
+        with no_grad():
+            out, ref = kernel(*leaves).data, oracle(*leaves).data
+        assert np.max(np.abs(out - ref)) <= RTOL * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("track", [False, True])
+    def test_a_nan_in_one_sequence_leaves_the_others(self, track, monkeypatch):
+        monkeypatch.setattr(tensor_module, "GRU_COLUMNS", 8)
+        rng = np.random.default_rng(99)
+        t, k, w, m, v, u = 5, 3, 4, 24, 6, 5
+        args = [leaf.data for leaf in self.leaves(rng, t, k, w, m, v, u)]
+        poisoned = args[0].copy()
+        poisoned[2, 1, 11] = np.nan  # sequence 11's input at step 2
+
+        mask = self.mask(rng, t, w, m)
+
+        def encode(inputs):
+            leaves = [Tensor(a, requires_grad=track) for a in (inputs, *args[1:])]
+            return gru_sequence(*leaves[:3], leaves[3:], mask).data
+
+        clean, out = encode(args[0]), encode(poisoned)
+        others = np.arange(m) != 11
+        assert np.isnan(out[:, 11]).all()
+        assert np.array_equal(out[:, others], clean[:, others])
+
+    def test_without_gradient_keeps_no_states(self, monkeypatch):
+        # the states alone, T·W·M floats, are more than the op may allocate
+        monkeypatch.setattr(tensor_module, "GRU_COLUMNS", 256)
+        rng = np.random.default_rng(100)
+        t, k, w, m, v, u = 12, 3, 10, 4096, 10, 10
+        args = [leaf.data for leaf in self.leaves(rng, t, k, w, m, v, u)]
+        mask = self.mask(rng, t, w, m)
+        states = 8 * t * w * m
+        peaks = []
+        for track in (False, True):
+            leaves = [Tensor(a, requires_grad=track) for a in args]
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = gru_sequence(*leaves[:3], leaves[3:], mask)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            assert out.requires_grad == track
+        assert peaks[0] < states / 2 < states < peaks[1]
+
+
 class TestGatedTimeMeansBuffers:
     # (B, T, N, K, D), all ragged, one with K = 1; the budgets give blocks of
     # one step, of two steps with a one-step remainder when T is odd, and of

@@ -362,6 +362,56 @@ class TestGruSequence:
     def test_gradient_of_a_single_channel(self):
         self._check_gradient(1, seed=34)
 
+    V, U = 4, 7  # the redistribution's widths, unequal to the others too
+
+    def redistribution(self):
+        return [(self.T * self.W, self.V), (self.V, self.U), (self.U,)]
+
+    @pytest.mark.parametrize(
+        "arg, bad",
+        [
+            (0, (7, 4)),  # w1 rows not T·W
+            (1, (7, 7)),  # w2 rows not w1's columns
+            (2, (4,)),  # gain not w2's columns
+            (2, (7, 1)),  # gain not a vector
+        ],
+    )
+    def test_shape_error_for_each_redistribution_argument(self, arg, bad):
+        rng = np.random.default_rng(35)
+        shapes = self.redistribution()
+        shapes[arg] = bad
+        args = [Tensor(rng.normal(size=shape)) for shape in self.shapes()]
+        with pytest.raises(ShapeError) as exc:
+            gru_sequence(*args, [Tensor(rng.normal(size=shape)) for shape in shapes])
+        assert str(bad) in str(exc.value)
+
+    @pytest.mark.parametrize("redistribute", [True, False])
+    def test_shape_error_for_a_mask(self, redistribute):
+        # a mask of the wrong shape, or a mask without a redistribution to feed
+        rng = np.random.default_rng(36)
+        args = [Tensor(rng.normal(size=shape)) for shape in self.shapes()]
+        extra = [Tensor(rng.normal(size=shape)) for shape in self.redistribution()]
+        shape = (self.T, self.W, self.M + 1) if redistribute else (self.T, self.W, self.M)
+        with pytest.raises(ShapeError) as exc:
+            gru_sequence(*args, extra if redistribute else (), np.ones(shape))
+        assert str(shape) in str(exc.value)
+
+    def test_gradient_of_an_encoding(self):
+        # every input: the inputs, both GRU weights, w1, w2 and the gain
+        store = ParameterStore(SplitRng(37))
+        names = ("inputs", "w_zr", "w_n", "w1", "w2", "gain")
+        shapes = self.shapes() + self.redistribution()
+        args = [store.add(name, shape, "normal(0,1)") for name, shape in zip(names, shapes)]
+        rng = np.random.default_rng(38)
+        mask = (rng.random((self.T, self.W, self.M)) < 0.7) / 0.7
+        weights = Tensor(rng.normal(size=(self.U, self.M)))
+        err = check_gradient(
+            lambda: sum_(gru_sequence(*args[:3], args[3:], mask) * weights),
+            store.parameters(),
+            h=1e-5,
+        )
+        assert err < 1e-6
+
 
 def _sequential_gating(x, step_logits, node_logits):
     """The gating loop from primitives: every [B, T, N, D] pattern, built in turn."""

@@ -352,46 +352,61 @@ class TestEncodeSequence:
         from mhgnet.sie import gru_scan
 
         store = ParameterStore(SplitRng(12))
-        p = _gru_params(d=2, width=3, store=store)
+        enc = _encoder(d=2, width=3, t=2, store=store)
+        p = enc.gru
         for t in (p.update_b, p.reset_b, p.cand_b):
             t.data = np.random.default_rng(14).normal(0.0, 0.5, t.shape)
         rng = np.random.default_rng(13)
         features = rng.normal(size=(2, 2, 2, 3))  # C = 3 channels
         lift = rng.normal(size=(4, 2))  # [C + 1, D]: the last row meets a constant 1
-        out = gru_scan(Tensor(features), Tensor(lift), p)
-        assert out.shape == (2, 3, 2 * 2)  # [T, W, B * N]
+        out = gru_scan(Tensor(features), Tensor(lift), enc)
+        assert out.shape == (3, 2 * 2)  # [W, B * N]
         x = features @ lift[:3] + lift[3]
-        oracle = _oracle_gru(x, p, width=3)  # [B, T, N, W]
-        assert np.max(np.abs(out.data - _channel_major(oracle))) < 1e-10
+        oracle = _oracle_encode(x, enc)  # [B, N, W]
+        assert np.max(np.abs(out.data - oracle.reshape(4, 3).T)) < 1e-10
 
     def test_gru_gradient_all_parameters_and_input(self):
+        # every input of the encoder op, with and without a dropout mask: the
+        # hop states, the lift, the GRU's weights and biases, both
+        # redistribution weights and the gain
         from mhgnet.sie import gru_scan
 
         store = ParameterStore(SplitRng(20))
-        p = _gru_params(d=2, width=3, store=store)
-        for t in (p.update_b, p.reset_b, p.cand_b):
-            t.data = np.random.default_rng(21).normal(0.0, 0.5, t.shape)
+        enc = _encoder(d=2, width=3, t=4, store=store, dropout=0.3)
+        rng = np.random.default_rng(21)
+        for t in (enc.gru.update_b, enc.gru.reset_b, enc.gru.cand_b, enc.gain):
+            t.data = rng.normal(0.0, 0.5, t.shape)
         x = store.add("x", (2, 4, 2, 2), "normal(0,1)")  # T = 4, C = 2, width = 3
         lift = store.add("lift", (3, 2), "normal(0,0.7)")  # [C + 1, D]
-        weights = Tensor(np.random.default_rng(22).normal(size=(4, 3, 2 * 2)))  # [T, W, B * N]
-        err = check_gradient(
-            lambda: sum_(gru_scan(x, lift, p) * weights), store.parameters(), h=1e-5
-        )
-        assert err < 1e-6
-        assert len(store.parameters()) == 11
+        weights = Tensor(rng.normal(size=(3, 2 * 2)))  # [W, B * N]
+        assert len(store.parameters()) == 14
+        for mask in (None, (rng.random((4, 3, 2 * 2)) < 0.7) / 0.7):
+            err = check_gradient(
+                lambda: sum_(gru_scan(x, lift, enc, mask) * weights), store.parameters(), h=1e-5
+            )
+            assert err < 1e-6
 
-    def test_gru_states_identical_with_and_without_grad(self):
-        from mhgnet.sie import gru_scan
+    def test_encoding_identical_with_and_without_grad(self, monkeypatch):
+        # with a gradient the redistribution is one whole-batch GEMM; without,
+        # one per column span: B * N = 30 runs in one span, or in 5 of 6
+        from mhgnet.numcore import tensor as tensor_module
 
         store = ParameterStore(SplitRng(23))
-        p = _gru_params(d=2, width=3, store=store)
-        x = np.random.default_rng(24).normal(size=(2, 5, 3, 2))
-        tracked = gru_scan(Tensor(x), _identity_lift(2), p)
-        assert tracked.requires_grad
-        with no_grad():
-            untracked = gru_scan(Tensor(x), _identity_lift(2), p)
-        assert not untracked.requires_grad
-        assert np.array_equal(tracked.data, untracked.data)
+        enc = _encoder(d=2, width=3, t=5, store=store, dropout=0.4)
+        x = np.random.default_rng(24).normal(size=(2, 5, 15, 2))
+        for columns in (2048, 7):
+            monkeypatch.setattr(tensor_module, "GRU_COLUMNS", columns)
+            for training in (False, True):
+                tracked = encode_sequence(
+                    Tensor(x), _identity_lift(2), enc, training, SplitRng(25, "drop")
+                )
+                assert tracked.requires_grad
+                with no_grad():
+                    untracked = encode_sequence(
+                        Tensor(x), _identity_lift(2), enc, training, SplitRng(25, "drop")
+                    )
+                assert not untracked.requires_grad
+                assert np.array_equal(tracked.data, untracked.data)
 
     def test_eval_mode_deterministic(self):
         store = ParameterStore(SplitRng(15))

@@ -2,27 +2,29 @@
 
     PYTHONPATH=src python3 tools/memory_probe.py [--smoke]
 
-Each case builds ``ModelConfig(n=N, seed=1)`` on ``synthesize(N, 7, 3,
+Each case builds ``ModelConfig(n=N, seed=1)`` on ``synthesize(N, days, 3,
 seed=1)`` windowed to 12 -> 12 steps and refreshes its clusters on the
-probe windows as training does. The first two kinds of case report the
-peak bytes that Python and numpy allocate while the case runs (tracemalloc
-counts numpy's array buffers):
+probe windows as training does. The first two kinds of case take 7 days
+and report the peak bytes that Python and numpy allocate while the case
+runs (tracemalloc counts numpy's array buffers):
 
 - ``forecast``: one ``no_grad`` eval-mode forward of the first B = 64
   training windows at N = 300, with the peak inside each of the stages
-  ``sie.gru_scan``, ``sie.encode_sequence`` (which holds the GRU scan) and
-  the skip and regression head, ``numcore.regression_head``;
+  ``sie.gru_scan`` (the GRU and the redistribution), ``sie.encode_sequence``
+  (which holds the GRU scan), ``std.decouple`` and the skip and regression
+  head, ``numcore.regression_head``;
 - ``train step``: forward, masked MAE loss over the full horizon, backward
   and one Adam step on the first B training windows, at N = 24, B = 64 and
   at N = 300, B = 16. The second step is measured, so the gradients and
   Adam moments that the first step allocates for good are already in
   place.
 
-``serve`` runs in a fresh child process, as a server would: after the set
-up it forecasts the first B test windows one at a time, then all of them in
-one ``predict`` at batch size B (N = 300, B = 64). It reports the peak
-resident set size, ``VmHWM`` of ``/proc/self/status`` (Linux only), after
-the set up and at the end, in MiB as the benchmark's ``peak_rss_mb``.
+``serve`` runs in a fresh child process, as a server would, and sets up on
+2 days as the benchmark's ``forecast_online`` does. After the set up it
+forecasts the first B test windows one at a time, then all of them in one
+``predict`` at batch size B (N = 300, B = 64). It reports the peak resident
+set size, ``VmHWM`` of ``/proc/self/status`` (Linux only), after the set up
+and at the end, in MiB as the benchmark's ``peak_rss_mb``.
 
 ``--smoke`` runs every kind of case at N = 8, B = 4 in a few seconds.
 """
@@ -36,7 +38,7 @@ import sys
 import tracemalloc
 
 from mhgnet import model as model_module
-from mhgnet import sie
+from mhgnet import sie, std
 from mhgnet.data import make_bundle, synthesize
 from mhgnet.model import ForecastModel, ModelConfig
 from mhgnet.numcore import no_grad
@@ -50,6 +52,7 @@ SMOKE = [("forecast", 8, 4), ("train step", 8, 4), ("serve", 8, 4)]
 STAGES = [
     (sie, "gru_scan", "sie.gru_scan"),
     (sie, "encode_sequence", "sie.encode_sequence"),
+    (std, "decouple", "std.decouple"),
     (model_module, "regression_head", "numcore.regression_head"),
 ]
 
@@ -98,8 +101,8 @@ def _stage_peaks(run) -> tuple[int, dict[str, int]]:
             setattr(owner, attr, original)
 
 
-def _set_up(n: int):
-    bundle = make_bundle(synthesize(n, 7, 3, seed=1), 12, 12)
+def _set_up(n: int, days: int = 7):
+    bundle = make_bundle(synthesize(n, days, 3, seed=1), 12, 12)
     model = ForecastModel(ModelConfig(n=n, seed=1))
     model.refresh_clusters(bundle.train, bundle.scaler)
     return bundle, model
@@ -114,7 +117,7 @@ def _vm_hwm_mib() -> float:
 
 def serve(n: int, b: int) -> str:
     """The serve case's ``VmHWM`` after the set up and at the end (run in a fresh process)."""
-    bundle, model = _set_up(n)
+    bundle, model = _set_up(n, days=2)
     windows = bundle.test.slice(slice(0, b))
     after_set_up = _vm_hwm_mib()
     for j in range(b):
@@ -123,22 +126,25 @@ def serve(n: int, b: int) -> str:
     return f"VmHWM {_vm_hwm_mib():.1f} MiB ({after_set_up:.1f} after the set up)"
 
 
-def measure(case: str, n: int, b: int) -> str:
+def forecast_peaks(n: int, b: int) -> tuple[int, dict[str, int]]:
+    """The forecast case's peak traced bytes, and the peak inside each stage."""
     bundle, model = _set_up(n)
     windows = bundle.train.slice(slice(0, b))
     x = bundle.scaler.apply(windows.inputs[..., :1])
+    model.eval_mode()
 
-    if case == "forecast":
-        model.eval_mode()
+    def forecast() -> None:
+        with no_grad():
+            model.forward(x, windows.tod_index, windows.dow_index)
 
-        def forecast() -> None:
-            with no_grad():
-                model.forward(x, windows.tod_index, windows.dow_index)
+    return _stage_peaks(forecast)
 
-        peak, stages = _stage_peaks(forecast)
-        inside = ", ".join(f"{name} {stages[name] / 1e6:.1f}" for _, _, name in STAGES)
-        return f"tracemalloc peak {peak / 1e6:.1f} MB (inside {inside})"
 
+def train_step_peak(n: int, b: int) -> int:
+    """The train step case's peak traced bytes, in its second step."""
+    bundle, model = _set_up(n)
+    windows = bundle.train.slice(slice(0, b))
+    x = bundle.scaler.apply(windows.inputs[..., :1])
     model.train_mode()
     optimizer = Adam(model.parameters(), lr=Schedule().base_lr)
 
@@ -150,7 +156,15 @@ def measure(case: str, n: int, b: int) -> str:
         optimizer.step(Schedule().base_lr)
 
     step()
-    return f"tracemalloc peak {_stage_peaks(step)[0] / 1e6:.1f} MB"
+    return _stage_peaks(step)[0]
+
+
+def measure(case: str, n: int, b: int) -> str:
+    if case == "forecast":
+        peak, stages = forecast_peaks(n, b)
+        inside = ", ".join(f"{name} {stages[name] / 1e6:.1f}" for _, _, name in STAGES)
+        return f"tracemalloc peak {peak / 1e6:.1f} MB (inside {inside})"
+    return f"tracemalloc peak {train_step_peak(n, b) / 1e6:.1f} MB"
 
 
 def main() -> int:
