@@ -4,8 +4,10 @@
 match ``kernel_oracle.gru_lean`` bit for bit, and its gradients, which it
 sums step by step, within 1e-13 relative. Against the earlier arithmetic,
 fed the full pre-activations ``w_xᵀ @ inputs``, everything matches within
-1e-13 relative. ``gated_time_means`` lifts K channels one block of time
-steps at a time; the oracle is fed the full ``channels @ lift`` the kernel
+1e-13 relative. Given a redistribution, ``gru_sequence`` returns the
+encoding, which ``TestGruEncoding`` holds to the composed ops of
+``kernel_oracle.gru_encode``. ``gated_time_means`` lifts K channels one
+block of time steps at a time; the oracle is fed the full ``channels @ lift`` the kernel
 never builds, formed by autodiff ops so that every gradient reaches the
 same leaves. Its outputs and the logits' gradients must match bit for bit;
 the lift's and the channels' gradients, which the kernel sums block by
