@@ -16,7 +16,9 @@ keeps its whole pool, each entry g_i = f_i * min(k, N_p) / N_p (the mass of
 its top k, spread evenly), so no node label picks a neighbour. All N row
 sums come from the factors and the pool one-hot in O(N * D_s), and the
 graph is kept as the [N, 1] column g (:class:`ConstantRowGraph`); its dense
-matrix is built on read. Without a temporal graph (``no_tg``), the dense
+matrix is built on read. Only e reads the window: a forward without a
+gradient keeps the row sums, or in ``no_tg`` the whole graph, between
+windows. Without a temporal graph (``no_tg``), the dense
 relu(tanh(beta * A_s)) is masked to same-pool entries and its top k taken
 per row, ties going to the lower column index (:class:`DenseGraph`);
 without a spatial graph (``no_sg``), r = 1.
@@ -91,11 +93,17 @@ class ConstantRowGraph:
 
     rows: Tensor  # [N, 1]: g, each row's constant, in [0, 1)
     onehot: np.ndarray  # [N, P]: 1.0 where node i is in pool p
+    sizes: np.ndarray  # [N]: node i's pool size N_p, :func:`pool_sizes`
 
     @property
     def a_hat(self) -> Tensor:
         """The dense [N, N] matrix, g spread over each row's pool, built on each read."""
         return self.rows * Tensor(self.onehot @ self.onehot.T)
+
+
+def pool_sizes(onehot: np.ndarray) -> np.ndarray:
+    """Each node's pool size N_p [N], from the [N, P] pool one-hot."""
+    return onehot @ onehot.sum(axis=0)
 
 
 def spatial_graph(params: ClusterGraphParams, alpha: float) -> SpatialGraph:
@@ -127,11 +135,12 @@ def temporal_graph(
 
 
 def fuse_and_sparsify(
-    spatial: SpatialGraph | None,
+    spatial: SpatialGraph | Tensor | None,
     temporal: Tensor | None,
     beta: float,
     k: int,
     onehot: np.ndarray,
+    sizes: np.ndarray | None = None,
 ) -> DenseGraph | ConstantRowGraph:
     """Combine the two graphs and keep the k strongest entries per row of each pool.
 
@@ -139,15 +148,21 @@ def fuse_and_sparsify(
     covers all of them; it is None without a spatial graph (r = 1), and
     ``temporal`` is None without a temporal graph. One of the two must be
     given. With a temporal graph each row is a tie spread evenly over its
-    pool: the result is a :class:`ConstantRowGraph`. Without one, each row
-    of relu(tanh(beta * A_s)), masked to its own pool, keeps its top k: the
-    result is a :class:`DenseGraph`.
+    pool: the result is a :class:`ConstantRowGraph`. There ``spatial`` may
+    also be its per-pool row sums r [N, 1], taken already
+    (:meth:`SpatialGraph.row_sums`), and ``sizes`` the pool sizes
+    (:func:`pool_sizes`), which a forward keeps between windows. Without a
+    temporal graph, each row of relu(tanh(beta * A_s)), masked to its own
+    pool, keeps its top k: the result is a :class:`DenseGraph`.
     """
     onehot = np.asarray(onehot, dtype=np.float64)
     if temporal is None:
         same_pool = Tensor(onehot @ onehot.T)
         return DenseGraph(topk_row_mask(relu(tanh(beta * spatial.dense())) * same_pool, k))
-    sizes = onehot @ onehot.sum(axis=0)  # [N]: each node's pool size N_p
-    r = spatial.row_sums(onehot) if spatial is not None else Tensor(np.ones((sizes.size, 1)))
+    sizes = pool_sizes(onehot) if sizes is None else sizes
+    if isinstance(spatial, SpatialGraph):
+        r = spatial.row_sums(onehot)
+    else:
+        r = Tensor(np.ones((sizes.size, 1))) if spatial is None else spatial
     spread = Tensor((np.minimum(k, sizes) / sizes)[:, None])  # [N, 1]: min(k, N_p) / N_p
-    return ConstantRowGraph(relu(tanh(beta * temporal * r)) * spread, onehot)
+    return ConstantRowGraph(relu(tanh(beta * temporal * r)) * spread, onehot, sizes)

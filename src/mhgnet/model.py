@@ -19,6 +19,7 @@ from .numcore import (
     ParameterStore,
     SplitRng,
     Tensor,
+    grad_enabled,
     matmul,
     mean,
     no_grad,
@@ -76,8 +77,34 @@ class ModelConfig:
             raise ConfigError(f"graph_mode must be one of {GRAPH_MODES}")
 
 
+@dataclass
+class Prologue:
+    """What a forward derives from the parameters, the config and the assignment alone.
+
+    The rest of a forward reads the window. With a temporal graph the fused
+    graph needs the window's scalar e, so only its row sums and pool sizes
+    are here; without one (``no_tg``) the whole graph and its walk are.
+    """
+
+    lift: Tensor  # [2, D]: x_hat's lift [w; b]
+    gru: sie.FoldedGru  # the GRU's stacked weights, the hop lift folded in
+    gates: list[std.GateTerms]
+    onehot: np.ndarray  # [N, P]: the pool one-hot of the assignment
+    sizes: np.ndarray  # [N]: each node's pool size
+    row_sums: Tensor | None  # [N, 1]: the spatial graph's per-pool row sums (``full``)
+    graph: dstgg.DenseGraph | None  # ``no_tg``: the top-k graph of every pool
+    walk_t: Tensor | None  # ``no_tg``: its walk, :func:`sie.dense_walk`
+
+
 class ForecastModel:
-    """Holds all parameters, the current cluster assignment, and a mode flag."""
+    """Holds all parameters, the current cluster assignment, and a mode flag.
+
+    A forward without a gradient keeps its :class:`Prologue` and reuses it
+    while every parameter it reads, the node types and the config values
+    it uses are equal, byte for byte, to those it was built from; so a
+    change made in place is seen too. With a gradient the prologue is built
+    as graph nodes on every call and the kept one is not read.
+    """
 
     def __init__(self, cfg: ModelConfig):
         cfg.validate()
@@ -90,6 +117,7 @@ class ForecastModel:
         self._register()
         self.assignment: ClusterAssignment = clusterer.single_pool(cfg.n)
         self.training = True
+        self._kept: tuple[list, Prologue] | None = None  # (what it was built from, prologue)
 
     # ------------------------------------------------------------------
     # construction
@@ -184,20 +212,69 @@ class ForecastModel:
     # ------------------------------------------------------------------
     # forward pieces
 
+    def _prologue_key(self) -> list:
+        """The bytes of every parameter the prologue reads, the node types and
+        pool count, and the config values it uses."""
+        gru = self.encoder.gru
+        tensors = [self.embed_w, self.embed_b, self.prop_cfg.out_proj, self.node_embedding]
+        tensors += vars(gru).values()
+        for gp in self.gates:
+            tensors += (gp.w1, gp.w2)
+        if self.graph_params is not None:
+            tensors += vars(self.graph_params).values()
+        cfg, prop, asg = self.cfg, self.prop_cfg, self.assignment
+        settings = (cfg.graph_mode, cfg.alpha, cfg.beta, cfg.k, prop.gamma, prop.hops)
+        return [t.data.tobytes() for t in tensors] + [asg.types.tobytes(), len(asg.pools), settings]
+
+    def prologue(self) -> Prologue:
+        """The forward's parameter-only part: the kept one without a gradient
+        while nothing it was built from has changed, else built now."""
+        if grad_enabled():
+            return self._build_prologue()
+        key = self._prologue_key()
+        if self._kept is None or self._kept[0] != key:
+            self._kept = None  # the stale prologue goes before the new one is built
+            self._kept = (key, self._build_prologue())
+        return self._kept[1]
+
+    def _build_prologue(self) -> Prologue:
+        cfg = self.cfg
+        onehot = np.eye(len(self.assignment.pools))[self.assignment.types]  # [N, P]
+        sizes = dstgg.pool_sizes(onehot)
+        spatial = None
+        if cfg.graph_mode != "no_sg":
+            spatial = dstgg.spatial_graph(self.graph_params, cfg.alpha)
+        row_sums = graph = walk_t = None
+        if cfg.graph_mode == "no_tg":
+            graph = dstgg.fuse_and_sparsify(spatial, None, cfg.beta, cfg.k, onehot)
+            walk_t = sie.dense_walk(graph, self.prop_cfg.gamma)
+        elif spatial is not None:
+            row_sums = spatial.row_sums(onehot)
+        # propagation reads the scalar x; hop_lift carries its hop states to
+        # the D-wide features that propagating x_hat would give
+        hops = sie.hop_lift(self.embed_w, self.embed_b, self.prop_cfg)
+        return Prologue(
+            lift=std.input_lift(self.embed_w, self.embed_b),
+            gru=sie.fold_gru(hops, self.encoder.gru),
+            gates=std.gate_terms(self.node_embedding, self.gates, cfg.d_t),
+            onehot=onehot,
+            sizes=sizes,
+            row_sums=row_sums,
+            graph=graph,
+            walk_t=walk_t,
+        )
+
     def build_graph(
-        self, tod: np.ndarray, dow: np.ndarray
+        self, tod: np.ndarray, dow: np.ndarray, prologue: Prologue | None = None
     ) -> dstgg.ConstantRowGraph | dstgg.DenseGraph:
         """The fused graph of every pool, in node order: constant rows (``full``,
         ``no_sg``) or each row's top k within its pool (``no_tg``)."""
         cfg = self.cfg
-        temporal = None
-        if cfg.graph_mode != "no_tg":
-            temporal = dstgg.temporal_graph(self.timestamps, tod, dow, cfg.beta)
-        spatial = None
-        if cfg.graph_mode != "no_sg":
-            spatial = dstgg.spatial_graph(self.graph_params, cfg.alpha)
-        onehot = np.eye(len(self.assignment.pools))[self.assignment.types]  # [N, P]
-        return dstgg.fuse_and_sparsify(spatial, temporal, cfg.beta, cfg.k, onehot)
+        pro = self.prologue() if prologue is None else prologue
+        if pro.graph is not None:
+            return pro.graph
+        e = dstgg.temporal_graph(self.timestamps, tod, dow, cfg.beta)
+        return dstgg.fuse_and_sparsify(pro.row_sums, e, cfg.beta, cfg.k, pro.onehot, pro.sizes)
 
     def forward(self, x, tod: np.ndarray, dow: np.ndarray) -> Tensor:
         """Map scaled inputs [B, T_h, N, 1] to scaled forecasts [B, T_f, N, 1]."""
@@ -213,26 +290,28 @@ class ForecastModel:
         if b == 0:
             raise ShapeError(f"input shape {x.shape} holds no window to forecast")
 
-        # x_hat = channels @ embed is never built; the kernels form it block by block
-        channels, embed = std.embed_input(x, self.embed_w, self.embed_b)
-        # propagation reads the scalar x; hop_lift carries its hop states to
-        # the D-wide features that propagating x_hat would give. No name keeps
-        # the hop states, so without a gradient they go once the encoder has read them
-        lift = sie.hop_lift(self.embed_w, self.embed_b, self.prop_cfg)
+        pro = self.prologue()
+        # x_hat = channels @ lift is never built; the kernels form it block by block
+        channels = std.embed_input(x)
+        # no name keeps the hop states, so without a gradient they go once
+        # channel_major has laid them out for the GRU, and its inputs once
+        # the encoder has read them
         x_out = sie.encode_sequence(
-            sie.propagate(x, self.build_graph(tod, dow), self.prop_cfg),
-            lift, self.encoder, training=self.training, rng=self._dropout_rng,
+            sie.channel_major(
+                sie.propagate(x, self.build_graph(tod, dow, pro), self.prop_cfg, pro.walk_t)
+            ),
+            pro.gru, self.encoder, training=self.training, rng=self._dropout_rng,
         )
         # the gates get their gradient through these per-pattern time means
         # in the skip, [B, N, P·D]; the patterns themselves are never built.
         # Taken after the encoder, they are not live in the GRU scan, where a
         # forward without a gradient peaks
         pattern_means = std.decouple(
-            channels, embed, tod, dow, self.node_embedding, self.timestamps, self.gates
+            channels, pro.lift, tod, dow, self.timestamps, self.gates, pro.gates
         )
 
         # the skip: these node parts and the last step's timestamp rows, broadcast over nodes
-        node_parts = [x_out, matmul(mean(channels, axis=1), embed), pattern_means]
+        node_parts = [x_out, matmul(mean(channels, axis=1), pro.lift), pattern_means]
         window_parts = self.timestamps.rows(tod[:, -1], dow[:, -1])  # [B, D_t] each
         out = regression_head(
             node_parts, window_parts,
@@ -262,17 +341,18 @@ class ForecastModel:
         """The probe-window feature space currently used for assignment."""
         probe = probe_windows(train_split)
         x = scaler.apply(probe.inputs[..., :1])
-
-        def pattern_means(channels: np.ndarray, lift: np.ndarray) -> np.ndarray:
-            return std.decouple(
-                Tensor(channels), Tensor(lift), probe.tod_index, probe.dow_index,
-                self.node_embedding, self.timestamps, self.gates,
-            ).data
-
         with no_grad():
-            channels, lift = std.embed_input(Tensor(x), self.embed_w, self.embed_b)
+            pro = self.prologue()
+
+            def pattern_means(channels: np.ndarray, lift: np.ndarray) -> np.ndarray:
+                return std.decouple(
+                    Tensor(channels), Tensor(lift), probe.tod_index, probe.dow_index,
+                    self.timestamps, self.gates, pro.gates,
+                ).data
+
+            channels = std.embed_input(Tensor(x))
             return clusterer.build_feature_space(
-                pattern_means, channels.data, lift.data, self.cfg.p
+                pattern_means, channels.data, pro.lift.data, self.cfg.p
             )
 
 

@@ -9,6 +9,7 @@ from .tensor import (
     broadcast_to,
     concat,
     gated_time_means,
+    grad_enabled,
     gru_sequence,
     matmul,
     mean,
@@ -35,6 +36,7 @@ __all__ = [
     "broadcast_to",
     "concat",
     "gated_time_means",
+    "grad_enabled",
     "gru_sequence",
     "matmul",
     "mean",

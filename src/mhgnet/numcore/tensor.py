@@ -38,6 +38,11 @@ def no_grad():
         _GradMode.enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops record graph nodes, that is, outside :func:`no_grad`."""
+    return _GradMode.enabled
+
+
 class Tensor:
     """A dense float64 array, optionally tracked for gradients."""
 
@@ -361,11 +366,18 @@ def broadcast_to(a, shape) -> Tensor:
 
 
 def concat(parts: Iterable, axis: int = -1) -> Tensor:
+    """Join ``parts`` along ``axis`` into a C-contiguous array, whatever the
+    parts' layouts, so that a reshape of it is a view."""
     parts = [_to_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat of an empty sequence")
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    ax = axis % data.ndim
+    ndim = parts[0].ndim
+    if not -ndim <= axis < ndim or any(p.ndim != ndim for p in parts):
+        raise ShapeError(f"concat along axis {axis} of shapes {[p.shape for p in parts]}")
+    ax = axis % ndim
+    shape = list(parts[0].shape)
+    shape[ax] = sum(p.shape[ax] for p in parts)
+    data = np.concatenate([p.data for p in parts], axis=ax, out=np.empty(shape))
     sizes = [p.data.shape[ax] for p in parts]
     offsets = np.cumsum([0] + sizes)
 

@@ -10,9 +10,11 @@ channel-major, on [T, channels, B * N]: every per-step array is a few
 contiguous rows of length B * N, so each elementwise op of the recurrence
 and of its backward runs over whole rows rather than over runs of W =
 width values, and the redistribution is a GEMM over the states as a
-[T * W, B * N] matrix. Only the small hop states enter this layout and only
-the [W, B * N] encoding leaves it; without a gradient the states [T, W,
-B * N] are never held at once.
+[T * W, B * N] matrix. Only the small hop states enter this layout, by
+:func:`channel_major` ahead of the encoder, so that without a gradient
+they are not held in both layouts while the GRU runs, and only the [W, B *
+N] encoding leaves it; without a gradient the states [T, W, B * N] are
+never held at once.
 
 What is propagated is the scalar input x [B, T, N, 1], not its D-wide lift
 x_hat = x * w + b. This is exact: every walk is linear and row-stochastic
@@ -20,7 +22,7 @@ x_hat = x * w + b. This is exact: every walk is linear and row-stochastic
 itself, and hop j of x_hat is hop j of x times w plus b. The D-wide
 features the GRU reads, the hop states of x_hat through ``out_proj``, are
 then the [B, T, N, hops] hop states of x through the [hops + 1, D] matrix
-of :func:`hop_lift`, which :func:`gru_scan` folds into the input rows of
+of :func:`hop_lift`, which :func:`fold_gru` folds into the input rows of
 the GRU's two stacked weights. No [B, T, N, D] tensor is propagated or
 projected.
 
@@ -70,7 +72,10 @@ class PropagationConfig:
 
 
 def propagate(
-    h: Tensor, graph: DenseGraph | ConstantRowGraph, cfg: PropagationConfig
+    h: Tensor,
+    graph: DenseGraph | ConstantRowGraph,
+    cfg: PropagationConfig,
+    walk_t: Tensor | None = None,
 ) -> Tensor:
     """The hop states of the gated propagation recurrence, [..., N, hops * C].
 
@@ -81,15 +86,14 @@ def propagate(
     ``graph`` is the node-order graph of every cluster, a
     :class:`ConstantRowGraph` or a :class:`DenseGraph`, and ``h`` is
     [..., N, C] in node order. The states run with nodes on the last axis,
-    so each walk is one right-multiplication.
+    so each walk is one right-multiplication. ``walk_t`` is a
+    :class:`DenseGraph`'s :func:`dense_walk`, if the caller kept it.
     """
     keep = 1.0 - cfg.gamma
     if isinstance(graph, ConstantRowGraph):
         walk = _constant_row_walk(graph, h.shape[-2], keep)
     else:
-        a_tilde = graph.a_hat + np.eye(graph.a_hat.shape[0])
-        degree = reshape(sum_(a_tilde, axis=1), (-1, 1))
-        walk_t = transpose(keep * a_tilde / degree, (1, 0))
+        walk_t = dense_walk(graph, cfg.gamma) if walk_t is None else walk_t
 
         def walk(current: Tensor) -> Tensor:
             return matmul(current, walk_t)
@@ -100,6 +104,13 @@ def propagate(
     for _ in range(cfg.hops - 1):
         states.append(cfg.gamma * field + walk(states[-1]))
     return transpose(concat(states, axis=-2), swap)
+
+
+def dense_walk(graph: DenseGraph, gamma: float) -> Tensor:
+    """(1 - gamma) times the transposed walk (A + I) / deg of a dense graph, [N, N]."""
+    a_tilde = graph.a_hat + np.eye(graph.a_hat.shape[0])
+    degree = reshape(sum_(a_tilde, axis=1), (-1, 1))
+    return transpose((1.0 - gamma) * a_tilde / degree, (1, 0))
 
 
 def _constant_row_walk(graph: ConstantRowGraph, n: int, keep: float):
@@ -116,7 +127,7 @@ def _constant_row_walk(graph: ConstantRowGraph, n: int, keep: float):
     if graph.rows.shape[0] != n:
         raise ShapeError(f"graph covers {graph.rows.shape[0]} nodes, features cover {n}")
     rows = reshape(graph.rows, (n,))
-    degree = rows * Tensor(graph.onehot @ graph.onehot.sum(axis=0)) + 1.0
+    degree = rows * Tensor(graph.sizes) + 1.0
     self_weight = keep / degree  # [N]
     spread_weight = Tensor(graph.onehot.T) * (keep * rows / degree)  # [P, N]
     onehot = Tensor(graph.onehot)
@@ -189,31 +200,27 @@ class RecurrentEncoder:
     dropout: float
 
 
-def gru_scan(
-    features: Tensor, lift: Tensor, enc: RecurrentEncoder, mask: np.ndarray | None = None
-) -> Tensor:
-    """Run the GRU over axis 1 of [B, T, N, C] and redistribute; returns [W, B * N].
+@dataclass
+class FoldedGru:
+    """The GRU's two stacked weights, each with its input rows folded through a lift."""
 
-    The hop states are transposed to [T, C, B * N], the channel-major layout
-    of :func:`gru_sequence`, with a constant-one row appended. The GRU's
-    input at each step is [features, 1] @ ``lift`` ([C + 1, D]); the lift
-    and each gate's bias are folded into its input weights,
-    ``lift @ w_x + bias_row * b_x`` with K = C + 1 rows, and each folded
-    block is stacked over its hidden weights: ``w_zr`` is the update|reset
-    block over ``update_h|reset_h``, ``w_n`` the candidate block over
-    ``cand_h``. The concats' backward splits the weights' gradients again.
-    :func:`gru_sequence` applies them one step at a time, so no
-    pre-activation of the whole window is built, and it applies the
-    dropout ``mask`` [T, W, B * N] and the encoder's redistribution in the
-    same graph node. That op checks the shapes.
+    w_zr: Tensor  # [K + W, 2W]: update|reset, input rows over hidden rows
+    w_n: Tensor  # [K + W, W]: candidate, input rows over hidden rows
+
+
+def fold_gru(lift: Tensor, gru: GruParams) -> FoldedGru:
+    """The stacked weights that :func:`gru_scan` applies, from a [K, D] ``lift``.
+
+    The GRU's input at each step is [features, 1] @ ``lift``, the last of
+    the K = C + 1 rows meeting a constant-one channel (:func:`hop_lift`).
+    The lift and each gate's bias are folded into its input weights,
+    ``lift @ w_x + bias_row * b_x``, and each folded block is stacked over
+    its hidden weights: ``w_zr`` is the update|reset block over
+    ``update_h|reset_h``, ``w_n`` the candidate block over ``cand_h``. The
+    concats' backward splits the weights' gradients again.
     """
-    b, t, n, c = features.shape
-    channels = transpose(features, (1, 3, 0, 2))  # [T, C, B, N]
-    inputs = reshape(
-        concat([channels, Tensor(np.ones((t, 1, b, n)))], axis=1), (t, c + 1, b * n)
-    )
-    bias_row = Tensor(np.eye(c + 1)[:, c:])  # [C + 1, 1]: 1 in the constant channel's row
-    gru = enc.gru
+    k = lift.shape[0]
+    bias_row = Tensor(np.eye(k)[:, k - 1 :])  # [K, 1]: 1 in the constant channel's row
 
     def fold(w_x: Tensor, b_x: Tensor) -> Tensor:
         return matmul(lift, w_x) + bias_row * b_x
@@ -224,28 +231,60 @@ def gru_scan(
     )
     w_zr = concat([w_x_zr, concat([gru.update_h, gru.reset_h], axis=1)], axis=0)
     w_n = concat([fold(gru.cand_x, gru.cand_b), gru.cand_h], axis=0)
-    return gru_sequence(inputs, w_zr, w_n, (enc.redist_w1, enc.redist_w2, enc.gain), mask)
+    return FoldedGru(w_zr, w_n)
+
+
+def channel_major(features: Tensor) -> Tensor:
+    """Hop states [B, T, N, C] as the GRU's inputs [T, C + 1, B, N].
+
+    The channels move ahead of the batch and node axes, the layout of
+    :func:`gru_sequence` once B and N are merged, and a constant-one
+    channel is appended for the folded biases. The forward calls this
+    before :func:`encode_sequence`, so without a gradient the hop states
+    are gone before the GRU runs.
+    """
+    b, t, n, _ = features.shape
+    channels = transpose(features, (1, 3, 0, 2))  # [T, C, B, N]
+    return concat([channels, Tensor(np.ones((t, 1, b, n)))], axis=1)
+
+
+def gru_scan(
+    inputs: Tensor, gru: FoldedGru, enc: RecurrentEncoder, mask: np.ndarray | None = None
+) -> Tensor:
+    """Run the GRU over axis 0 of [T, K, B, N] and redistribute; returns [W, B * N].
+
+    ``inputs`` are :func:`channel_major`'s, merged to [T, K, B * N], the
+    channel-major layout of :func:`gru_sequence`, and ``gru`` the weights
+    of :func:`fold_gru`. :func:`gru_sequence` applies them one step at a
+    time, so no pre-activation of the whole window is built, and it applies
+    the dropout ``mask`` [T, W, B * N] and the encoder's redistribution in
+    the same graph node. That op checks the shapes.
+    """
+    t, k, b, n = inputs.shape
+    merged = reshape(inputs, (t, k, b * n))
+    return gru_sequence(merged, gru.w_zr, gru.w_n, (enc.redist_w1, enc.redist_w2, enc.gain), mask)
 
 
 def encode_sequence(
-    features: Tensor,
-    lift: Tensor,
+    inputs: Tensor,
+    gru: FoldedGru,
     enc: RecurrentEncoder,
     training: bool = False,
     rng: SplitRng | None = None,
 ) -> Tensor:
-    """Encode per-step node features [B, T, N, C] into one vector per node, [B, N, W].
+    """Encode per-step node inputs [T, K, B, N] into one vector per node, [B, N, W].
 
-    The features reach the GRU through ``lift`` and :func:`gru_scan` runs
-    the GRU, the dropout and the redistribution as one op: the hidden
-    states [T, W, B * N] are dropped out in training mode only, the time
-    axis is collapsed by two ReLU-separated projections, ``redist_w2ᵀ @
-    relu(redist_w1ᵀ @ h)`` on the states as one [T * W, B * N] matrix, and
-    the result is gated elementwise by ``gain``. Here the dropout mask is
-    drawn as [B, T, N, W] and transposed, so every state element keeps the
-    draw it would get in batch-major order.
+    ``inputs`` are :func:`channel_major`'s and ``gru`` the weights of
+    :func:`fold_gru`. :func:`gru_scan` runs the GRU, the dropout and the
+    redistribution as one op: the hidden states [T, W, B * N] are dropped
+    out in training mode only, the time axis is collapsed by two
+    ReLU-separated projections, ``redist_w2ᵀ @ relu(redist_w1ᵀ @ h)`` on
+    the states as one [T * W, B * N] matrix, and the result is gated
+    elementwise by ``gain``. Here the dropout mask is drawn as [B, T, N, W]
+    and transposed, so every state element keeps the draw it would get in
+    batch-major order.
     """
-    b, t, n, _ = features.shape
+    t, _, b, n = inputs.shape
     width = enc.gru.update_h.shape[0]
     mask = None
     if training and enc.dropout > 0.0:
@@ -254,5 +293,5 @@ def encode_sequence(
         keep = 1.0 - enc.dropout
         drawn = (rng.random((b, t, n, width)) < keep).transpose(1, 3, 0, 2)
         mask = drawn.reshape(t, width, b * n) / keep
-    encoded = gru_scan(features, lift, enc, mask)
+    encoded = gru_scan(inputs, gru, enc, mask)
     return transpose(reshape(encoded, (encoded.shape[0], b, n)), (1, 2, 0))

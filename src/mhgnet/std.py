@@ -8,7 +8,9 @@ Only the patterns' time means are read downstream, so only they are
 computed (:func:`mhgnet.numcore.gated_time_means`). x_hat itself is never
 built: it is carried in factored form, the channels [x, 1] [B, T, N, 2]
 and the lift [w; b] [2, D], and the gating kernel forms it one block of
-time steps at a time.
+time steps at a time. The lift and each gate's node logits read the
+parameters alone (:func:`input_lift`, :func:`gate_terms`); a forward
+without a gradient keeps them between windows.
 """
 
 from __future__ import annotations
@@ -52,15 +54,18 @@ class GateParams:
     b2: Tensor  # [D]
 
 
-def embed_input(x, weight: Tensor, bias: Tensor) -> tuple[Tensor, Tensor]:
-    """The affine lift x_hat = x * weight + bias of the scaled target channel, factored.
+def input_lift(weight: Tensor, bias: Tensor) -> Tensor:
+    """The lift [weight; bias], [2, D], of x_hat = x * weight + bias (``weight`` [1, D])."""
+    return concat([weight, reshape(bias, (1, -1))], axis=0)
 
-    ``x`` is [B, T, N, 1], ``weight`` [1, D] and ``bias`` [D]. Returns the
-    channels [x, 1], [B, T, N, 2], and the lift [weight; bias], [2, D],
-    whose product is x_hat; the [B, T, N, D] product is not formed here.
+
+def embed_input(x) -> Tensor:
+    """The channels [x, 1], [B, T, N, 2], of the scaled target channel x [B, T, N, 1].
+
+    Their product with :func:`input_lift` is x_hat = x * weight + bias; the
+    [B, T, N, D] product is not formed here.
     """
-    channels = concat([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
-    return channels, concat([weight, reshape(bias, (1, -1))], axis=0)
+    return concat([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
 def gate_features(
@@ -74,9 +79,39 @@ def gate_features(
     ``tod`` and ``dow`` are [B, T_h] integer index arrays; returns
     ReLU(T_D) and ReLU(T_W), each [B, T_h, D_t], and ReLU(E), [N, D_s].
     The broadcast [B, T_h, N, 2*D_t + D_s] concatenation is never built.
+    A forward takes the node factor once, in :func:`gate_terms`, and the
+    timestamp factors per window, in :func:`decouple`.
     """
     daily, weekly = ts.rows(tod, dow)
     return relu(daily), relu(weekly), relu(node_embedding)
+
+
+@dataclass
+class GateTerms:
+    """What one gate takes from its parameters alone, without a timestamp."""
+
+    w_daily: Tensor  # [D_t, D]: the daily rows of w1
+    w_weekly: Tensor  # [D_t, D]: the weekly rows of w1
+    node_logits: Tensor  # [N, D]: ReLU(E) @ (the node rows of w1) @ w2
+
+
+def gate_terms(node_embedding: Tensor, gate_params: list[GateParams], d_t: int) -> list[GateTerms]:
+    """Each gate's :class:`GateTerms`, for the node embedding E [N, D_s] and D_t-wide timestamps.
+
+    Both gate layers are affine, so they apply to the factors of the
+    conditioning vector separately: the node rows of ``w1`` and then
+    ``w2`` to ReLU(E), once, and the timestamp rows per window.
+    """
+    emb = relu(node_embedding)
+    d_s = emb.shape[1]
+    return [
+        GateTerms(
+            w_daily=slice_axis(gp.w1, 0, 0, d_t),
+            w_weekly=slice_axis(gp.w1, 0, d_t, 2 * d_t),
+            node_logits=matmul(matmul(emb, slice_axis(gp.w1, 0, 2 * d_t, 2 * d_t + d_s)), gp.w2),
+        )
+        for gp in gate_params
+    ]
 
 
 def decouple(
@@ -84,34 +119,31 @@ def decouple(
     lift: Tensor,
     tod: np.ndarray,
     dow: np.ndarray,
-    node_embedding: Tensor,
     ts: TimestampEmbeddings,
     gate_params: list[GateParams],
+    terms: list[GateTerms],
 ) -> Tensor:
     """Time means of the len(gate_params) + 1 patterns of x_hat = ``channels @ lift``.
 
     ``channels`` is [B, T_h, N, K] and ``lift`` [K, D] (:func:`embed_input`
-    gives K = 2). Gate n is sigmoid((features @ w1 + b1) @ w2 + b2);
-    pattern n multiplies the running residual by the gate, and the final
-    pattern is whatever remains, so the patterns sum to x_hat. Returns
-    their means over time as [B, N, P·D], pattern p in channels p·D to
-    (p+1)·D; neither x_hat nor the [B, T_h, N, D] patterns are built.
+    and :func:`input_lift` give K = 2). Gate n is sigmoid((features @ w1 +
+    b1) @ w2 + b2); pattern n multiplies the running residual by the gate,
+    and the final pattern is whatever remains, so the patterns sum to
+    x_hat. Returns their means over time as [B, N, P·D], pattern p in
+    channels p·D to (p+1)·D; neither x_hat nor the [B, T_h, N, D] patterns
+    are built.
 
-    Both gate layers are affine, so they are applied to the factors of
-    ``features`` separately: the timestamp rows of ``w1`` on [B, T_h] and
-    the node rows on [N], summed by broadcasting inside the sigmoid.
+    ``terms`` are :func:`gate_terms` of the same gates: each gate's node
+    logits [N, D] and the timestamp rows of its ``w1``, which apply here to
+    the [B, T_h] timestamp factors; the two parts are summed by
+    broadcasting inside the sigmoid.
     """
     if gate_params is None:
         raise ConfigError("gate_params must be a list (possibly empty)")
-    per_step, per_node = [], []  # each gate's [B, T_h, D] and [N, D] parts
+    per_step = []  # each gate's [B, T_h, D] part
     if gate_params:
-        daily, weekly, emb = gate_features(tod, dow, node_embedding, ts)
-        d_t, d_s = daily.shape[-1], emb.shape[1]
-        for gp in gate_params:
-            w_daily = slice_axis(gp.w1, 0, 0, d_t)
-            w_weekly = slice_axis(gp.w1, 0, d_t, 2 * d_t)
-            w_node = slice_axis(gp.w1, 0, 2 * d_t, 2 * d_t + d_s)
-            hidden = matmul(daily, w_daily) + matmul(weekly, w_weekly) + gp.b1
+        daily, weekly = (relu(rows) for rows in ts.rows(tod, dow))
+        for gp, term in zip(gate_params, terms):
+            hidden = matmul(daily, term.w_daily) + matmul(weekly, term.w_weekly) + gp.b1
             per_step.append(matmul(hidden, gp.w2) + gp.b2)
-            per_node.append(matmul(matmul(emb, w_node), gp.w2))
-    return gated_time_means(channels, lift, per_step, per_node)
+    return gated_time_means(channels, lift, per_step, [term.node_logits for term in terms])

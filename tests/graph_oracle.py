@@ -22,6 +22,7 @@ from mhgnet.dstgg import (
     ConstantRowGraph,
     DenseGraph,
     SpatialGraph,
+    pool_sizes,
     spatial_graph,
     temporal_graph,
 )
@@ -99,7 +100,8 @@ def merged_graph(graphs: list[PoolGraph], assignment) -> ConstantRowGraph:
     """The pools' constant rows in node order: concatenated, then un-permuted."""
     rows = concat([g.rows for g in graphs], axis=0)
     rows = take(rows, np.argsort(np.concatenate([g.members for g in graphs])), axis=0)
-    return ConstantRowGraph(rows, onehot(assignment))
+    pools = onehot(assignment)
+    return ConstantRowGraph(rows, pools, pool_sizes(pools))
 
 
 def block_diagonal(graphs: list[PoolGraph], n: int) -> np.ndarray:
@@ -113,7 +115,8 @@ def block_diagonal(graphs: list[PoolGraph], n: int) -> np.ndarray:
 def pool_by_pool_forward(model, x, tod, dow) -> Tensor:
     """:meth:`ForecastModel.forward` with its graphs built and propagated pool by pool.
 
-    The model's own node-order graph is still built, but nothing reads it:
+    The model's own node-order graph (and in ``no_tg`` its walk) is still
+    built, but nothing reads it:
     ``sie.propagate`` is replaced for the call by a walk over the pools'
     graphs, their merged constant rows in ``full``/``no_sg``, or each pool's
     dense graph over its own nodes, reassembled into node order, in ``no_tg``.
@@ -121,7 +124,7 @@ def pool_by_pool_forward(model, x, tod, dow) -> Tensor:
     graphs = model_pool_graphs(model, tod, dow)
     propagate = sie.propagate
 
-    def pool_by_pool(h, graph, cfg):
+    def pool_by_pool(h, graph, cfg, walk_t=None):
         if model.cfg.graph_mode != "no_tg":
             return propagate(h, merged_graph(graphs, model.assignment), cfg)
         parts = [propagate(take(h, g.members, axis=2), DenseGraph(g.a_hat), cfg) for g in graphs]

@@ -26,3 +26,10 @@ def test_forecast_at_n300_peaks_below_22_mb():
 @pytest.mark.parametrize("n, b, bound", [(24, 64, 17_526_593), (300, 16, 51_629_607)])
 def test_train_step_peaks_no_higher(n, b, bound):
     assert memory_probe.train_step_peak(n, b) <= bound
+
+
+def test_forecast_at_n300_peaks_in_decouple_not_in_the_gru_scan():
+    # the hop states and their channel-major copy used to be held together
+    # while the GRU ran, which put the forecast's peak inside sie.gru_scan
+    _, stages = memory_probe.forecast_peaks(300, 64)
+    assert stages["sie.gru_scan"] < stages["std.decouple"]

@@ -28,6 +28,7 @@ from mhgnet.numcore import (
     broadcast_to,
     concat,
     gated_time_means,
+    grad_enabled,
     gru_sequence,
     matmul,
     mean,
@@ -573,9 +574,26 @@ class TestTensorBasics:
 
     def test_no_grad_blocks_graph(self):
         a = Tensor(np.ones(3), requires_grad=True)
+        assert grad_enabled()
         with no_grad():
+            assert not grad_enabled()
             out = a * 2.0
-        assert not out.requires_grad
+        assert not out.requires_grad and grad_enabled()
+
+    def test_concat_is_c_contiguous_so_a_reshape_is_a_view(self):
+        # the parts of the GRU's inputs: transposed hop states and a ones channel
+        states = np.random.default_rng(18).normal(size=(2, 3, 2, 5))  # [B, T, C, N]
+        parts = [transpose(Tensor(states), (1, 2, 0, 3)), Tensor(np.ones((3, 1, 2, 5)))]
+        out = concat(parts, axis=1)
+        assert out.data.flags.c_contiguous
+        assert np.array_equal(out.data, np.concatenate([p.data for p in parts], axis=1))
+        merged = reshape(out, (3, 3, 10))
+        assert np.shares_memory(merged.data, out.data)
+
+    @pytest.mark.parametrize("axis, shapes", [(2, [(2, 3), (2, 3)]), (0, [(2, 3), (2,)])])
+    def test_concat_rejects_a_bad_axis_or_rank(self, axis, shapes):
+        with pytest.raises(ShapeError):
+            concat([Tensor(np.ones(s)) for s in shapes], axis=axis)
 
     def test_grad_shape_matches(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)

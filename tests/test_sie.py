@@ -25,7 +25,10 @@ from mhgnet.sie import (
     GruParams,
     PropagationConfig,
     RecurrentEncoder,
+    channel_major,
     encode_sequence,
+    fold_gru,
+    gru_scan,
     hop_lift,
     propagate,
     reassemble,
@@ -50,6 +53,11 @@ def _cfg(gamma, hops, d=1):
 def _identity_lift(d):
     """The lift that feeds D-wide features to the GRU unchanged."""
     return Tensor(np.eye(d + 1, d))
+
+
+def _encode(features, lift, enc, *args, **kwargs):
+    """``encode_sequence`` of hop states [B, T, N, C] that reach the GRU through ``lift``."""
+    return encode_sequence(channel_major(features), fold_gru(lift, enc.gru), enc, *args, **kwargs)
 
 
 def _oracle_propagate(h, adj, gamma, hops):
@@ -338,19 +346,17 @@ class TestEncodeSequence:
         store = ParameterStore(SplitRng(9))
         enc = _encoder(d=3, width=3, t=4, store=store)
         steps = Tensor(np.zeros((2, 4, 5, 3)))
-        out = encode_sequence(steps, _identity_lift(3), enc)
+        out = _encode(steps, _identity_lift(3), enc)
         assert np.array_equal(out.data, np.zeros((2, 5, 3)))
 
     def test_single_step(self):
         store = ParameterStore(SplitRng(10))
         enc = _encoder(d=2, width=4, t=1, store=store)
         steps = Tensor(np.random.default_rng(11).normal(size=(2, 1, 3, 2)))
-        out = encode_sequence(steps, _identity_lift(2), enc)
+        out = _encode(steps, _identity_lift(2), enc)
         assert out.shape == (2, 3, 4)
 
     def test_gru_matches_independent_oracle(self):
-        from mhgnet.sie import gru_scan
-
         store = ParameterStore(SplitRng(12))
         enc = _encoder(d=2, width=3, t=2, store=store)
         p = enc.gru
@@ -359,7 +365,7 @@ class TestEncodeSequence:
         rng = np.random.default_rng(13)
         features = rng.normal(size=(2, 2, 2, 3))  # C = 3 channels
         lift = rng.normal(size=(4, 2))  # [C + 1, D]: the last row meets a constant 1
-        out = gru_scan(Tensor(features), Tensor(lift), enc)
+        out = gru_scan(channel_major(Tensor(features)), fold_gru(Tensor(lift), enc.gru), enc)
         assert out.shape == (3, 2 * 2)  # [W, B * N]
         x = features @ lift[:3] + lift[3]
         oracle = _oracle_encode(x, enc)  # [B, N, W]
@@ -369,8 +375,6 @@ class TestEncodeSequence:
         # every input of the encoder op, with and without a dropout mask: the
         # hop states, the lift, the GRU's weights and biases, both
         # redistribution weights and the gain
-        from mhgnet.sie import gru_scan
-
         store = ParameterStore(SplitRng(20))
         enc = _encoder(d=2, width=3, t=4, store=store, dropout=0.3)
         rng = np.random.default_rng(21)
@@ -382,7 +386,9 @@ class TestEncodeSequence:
         assert len(store.parameters()) == 14
         for mask in (None, (rng.random((4, 3, 2 * 2)) < 0.7) / 0.7):
             err = check_gradient(
-                lambda: sum_(gru_scan(x, lift, enc, mask) * weights), store.parameters(), h=1e-5
+                lambda: sum_(gru_scan(channel_major(x), fold_gru(lift, enc.gru), enc, mask) * weights),
+                store.parameters(),
+                h=1e-5,
             )
             assert err < 1e-6
 
@@ -397,12 +403,12 @@ class TestEncodeSequence:
         for columns in (2048, 7):
             monkeypatch.setattr(tensor_module, "GRU_COLUMNS", columns)
             for training in (False, True):
-                tracked = encode_sequence(
+                tracked = _encode(
                     Tensor(x), _identity_lift(2), enc, training, SplitRng(25, "drop")
                 )
                 assert tracked.requires_grad
                 with no_grad():
-                    untracked = encode_sequence(
+                    untracked = _encode(
                         Tensor(x), _identity_lift(2), enc, training, SplitRng(25, "drop")
                     )
                 assert not untracked.requires_grad
@@ -412,8 +418,8 @@ class TestEncodeSequence:
         store = ParameterStore(SplitRng(15))
         enc = _encoder(d=3, width=3, t=3, store=store, dropout=0.5)
         steps = Tensor(np.random.default_rng(16).normal(size=(2, 3, 4, 3)))
-        a = encode_sequence(steps, _identity_lift(3), enc, training=False)
-        b = encode_sequence(steps, _identity_lift(3), enc, training=False)
+        a = _encode(steps, _identity_lift(3), enc, training=False)
+        b = _encode(steps, _identity_lift(3), enc, training=False)
         assert np.array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("training", [False, True])
@@ -425,7 +431,7 @@ class TestEncodeSequence:
         for p in (enc.gru.update_b, enc.gru.reset_b, enc.gru.cand_b, enc.gain):
             p.data = rng.normal(0.0, 0.5, p.shape)
         features = rng.normal(size=(b, t, n, c))
-        out = encode_sequence(
+        out = _encode(
             Tensor(features), _identity_lift(c), enc, training=training, rng=SplitRng(27, "drop")
         )
         assert out.shape == (b, n, width)
@@ -443,7 +449,7 @@ class TestEncodeSequence:
         enc = _encoder(d=2, width=2, t=2, store=store, dropout=0.3)
         steps = Tensor(np.zeros((1, 2, 2, 2)))
         with pytest.raises(ConfigError):
-            encode_sequence(steps, _identity_lift(2), enc, training=True, rng=None)
+            _encode(steps, _identity_lift(2), enc, training=True, rng=None)
 
     def test_full_chain_gradient(self):
         store = ParameterStore(SplitRng(18))
@@ -461,7 +467,7 @@ class TestEncodeSequence:
                 for piece in _split(x, asg)
             ]
             lift = hop_lift(weight, bias, cfg)
-            return sum_(encode_sequence(reassemble(parts, asg), lift, enc))
+            return sum_(_encode(reassemble(parts, asg), lift, enc))
 
         err = check_gradient(loss, store.parameters(), h=1e-5)
         assert err < 1e-4

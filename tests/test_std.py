@@ -4,7 +4,14 @@ import pytest
 from gradcheck import check_gradient
 from mhgnet.errors import ConfigError
 from mhgnet.numcore import ParameterStore, SplitRng, Tensor, matmul, sum_
-from mhgnet.std import GateParams, TimestampEmbeddings, decouple, embed_input
+from mhgnet.std import (
+    GateParams,
+    TimestampEmbeddings,
+    decouple,
+    embed_input,
+    gate_terms,
+    input_lift,
+)
 from std_oracle import decouple_patterns, split_means, time_means
 
 
@@ -32,6 +39,12 @@ def _setup(p, b=2, t=4, n=5, d=3, d_s=3, d_t=2, spd=8, seed=0, store=None):
     return store, ts, emb, gates, x_hat, tod, dow
 
 
+def _decouple(channels, lift, tod, dow, emb, ts, gates):
+    """``decouple`` with the gates' terms taken from the node embedding ``emb``."""
+    terms = gate_terms(emb, gates or [], ts.daily.shape[1])
+    return decouple(channels, lift, tod, dow, ts, gates, terms)
+
+
 class _Lifted:
     """An input x_hat = channels @ lift, carried as both factors and their product."""
 
@@ -50,7 +63,7 @@ class TestEmbedInput:
     def test_zero_input_zero_bias(self):
         w = Tensor(np.random.default_rng(0).normal(size=(1, 4)))
         b = Tensor(np.zeros(4))
-        channels, lift = embed_input(np.zeros((2, 3, 5, 1)), w, b)
+        channels, lift = embed_input(np.zeros((2, 3, 5, 1))), input_lift(w, b)
         assert np.array_equal(channels.data[..., 0], np.zeros((2, 3, 5)))
         assert np.array_equal(channels.data[..., 1], np.ones((2, 3, 5)))
         assert np.array_equal(lift.data, np.concatenate([w.data, b.data[None]]))
@@ -58,14 +71,14 @@ class TestEmbedInput:
 
     def test_identity_when_unit_weight(self):
         x = np.random.default_rng(1).normal(size=(2, 3, 4, 1))
-        channels, lift = embed_input(x, Tensor([[1.0]]), Tensor([0.0]))
+        channels, lift = embed_input(x), input_lift(Tensor([[1.0]]), Tensor([0.0]))
         assert np.array_equal(channels.data @ lift.data, x)
 
     def test_product_is_the_affine_lift(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 3, 4, 1))
         w, b = rng.normal(size=(1, 5)), rng.normal(size=5)
-        channels, lift = embed_input(Tensor(x), Tensor(w), Tensor(b))
+        channels, lift = embed_input(Tensor(x)), input_lift(Tensor(w), Tensor(b))
         assert channels.shape == (2, 3, 4, 2) and lift.shape == (2, 5)
         x_hat = x * w + b
         assert np.max(np.abs(channels.data @ lift.data - x_hat)) <= 1e-15 * np.max(np.abs(x_hat))
@@ -77,7 +90,7 @@ class TestEmbedInput:
         x = np.random.default_rng(3).normal(size=(2, 2, 3, 1))
 
         def loss():
-            x_hat = matmul(*embed_input(x, w, b))
+            x_hat = matmul(embed_input(x), input_lift(w, b))
             return sum_(x_hat * x_hat)
 
         err = check_gradient(loss, store.parameters(), h=1e-5)
@@ -99,7 +112,7 @@ def _decouple_and_oracle(x_hat, tod, dow, emb, ts, gates):
 
     ``decouple`` gets x_hat's factors; the oracle gets their product.
     """
-    means = decouple(x_hat.channels, x_hat.lift, tod, dow, emb, ts, gates)
+    means = _decouple(x_hat.channels, x_hat.lift, tod, dow, emb, ts, gates)
     patterns = decouple_patterns(x_hat.full, tod, dow, emb, ts, gates)
     assert np.array_equal(means.data, time_means(patterns).data)
     return split_means(means, len(gates) + 1), patterns
@@ -140,7 +153,7 @@ class TestDecouple:
             assert (gate > 0.0).all() and (gate < 1.0).all()
         # on a positive input every time mean then lies strictly inside (0, mean(x))
         ones = _Lifted.ones(x_hat.shape)
-        for piece in split_means(decouple(ones.channels, ones.lift, tod, dow, emb, ts, gates), 3):
+        for piece in split_means(_decouple(ones.channels, ones.lift, tod, dow, emb, ts, gates), 3):
             assert (piece > 0.0).all() and (piece < 1.0).all()
 
     def test_time_shift_equivariance(self):
@@ -168,7 +181,7 @@ class TestDecouple:
         x_hat.full = matmul(x_hat.channels, x_hat.lift)
 
         def loss():
-            return sum_(decouple(x_hat.channels, x_hat.lift, tod, dow, emb, ts, gates) * weights)
+            return sum_(_decouple(x_hat.channels, x_hat.lift, tod, dow, emb, ts, gates) * weights)
 
         err = check_gradient(loss, store.parameters(), h=1e-5)
         assert err < 1e-4
@@ -216,4 +229,4 @@ class TestDecouple:
     def test_none_gate_params_rejected(self):
         store, ts, emb, gates, x_hat, tod, dow = _setup(p=1)
         with pytest.raises(ConfigError):
-            decouple(x_hat.channels, x_hat.lift, tod, dow, emb, ts, None)
+            _decouple(x_hat.channels, x_hat.lift, tod, dow, emb, ts, None)
