@@ -22,7 +22,7 @@ IDS = ["full", "no_sg", "no_tg", "single_cluster"]
 
 @pytest.fixture(scope="module")
 def bundle():
-    return make_bundle(synthesize(nodes=12, days=3, patterns=3, seed=2, steps_per_day=24), 6, 4)
+    return make_bundle(synthesize(nodes=12, days=6, patterns=3, seed=2, steps_per_day=24), 6, 4)
 
 
 def _model(bundle, mode, single, seed=1):
@@ -65,7 +65,9 @@ class TestKeptPrologue:
         model = _model(bundle, mode, single)
         for j in range(3):  # B = 1, each window after the first on the kept prologue
             _assert_fresh(model, bundle.test.slice(slice(j, j + 1)), bundle)
-        _assert_fresh(model, bundle.test.slice(slice(0, 64)), bundle)
+        windows = bundle.train.slice(slice(0, 64))
+        assert len(windows) == 64
+        _assert_fresh(model, windows, bundle)
 
     def test_in_place_write_to_any_parameter_is_seen(self, bundle, mode, single):
         model = _model(bundle, mode, single)
@@ -135,12 +137,13 @@ def test_prologue_built_once_over_50_forecasts(bundle, monkeypatch):
         return hop_lift(*args, **kwargs)
 
     monkeypatch.setattr(sie, "hop_lift", counting_hop_lift)
+    n = len(bundle.test)
     for j in range(50):
-        _forecast(model, bundle.test.slice(slice(j, j + 1)), bundle)
+        _forecast(model, bundle.test.slice(slice(j % n, j % n + 1)), bundle)
     assert len(calls) == 1
 
 
-def test_key_covers_every_parameter_the_prologue_reads(bundle):
+def test_key_holds_21_of_the_35_parameters(bundle):
     # the key holds 21 of the 35 parameters at p = 3 in ``full``: the gates'
     # biases, the timestamp tables, the redistribution and the head are read
     # per window
