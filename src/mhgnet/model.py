@@ -304,8 +304,7 @@ class ForecastModel:
         )
         # the gates get their gradient through these per-pattern time means
         # in the skip, [B, N, P·D]; the patterns themselves are never built.
-        # Taken after the encoder, they are not live in the GRU scan, where a
-        # forward without a gradient peaks
+        # Taken after the encoder, they are not live in the GRU scan
         pattern_means = std.decouple(
             channels, pro.lift, tod, dow, self.timestamps, self.gates, pro.gates
         )
