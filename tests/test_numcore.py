@@ -580,12 +580,12 @@ class TestTensorBasics:
             out = a * 2.0
         assert not out.requires_grad and grad_enabled()
 
-    def test_concat_is_c_contiguous_so_a_reshape_is_a_view(self):
+    def test_concat_is_c_contiguous_and_aligned_so_a_reshape_is_a_view(self):
         # the parts of the GRU's inputs: transposed hop states and a ones channel
         states = np.random.default_rng(18).normal(size=(2, 3, 2, 5))  # [B, T, C, N]
         parts = [transpose(Tensor(states), (1, 2, 0, 3)), Tensor(np.ones((3, 1, 2, 5)))]
         out = concat(parts, axis=1)
-        assert out.data.flags.c_contiguous
+        assert out.data.flags.c_contiguous and out.data.ctypes.data % 64 == 0
         assert np.array_equal(out.data, np.concatenate([p.data for p in parts], axis=1))
         merged = reshape(out, (3, 3, 10))
         assert np.shares_memory(merged.data, out.data)
