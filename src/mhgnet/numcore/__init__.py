@@ -25,7 +25,7 @@ from .tensor import (
     transpose,
 )
 
-heap.fix_thresholds()
+heap.fix_malloc()
 
 __all__ = [
     "Parameter",

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import GraphReleasedError, ShapeError
+from . import worker
 
 Array = np.ndarray
 
@@ -478,6 +479,53 @@ def _spans(m: int, widest: int) -> list[tuple[int, int]]:
 GRU_COLUMNS = 2048
 
 
+def _buffers(flat: Array, rows: Sequence[int], c: int) -> list[Array]:
+    """Contiguous [r, c] buffers, one per entry of ``rows``, end to end in ``flat``."""
+    ends = np.cumsum([0, *rows]) * c
+    return [flat[a:b].reshape(-1, c) for a, b in zip(ends[:-1], ends[1:])]
+
+
+def _gru_spans(spans, kept, x, neg_zr_t, w_n_t, rows, flat, states, encode) -> None:
+    """The GRU forward of :func:`gru_sequence` over its column ``spans`` of ``x``.
+
+    ``rows`` lays out the step buffers in ``flat``; ``kept`` holds each
+    span's gates and candidates when a gradient is taken, and is empty
+    otherwise. Without ``encode`` the states go into their columns of
+    ``states`` [T, W, M]. Given ``encode`` = (w1ᵀ, mask, layer), ``states``
+    is scratch for one span's states, which are masked and multiplied by
+    w1ᵀ into the span's columns of ``layer``.
+    """
+    t, k = x.shape[:2]
+    w = w_n_t.shape[0]
+    for i, (lo, hi) in enumerate(spans):
+        xh, xrh, diff, *step = _buffers(flat, rows, hi - lo)
+        hidden, rh = xh[k:], xrh[k:]
+        hidden.fill(0.0)
+        if encode:
+            span_states = states[: t * w * (hi - lo)].reshape(t, w, hi - lo)
+        else:
+            span_states = states[:, :, lo:hi]
+        for j in range(t):
+            zr, cand = (kept[i][0][j], kept[i][1][j]) if kept else step
+            xh[:k] = x[j, :, lo:hi]
+            np.matmul(neg_zr_t, xh, out=zr)
+            _logistic(zr, out=zr)
+            z, r = zr[:w], zr[w:]
+            np.multiply(r, hidden, out=rh)
+            xrh[:k] = xh[:k]
+            np.matmul(w_n_t, xrh, out=cand)
+            np.tanh(cand, out=cand)
+            np.subtract(cand, hidden, out=diff)
+            diff *= z
+            hidden += diff
+            span_states[j] = hidden
+        if encode:
+            w1_t, mask, layer = encode
+            if mask is not None:
+                span_states *= mask[:, :, lo:hi]
+            np.matmul(w1_t, span_states.reshape(t * w, hi - lo), out=layer[:, lo:hi])
+
+
 def gru_sequence(inputs, w_zr, w_n, redistribute: Sequence = (), mask=None) -> Tensor:
     """GRU recurrence over axis 0 from a zero state, recorded as one graph node.
 
@@ -501,7 +549,10 @@ def gru_sequence(inputs, w_zr, w_n, redistribute: Sequence = (), mask=None) -> T
     BLAS takes another kernel path. Without a gradient an encoding holds
     one span's states at a time and runs the GEMM by ``w1ᵀ`` span by span:
     bit for bit the whole batch's product, but on a one-column span, where
-    numpy takes a matrix-vector product.
+    numpy takes a matrix-vector product. Two or more spans without a
+    gradient run in two halves on two threads when two CPUs are usable
+    (:mod:`.worker`), each half in buffers of its own: the same spans and
+    arithmetic, so the same bits.
 
     With a gradient the states are kept, with each span's gates and
     candidates, and an encoding's GEMMs and their backward run over the
@@ -543,42 +594,24 @@ def gru_sequence(inputs, w_zr, w_n, redistribute: Sequence = (), mask=None) -> T
         gain_col = gain.data.reshape(u, 1)
         layer = _empty((v, m))  # relu(w1ᵀ @ S)
 
-    def buffers(flat, rows, c):
-        """Contiguous [r, c] buffers, one per entry of ``rows``, end to end in ``flat``."""
-        ends = np.cumsum([0, *rows]) * c
-        return [flat[a:b].reshape(-1, c) for a, b in zip(ends[:-1], ends[1:])]
-
     # with a gradient, each span's gates and candidates of every step
     kept = [[np.empty((t, r * w, hi - lo)) for r in (2, 1)] for lo, hi in spans] if keep else []
     # [x; h], [x; r * h], c - h, and without a gradient one step's gates and candidate
     rows = (k + w, k + w, w) if keep else (k + w, k + w, w, 2 * w, w)
     flat = _empty(sum(rows) * widest)
-    for i, (lo, hi) in enumerate(spans):
-        xh, xrh, diff, *step = buffers(flat, rows, hi - lo)
-        hidden, rh = xh[k:], xrh[k:]
-        hidden.fill(0.0)
-        if streamed:
-            span_states = states[: t * w * (hi - lo)].reshape(t, w, hi - lo)
-        else:
-            span_states = states[:, :, lo:hi]
-        for j in range(t):
-            zr, cand = (kept[i][0][j], kept[i][1][j]) if keep else step
-            xh[:k] = x[j, :, lo:hi]
-            np.matmul(neg_zr_t, xh, out=zr)
-            _logistic(zr, out=zr)
-            z, r = zr[:w], zr[w:]
-            np.multiply(r, hidden, out=rh)
-            xrh[:k] = xh[:k]
-            np.matmul(w_n_t, xrh, out=cand)
-            np.tanh(cand, out=cand)
-            np.subtract(cand, hidden, out=diff)
-            diff *= z
-            hidden += diff
-            span_states[j] = hidden
-        if streamed:
-            if mask is not None:
-                span_states *= mask[:, :, lo:hi]
-            np.matmul(w1.data.T, span_states.reshape(t * w, hi - lo), out=layer[:, lo:hi])
+    encode = (w1.data.T, mask, layer) if streamed else None
+    if not keep and worker.share(spans):
+        # the second half's step buffers, and its span states when streamed
+        flat_2 = _empty(sum(rows) * widest)
+        states_2 = _empty(t * w * widest) if streamed else states
+        worker.run_halves(
+            _gru_spans,
+            spans,
+            (kept, x, neg_zr_t, w_n_t, rows, flat, states, encode),
+            (kept, x, neg_zr_t, w_n_t, rows, flat_2, states_2, encode),
+        )
+    else:
+        _gru_spans(spans, kept, x, neg_zr_t, w_n_t, rows, flat, states, encode)
     if extra:
         if keep:
             s = states if mask is None else states * mask
@@ -611,7 +644,7 @@ def gru_sequence(inputs, w_zr, w_n, redistribute: Sequence = (), mask=None) -> T
         rows = (k + w, k + w, w, 2 * w, w, w, k + w, k + w)
         flat = np.empty(sum(rows) * widest)
         for (lo, hi), (zr_kept, cand_kept) in zip(spans, kept):
-            xh, xrh, dh, d_zr, d_n, spare, d_xh, d_xrh = buffers(flat, rows, hi - lo)
+            xh, xrh, dh, d_zr, d_n, spare, d_xh, d_xrh = _buffers(flat, rows, hi - lo)
             h_prev, rh_prev, d_z, d_r, d_rh = xh[k:], xrh[k:], d_zr[:w], d_zr[w:], d_xrh[k:]
             dh.fill(0.0)
             for j in reversed(range(t)):
@@ -888,6 +921,34 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
 HEAD_ROWS = 2048
 
 
+def _head_spans(spans, columns, n, skip, hidden, w1, b1, into_pre) -> None:
+    """The forward of :func:`regression_head` over its ``spans`` of windows.
+
+    ``columns`` lists each part with its columns of the skip. Without
+    ``into_pre`` each span writes its rows of the whole batch's ``skip`` and
+    ``hidden``. Given ``into_pre`` = (pre, w2, b2, gain), ``skip`` and
+    ``hidden`` hold one span's rows from their start, and the span's
+    forecasts go into its rows of ``pre``.
+    """
+    width = skip.shape[1]
+    for lo, hi in spans:
+        r0, r1 = (0, (hi - lo) * n) if into_pre else (lo * n, hi * n)
+        span_skip, span_hidden = skip[r0:r1], hidden[r0:r1]
+        blocks = span_skip.reshape(hi - lo, n, width)
+        for p, c0, c1 in columns:
+            part = p.data[lo:hi] if p.ndim == 3 else p.data[lo:hi, None]
+            np.maximum(part, 0.0, out=blocks[..., c0:c1])
+        np.matmul(span_skip, w1, out=span_hidden)
+        span_hidden += b1
+        np.maximum(span_hidden, 0.0, out=span_hidden)
+        if into_pre:
+            pre, w2, b2, gain = into_pre
+            span_pre = pre[lo * n : hi * n]
+            np.matmul(span_hidden, w2, out=span_pre)
+            span_pre += b2
+            span_pre *= gain
+
+
 def regression_head(node_parts: Sequence, window_parts: Sequence, w1, b1, w2, b2, gain) -> Tensor:
     """Skip connection and regression head, recorded as one graph node.
 
@@ -902,9 +963,10 @@ def regression_head(node_parts: Sequence, window_parts: Sequence, w1, b1, w2, b2
     per-window parts broadcast over nodes, then runs the GEMM by ``w1``,
     ``+ b1`` and the ReLU in place, the GEMM by ``w2``, ``+ b2`` and
     ``* gain`` into the output rows. The buffers are allocated once per
-    call. Within one span this is bit for bit the composed ops; across
-    spans the second GEMM may round differently, as BLAS takes another
-    kernel for fewer rows.
+    call; two or more spans run in two halves on two threads when two CPUs
+    are usable, as in :func:`gru_sequence`. Within one span this is bit for
+    bit the composed ops; across spans the second GEMM may round
+    differently, as BLAS takes another kernel for fewer rows.
 
     When a gradient will be taken the spans write the ReLU'd skip and the
     hidden layer into kept [B·N, ·] arrays instead, and the second GEMM
@@ -950,21 +1012,20 @@ def regression_head(node_parts: Sequence, window_parts: Sequence, w1, b1, w2, b2
     hidden = flat[rows * width : rows * (width + hidden_width)].reshape(rows, hidden_width)
     pre = flat[rows * (width + hidden_width) :] if keep else np.empty(b * n * t_f)
     pre = pre.reshape(b * n, t_f)
-    for lo, hi in spans:
-        r0, r1 = (lo * n, hi * n) if keep else (0, (hi - lo) * n)
-        span_skip, span_hidden = skip[r0:r1], hidden[r0:r1]
-        blocks = span_skip.reshape(hi - lo, n, width)
-        for p, c0, c1 in columns:
-            part = p.data[lo:hi] if p.ndim == 3 else p.data[lo:hi, None]
-            np.maximum(part, 0.0, out=blocks[..., c0:c1])
-        np.matmul(span_skip, w1.data, out=span_hidden)
-        span_hidden += b1.data
-        np.maximum(span_hidden, 0.0, out=span_hidden)
-        if not keep:
-            span_pre = pre[lo * n : hi * n]
-            np.matmul(span_hidden, w2.data, out=span_pre)
-            span_pre += b2.data
-            span_pre *= gain.data
+    into_pre = None if keep else (pre, w2.data, b2.data, gain.data)
+    if not keep and worker.share(spans):
+        # the second half's ReLU'd skip and hidden layer
+        flat_2 = _empty(rows * (width + hidden_width))
+        skip_2 = flat_2[: rows * width].reshape(rows, width)
+        hidden_2 = flat_2[rows * width :].reshape(rows, hidden_width)
+        worker.run_halves(
+            _head_spans,
+            spans,
+            (columns, n, skip, hidden, w1.data, b1.data, into_pre),
+            (columns, n, skip_2, hidden_2, w1.data, b1.data, into_pre),
+        )
+    else:
+        _head_spans(spans, columns, n, skip, hidden, w1.data, b1.data, into_pre)
     if keep:
         np.matmul(hidden, w2.data, out=pre)
         pre += b2.data

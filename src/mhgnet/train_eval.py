@@ -180,6 +180,11 @@ class TrainResult:
     best_assignment: ClusterAssignment | None = None
 
 
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+
+
 def _batched(n: int, batch_size: int, order: np.ndarray | None = None):
     idx = np.arange(n) if order is None else order
     for start in range(0, n, batch_size):
@@ -191,6 +196,7 @@ def predict(
 ) -> np.ndarray:
     """Inverse-scaled forecasts [windows, T_f, N, 1] for a whole split (eval
     mode, no graph); an empty split gives an empty array."""
+    _check_batch_size(batch_size)
     model.eval_mode()
     if len(data) == 0:
         return np.empty((0, model.cfg.t_f, model.cfg.n, 1))
@@ -245,6 +251,7 @@ def train(
     ``log_path`` is rewritten after every epoch, so a run that stops early
     keeps the log of the epochs it finished.
     """
+    _check_batch_size(batch_size)
     result = TrainResult()
     if epochs <= 0:
         return result

@@ -3,13 +3,16 @@
 The bounds are the probe's own cases: a ``no_grad`` forecast of B = 64
 windows at N = 300, which keeps no [T, W, B·N] GRU state array (36.5 MB
 when it did), and the two train steps, which may not peak above the 17.5
-and 51.6 MB they took then (17,526,593 and 51,629,607 bytes).
+and 51.6 MB they took then (17,526,593 and 51,629,607 bytes). On one CPU
+and on two, the GRU scan and the head peak below ``std.decouple``.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from mhgnet.numcore import worker
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "memory_probe.py"
 _spec = importlib.util.spec_from_file_location("memory_probe", _PATH)
@@ -33,3 +36,11 @@ def test_forecast_at_n300_peaks_in_decouple_not_in_the_gru_scan():
     # while the GRU ran, which put the forecast's peak inside sie.gru_scan
     _, stages = memory_probe.forecast_peaks(300, 64)
     assert stages["sie.gru_scan"] < stages["std.decouple"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_two_thread_kernels_peak_below_decouple(monkeypatch, cpus):
+    # on two threads the GRU scan and the head each hold a second half's buffers
+    monkeypatch.setattr(worker, "usable_cpus", lambda: cpus)
+    _, stages = memory_probe.forecast_peaks(300, 64)
+    assert memory_probe.below_decouple(stages)

@@ -714,6 +714,32 @@ print(mallinfo2().hblkhd)
 """
 
 
+# glibc marks a chunk that a secondary arena holds by bit 4 of its size
+# field, the word before the block; a new thread's first block comes from
+# an arena of its own unless the arena count is 1
+_ARENA_PROBE = """
+import ctypes, sys, threading
+
+if sys.argv[1] == "import":
+    import mhgnet.numcore
+
+libc = ctypes.CDLL(None)
+libc.malloc.argtypes, libc.malloc.restype = [ctypes.c_size_t], ctypes.c_void_p
+libc.free.argtypes, libc.free.restype = [ctypes.c_void_p], None
+flags = []
+
+def allocate():
+    block = libc.malloc(4096)
+    flags.append(ctypes.c_size_t.from_address(block - 8).value & 4)
+    libc.free(block)
+
+thread = threading.Thread(target=allocate)
+thread.start()
+thread.join(timeout=30)
+print(flags[0])
+"""
+
+
 def _glibc_with_mallinfo2() -> bool:
     try:
         return bool(os.confstr("CS_GNU_LIBC_VERSION")) and hasattr(ctypes.CDLL(None), "mallinfo2")
@@ -741,4 +767,25 @@ class TestHeapThresholds:
     @pytest.mark.parametrize("name", heap.ENVIRONMENT)
     def test_thresholds_the_environment_sets_are_left_alone(self, monkeypatch, name):
         monkeypatch.setenv(name, "131072")
-        assert heap.fix_thresholds() is False
+        assert heap.fix_malloc() is False
+
+    @pytest.mark.skipif(not _glibc_with_mallinfo2(), reason="needs glibc 2.33 or later")
+    @pytest.mark.parametrize(
+        "mode, environment, secondary",
+        [
+            ("plain", {}, True),
+            ("import", {}, False),
+            # the thresholds' variables leave the arena count to numcore
+            ("import", {"MALLOC_MMAP_THRESHOLD_": "131072"}, False),
+            ("import", {"MALLOC_ARENA_MAX": "2"}, True),
+        ],
+    )
+    def test_a_second_thread_allocates_from_the_main_arena(self, mode, environment, secondary):
+        import mhgnet
+
+        env = {k: v for k, v in os.environ.items() if k not in heap.ENVIRONMENT}
+        env["PYTHONPATH"] = str(Path(mhgnet.__file__).parents[1])
+        env.update(environment)
+        cmd = [sys.executable, "-c", _ARENA_PROBE, mode]
+        out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert (int(out.stdout) == 4) is secondary

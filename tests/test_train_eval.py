@@ -347,3 +347,16 @@ class TestEvaluate:
         model.refresh_clusters(bundle.train, bundle.scaler)
         report = evaluate(model, bundle.val, bundle.scaler, batch_size=32)
         assert np.isfinite(report.mae) and np.isfinite(report.rmse)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_is_a_config_error(self, batch_size):
+        series, bundle = _small_bundle()
+        model = ForecastModel(_small_cfg())
+        calls = [
+            lambda: predict(model, bundle.val, bundle.scaler, batch_size),
+            lambda: evaluate(model, bundle.val, bundle.scaler, batch_size),
+            lambda: train(model, bundle, Schedule(), 1, batch_size),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigError, match="batch_size must be >= 1"):
+                call()

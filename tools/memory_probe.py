@@ -12,7 +12,9 @@ runs (tracemalloc counts numpy's array buffers):
   training windows at N = 300, with the peak inside each of the stages
   ``sie.gru_scan`` (the GRU and the redistribution), ``sie.encode_sequence``
   (which holds the GRU scan), ``std.decouple`` and the skip and regression
-  head, ``numcore.regression_head``;
+  head, ``numcore.regression_head``. It also says whether the GRU scan's and
+  the head's peaks stay below ``std.decouple``'s: run on two threads, each
+  of those two kernels holds a second half's buffers;
 - ``train step``: forward, masked MAE loss over the full horizon, backward
   and one Adam step on the first B training windows, at N = 24, B = 64 and
   at N = 300, B = 16. The second step is measured, so the gradients and
@@ -101,6 +103,15 @@ def _stage_peaks(run) -> tuple[int, dict[str, int]]:
             setattr(owner, attr, original)
 
 
+# the stages whose peaks should stay below the peak inside std.decouple
+BELOW_DECOUPLE = ("sie.gru_scan", "numcore.regression_head")
+
+
+def below_decouple(stages: dict[str, int]) -> bool:
+    """Whether each of BELOW_DECOUPLE peaks below ``std.decouple``."""
+    return all(stages[name] < stages["std.decouple"] for name in BELOW_DECOUPLE)
+
+
 def _set_up(n: int, days: int = 7):
     bundle = make_bundle(synthesize(n, days, 3, seed=1), 12, 12)
     model = ForecastModel(ModelConfig(n=n, seed=1))
@@ -163,7 +174,11 @@ def measure(case: str, n: int, b: int) -> str:
     if case == "forecast":
         peak, stages = forecast_peaks(n, b)
         inside = ", ".join(f"{name} {stages[name] / 1e6:.1f}" for _, _, name in STAGES)
-        return f"tracemalloc peak {peak / 1e6:.1f} MB (inside {inside})"
+        verdict = "below" if below_decouple(stages) else "NOT below"
+        return (
+            f"tracemalloc peak {peak / 1e6:.1f} MB (inside {inside}); "
+            f"{' and '.join(BELOW_DECOUPLE)} peak {verdict} std.decouple"
+        )
     return f"tracemalloc peak {train_step_peak(n, b) / 1e6:.1f} MB"
 
 
