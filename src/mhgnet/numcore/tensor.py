@@ -588,7 +588,12 @@ def gru_sequence(inputs, w_zr, w_n, redistribute: Sequence = (), mask=None) -> T
     spans = _spans(m, GRU_COLUMNS)
     widest = max(hi - lo for lo, hi in spans)
     streamed = bool(extra) and not keep  # an encoding that keeps one span's states only
-    states = _empty(t * w * widest if streamed else (t, w, m))
+    # on two threads each half has its own step buffers and, when streamed,
+    # span states: the second half's follow the first's in one allocation,
+    # as four apart raised a served process's peak RSS by 2 MB
+    halves = 2 if not keep and worker.share(spans) else 1
+    states_size = t * w * widest
+    states = _empty(halves * states_size if streamed else (t, w, m))
     if extra:
         w1, w2, gain = extra
         gain_col = gain.data.reshape(u, 1)
@@ -598,17 +603,16 @@ def gru_sequence(inputs, w_zr, w_n, redistribute: Sequence = (), mask=None) -> T
     kept = [[np.empty((t, r * w, hi - lo)) for r in (2, 1)] for lo, hi in spans] if keep else []
     # [x; h], [x; r * h], c - h, and without a gradient one step's gates and candidate
     rows = (k + w, k + w, w) if keep else (k + w, k + w, w, 2 * w, w)
-    flat = _empty(sum(rows) * widest)
+    buffers_size = sum(rows) * widest
+    flat = _empty(halves * buffers_size)
     encode = (w1.data.T, mask, layer) if streamed else None
-    if not keep and worker.share(spans):
-        # the second half's step buffers, and its span states when streamed
-        flat_2 = _empty(sum(rows) * widest)
-        states_2 = _empty(t * w * widest) if streamed else states
+    if halves == 2:
+        first, second = (states[:states_size], states[states_size:]) if streamed else (states,) * 2
         worker.run_halves(
             _gru_spans,
             spans,
-            (kept, x, neg_zr_t, w_n_t, rows, flat, states, encode),
-            (kept, x, neg_zr_t, w_n_t, rows, flat_2, states_2, encode),
+            (kept, x, neg_zr_t, w_n_t, rows, flat[:buffers_size], first, encode),
+            (kept, x, neg_zr_t, w_n_t, rows, flat[buffers_size:], second, encode),
         )
     else:
         _gru_spans(spans, kept, x, neg_zr_t, w_n_t, rows, flat, states, encode)
@@ -1003,21 +1007,23 @@ def regression_head(node_parts: Sequence, window_parts: Sequence, w1, b1, w2, b2
     spans = _spans(b, max(1, HEAD_ROWS // max(1, n)))
     width = edges[-1]
     rows = b * n if keep else max(hi - lo for lo, hi in spans) * n
+    size = rows * (width + hidden_width)
+    # on two threads the second half's ReLU'd skip and hidden layer follow
+    # the first half's
+    halves = 2 if not keep and worker.share(spans) else 1
     # one allocation for the ReLU'd skip, the hidden layer and, with a
     # gradient, the pre-activations the gain's gradient reads: freed together
     # after the backward, they leave one hole that the next step's arrays of
     # that size can reuse, where three apart left the heap growing
-    flat = _empty(rows * (width + hidden_width) + (b * n * t_f if keep else 0))
+    flat = _empty(halves * size + (b * n * t_f if keep else 0))
     skip = flat[: rows * width].reshape(rows, width)
-    hidden = flat[rows * width : rows * (width + hidden_width)].reshape(rows, hidden_width)
-    pre = flat[rows * (width + hidden_width) :] if keep else np.empty(b * n * t_f)
+    hidden = flat[rows * width : size].reshape(rows, hidden_width)
+    pre = flat[size:] if keep else np.empty(b * n * t_f)
     pre = pre.reshape(b * n, t_f)
     into_pre = None if keep else (pre, w2.data, b2.data, gain.data)
-    if not keep and worker.share(spans):
-        # the second half's ReLU'd skip and hidden layer
-        flat_2 = _empty(rows * (width + hidden_width))
-        skip_2 = flat_2[: rows * width].reshape(rows, width)
-        hidden_2 = flat_2[rows * width :].reshape(rows, hidden_width)
+    if halves == 2:
+        skip_2 = flat[size : size + rows * width].reshape(rows, width)
+        hidden_2 = flat[size + rows * width :].reshape(rows, hidden_width)
         worker.run_halves(
             _head_spans,
             spans,

@@ -7,8 +7,9 @@ test here runs a call with the usable-CPU count patched to 1 and to 2, and
 asserts that the results agree bit for bit and that the second call's
 spans did run on the worker. Also: a NaN stays in its own columns, an
 exception on either thread reaches the caller and leaves the worker usable,
-one-span and gradient calls start no worker, a forked child starts its own,
-and threads that call the kernels at once get the one-thread bits.
+a call after an interrupted wait gets its own half's report, one-span and
+gradient calls start no worker, a forked child starts its own, and threads
+that call the kernels at once get the one-thread bits.
 """
 
 import os
