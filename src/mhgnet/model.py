@@ -232,10 +232,11 @@ class ForecastModel:
         if grad_enabled():
             return self._build_prologue()
         key = self._prologue_key()
-        if self._kept is None or self._kept[0] != key:
-            self._kept = None  # the stale prologue goes before the new one is built
-            self._kept = (key, self._build_prologue())
-        return self._kept[1]
+        kept = self._kept  # read once: another thread's forward may replace it
+        if kept is None or kept[0] != key:
+            self._kept = kept = None  # the stale prologue goes before the new one is built
+            self._kept = kept = (key, self._build_prologue())
+        return kept[1]
 
     def _build_prologue(self) -> Prologue:
         cfg = self.cfg
@@ -291,8 +292,6 @@ class ForecastModel:
             raise ShapeError(f"input shape {x.shape} holds no window to forecast")
 
         pro = self.prologue()
-        # x_hat = channels @ lift is never built; the kernels form it block by block
-        channels = std.embed_input(x)
         # no name keeps the hop states, so without a gradient they go once
         # channel_major has laid them out for the GRU, and its inputs once
         # the encoder has read them
@@ -302,15 +301,21 @@ class ForecastModel:
             ),
             pro.gru, self.encoder, training=self.training, rng=self._dropout_rng,
         )
-        # the gates get their gradient through these per-pattern time means
-        # in the skip, [B, N, P·D]; the patterns themselves are never built.
-        # Taken after the encoder, they are not live in the GRU scan
+        # x_hat = channels @ lift is never built; the kernels form it block by
+        # block. The channels are built after the encoder and, without a
+        # gradient, go once the pattern means and the mean term have read
+        # them, so they are live in neither the GRU scan nor the head. The
+        # gates get their gradient through these per-pattern time means in
+        # the skip, [B, N, P·D]; the patterns themselves are never built
+        channels = std.embed_input(x)
         pattern_means = std.decouple(
             channels, pro.lift, tod, dow, self.timestamps, self.gates, pro.gates
         )
+        mean_term = matmul(mean(channels, axis=1), pro.lift)
+        del channels
 
         # the skip: these node parts and the last step's timestamp rows, broadcast over nodes
-        node_parts = [x_out, matmul(mean(channels, axis=1), pro.lift), pattern_means]
+        node_parts = [x_out, mean_term, pattern_means]
         window_parts = self.timestamps.rows(tod[:, -1], dow[:, -1])  # [B, D_t] each
         out = regression_head(
             node_parts, window_parts,

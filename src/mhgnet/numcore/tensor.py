@@ -9,6 +9,8 @@ only leaves keep ``.grad``. Graph construction can be suspended with
 
 from __future__ import annotations
 
+import math
+import threading
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
@@ -20,8 +22,13 @@ from . import worker
 Array = np.ndarray
 
 
-class _GradMode:
+class _GradMode(threading.local):
+    """Whether ops record graph nodes, per thread: each thread starts with it on."""
+
     enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 # stands in for the closure of an interior node that a backward walk has run
@@ -30,18 +37,22 @@ _consumed = object()
 
 @contextmanager
 def no_grad():
-    """Disable graph construction within the block (forward-only evaluation)."""
-    prev = _GradMode.enabled
-    _GradMode.enabled = False
+    """Disable graph construction within the block (forward-only evaluation).
+
+    Grad mode is per thread: a block turns it off only for the thread that
+    runs the block, and restores that thread's earlier state on leaving.
+    """
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _GradMode.enabled = prev
+        _grad_mode.enabled = prev
 
 
 def grad_enabled() -> bool:
-    """Whether ops record graph nodes, that is, outside :func:`no_grad`."""
-    return _GradMode.enabled
+    """Whether ops record graph nodes on this thread, that is, outside :func:`no_grad`."""
+    return _grad_mode.enabled
 
 
 class Tensor:
@@ -53,7 +64,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data: Array = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) and _GradMode.enabled
+        self.requires_grad = bool(requires_grad) and _grad_mode.enabled
         self.grad: Array | None = None
         self._backward = None
         self._parents: tuple["Tensor", ...] = ()
@@ -164,7 +175,7 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 def _tracked(parents: Sequence[Tensor]) -> bool:
     """Whether an op on ``parents`` records a graph node (a gradient will flow)."""
-    return _GradMode.enabled and any(p.requires_grad for p in parents)
+    return _grad_mode.enabled and any(p.requires_grad for p in parents)
 
 
 def _result(data: Array, parents: Sequence[Tensor], backward) -> Tensor:
@@ -374,7 +385,7 @@ def _empty(shape) -> Array:
     kernels' rows ran a B=64 forecast at N=300 up to a fifth slower with
     some placements than with others.
     """
-    size = int(np.prod(shape))
+    size = math.prod(shape) if isinstance(shape, (tuple, list)) else int(shape)
     buf = np.empty(size + 8)
     start = (-buf.ctypes.data % 64) // 8
     return buf[start : start + size].reshape(shape)
@@ -485,15 +496,27 @@ def _buffers(flat: Array, rows: Sequence[int], c: int) -> list[Array]:
     return [flat[a:b].reshape(-1, c) for a, b in zip(ends[:-1], ends[1:])]
 
 
+def _dropout(s: Array, mask: Array, scale: float, out: Array | None = None) -> Array:
+    """``(s * mask) * scale``, into ``out`` if given (it may be ``s``).
+
+    Given a dropout's boolean draw and 1 / keep, this is bit for bit ``s``
+    times the float mask ``draw / keep``: ``(s * 1.0) * scale`` is
+    ``s * scale``, and a dropped state gives a zero of its own sign.
+    """
+    out = np.multiply(s, mask, out=out)
+    out *= scale
+    return out
+
+
 def _gru_spans(spans, kept, x, neg_zr_t, w_n_t, rows, flat, states, encode) -> None:
     """The GRU forward of :func:`gru_sequence` over its column ``spans`` of ``x``.
 
     ``rows`` lays out the step buffers in ``flat``; ``kept`` holds each
     span's gates and candidates when a gradient is taken, and is empty
     otherwise. Without ``encode`` the states go into their columns of
-    ``states`` [T, W, M]. Given ``encode`` = (w1ᵀ, mask, layer), ``states``
-    is scratch for one span's states, which are masked and multiplied by
-    w1ᵀ into the span's columns of ``layer``.
+    ``states`` [T, W, M]. Given ``encode`` = (w1ᵀ, mask, scale, layer),
+    ``states`` is scratch for one span's states, which are masked, scaled
+    and multiplied by w1ᵀ into the span's columns of ``layer``.
     """
     t, k = x.shape[:2]
     w = w_n_t.shape[0]
@@ -520,13 +543,15 @@ def _gru_spans(spans, kept, x, neg_zr_t, w_n_t, rows, flat, states, encode) -> N
             hidden += diff
             span_states[j] = hidden
         if encode:
-            w1_t, mask, layer = encode
+            w1_t, mask, scale, layer = encode
             if mask is not None:
-                span_states *= mask[:, :, lo:hi]
+                _dropout(span_states, mask[:, :, lo:hi], scale, out=span_states)
             np.matmul(w1_t, span_states.reshape(t * w, hi - lo), out=layer[:, lo:hi])
 
 
-def gru_sequence(inputs, w_zr, w_n, redistribute: Sequence = (), mask=None) -> Tensor:
+def gru_sequence(
+    inputs, w_zr, w_n, redistribute: Sequence = (), mask=None, scale: float = 1.0
+) -> Tensor:
     """GRU recurrence over axis 0 from a zero state, recorded as one graph node.
 
     Channel-major: ``inputs`` [T, K, M] holds K input channels of M
@@ -538,7 +563,11 @@ def gru_sequence(inputs, w_zr, w_n, redistribute: Sequence = (), mask=None) -> T
     ``h = h + z * (c - h)``. Returns the stacked states [T, W, M] or, given
     ``redistribute`` = (w1 [T·W, V], w2 [V, U], gain [U]), their encoding
     ``(w2ᵀ @ relu(w1ᵀ @ S)) * gain`` [U, M], the gain on rows, where S is
-    the states times the dropout ``mask`` [T, W, M], if given, as [T·W, M].
+    the states times the dropout ``mask`` [T, W, M], if given, and then
+    times ``scale``, as [T·W, M]. A dropout passes its boolean draw and
+    1 / keep (:func:`_dropout`): S is then bit for bit the states times the
+    float mask ``draw / keep``, which would take 8 times the bytes to hold
+    from the forward through the backward.
 
     A step is these two GEMMs, on [x; h] and [x; r * h] buffers whose rows
     it writes in place. ``w_zr`` is negated once per call, so its GEMM
@@ -557,8 +586,8 @@ def gru_sequence(inputs, w_zr, w_n, redistribute: Sequence = (), mask=None) -> T
     With a gradient the states are kept, with each span's gates and
     candidates, and an encoding's GEMMs and their backward run over the
     whole batch in the composed ops' order and layouts. The states'
-    gradient, ``w1 @ d_relu`` times the mask, goes into one buffer, which
-    first holds S again for ``w1``'s gradient. The backward then walks the
+    gradient, ``w1 @ d_relu`` times the mask and the scale, goes into one
+    buffer, which first holds S again for ``w1``'s gradient. The backward then walks the
     spans from the last step: two GEMMs with the stacked weights give a
     step's input and state gradients, and the weights' gradients are summed
     step by step from copies of [x; h_prev] and [x; r * h_prev]. Argument
@@ -605,7 +634,7 @@ def gru_sequence(inputs, w_zr, w_n, redistribute: Sequence = (), mask=None) -> T
     rows = (k + w, k + w, w) if keep else (k + w, k + w, w, 2 * w, w)
     buffers_size = sum(rows) * widest
     flat = _empty(halves * buffers_size)
-    encode = (w1.data.T, mask, layer) if streamed else None
+    encode = (w1.data.T, mask, scale, layer) if streamed else None
     if halves == 2:
         first, second = (states[:states_size], states[states_size:]) if streamed else (states,) * 2
         worker.run_halves(
@@ -618,7 +647,7 @@ def gru_sequence(inputs, w_zr, w_n, redistribute: Sequence = (), mask=None) -> T
         _gru_spans(spans, kept, x, neg_zr_t, w_n_t, rows, flat, states, encode)
     if extra:
         if keep:
-            s = states if mask is None else states * mask
+            s = states if mask is None else _dropout(states, mask, scale)
             np.matmul(w1.data.T, s.reshape(t * w, m), out=layer)
             del s  # the backward forms S again
         np.maximum(layer, 0.0, out=layer)
@@ -638,11 +667,11 @@ def gru_sequence(inputs, w_zr, w_n, redistribute: Sequence = (), mask=None) -> T
             d_layer *= layer > 0
             g = np.empty((t, w, m))  # S, then the states' gradient
             if w1.requires_grad:
-                s = states if mask is None else np.multiply(states, mask, out=g)
+                s = states if mask is None else _dropout(states, mask, scale, out=g)
                 _accum(w1, (d_layer @ s.reshape(t * w, m).T).T)
             np.matmul(w1.data, d_layer, out=g.reshape(t * w, m))
             if mask is not None:
-                g *= mask
+                _dropout(g, mask, scale, out=g)
         d_x = np.empty((t, k, m)) if inputs.requires_grad else None
         d_w_zr, d_w_n = np.zeros((k + w, 2 * w)), np.zeros((k + w, w))
         rows = (k + w, k + w, w, 2 * w, w, w, k + w, k + w)
@@ -739,9 +768,12 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
     at most half the batch), and each tile's T steps in blocks of
     c = max(1, min(T, STREAM_BUDGET // (B·N·D))) steps. Each block's
     residual starts as that block's ``channels @ lift``, and its patterns
-    are added into the sums step by step, in time order, as ``mean`` over
-    axis 1 adds them. The block's residual and gated piece live in one
-    allocation the size of two [B, c, N, D] blocks, made once per call.
+    are added step by step, in time order, as ``mean`` over axis 1 adds
+    them, into the tile's sums: one contiguous [G+1, W, N, D] scratch for
+    the widest tile, reused by each tile. A tile's sums divided by T then go
+    once, transposed, into its windows' rows of the output. The block's
+    residual and gated piece live in one allocation of two [W, c, N, D]
+    blocks of the widest tile, made once per call.
 
     A gate depends on its (window, step) only through the G stacked
     step-logit rows, and windows that share timestamps share those rows. So
@@ -751,10 +783,9 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
     window or whose rows never repeat takes its gates per block instead.
     Without a gradient the table goes in the block allocation, after the
     tile's two block buffers. That allocation widens for the largest
-    table, as long as the call then allocates no more than a batch of
-    TABLE_WINDOWS windows does for its blocks (half-batch tiles of one-step
-    blocks, as at N = 300 and B = 16 or 32, leave no room otherwise); a
-    tile whose table still does not fit takes its gates per block too.
+    table, as long as it then holds no more than a batch of TABLE_WINDOWS
+    windows allocates for its blocks; a tile whose table does not fit takes
+    its gates per block too.
     The logit parts are negated once per call, so a gate's argument is
     exactly minus its logit, which the three-pass :func:`_logistic` takes.
 
@@ -795,10 +826,11 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
 
     block = steps_per_block(b)
     bounds = [(t0, min(t0 + block, t)) for t0 in range(0, t, block)]
-    # without a gradient a tile holds at most half the batch, so that at least
-    # half of the block allocation below is left for its table
+    # without a gradient a tile holds at most half the batch, so that its two
+    # blocks leave room for its table under the block allocation's bound
     tiles = _spans(b, max(1, min(STREAM_BUDGET // max(1, n * d), b if keep else -(-b // 2))))
-    size = -(-b // len(tiles)) * block * n * d  # floats in one block buffer of the widest tile
+    widest = -(-b // len(tiles))  # windows in the widest tile
+    size = widest * block * n * d  # floats in one block buffer of the widest tile
     # the logit parts, negated once: (-a) + (-b) is exactly -(a + b)
     neg_steps = [np.negative(s.data) for s in steps]
     neg_nodes = [np.negative(v.data) for v in nodes]
@@ -813,18 +845,23 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
 
     distinct = [tile_rows(w0, w1) for w0, w1 in tiles]
     kept = []  # with a gradient, each tile's (table, index) for the backward pass
-    sums = np.zeros((g_count + 1, b, n, d))
-    # one allocation at least as large as two [B, c, N, D] blocks: a tile's
-    # residual and gated piece and, without a gradient, its table in the rest
-    # if it fits
-    floats = 2 * b * block * n * d
+    out = np.empty((b, n, (g_count + 1) * d))
+    # each pattern's sums over a tile's steps, contiguous: adding into the
+    # strided output instead took a B=64 call at N=300 from 14 to 23 ms
+    scratch = np.empty((g_count + 1) * widest * n * d)
+    # one allocation for the widest tile's residual and gated piece, two
+    # blocks of ``size`` floats, and, without a gradient, its table in the
+    # rest if it fits
+    floats = 2 * size
     if not keep:
         largest = max((rows.size * n for rows, _ in filter(None, distinct)), default=0)
         bound = 2 * TABLE_WINDOWS * steps_per_block(TABLE_WINDOWS) * n * d
         floats = max(floats, min(2 * size + largest, bound))
     flat = _empty(floats)
     for (w0, w1), found in zip(tiles, distinct):
-        tile_sums = sums[:, w0:w1]
+        tile_sums = scratch[: scratch.size // widest * (w1 - w0)]
+        tile_sums = tile_sums.reshape(g_count + 1, w1 - w0, n, d)
+        tile_sums.fill(0.0)
         table = index = None
         if found is not None:
             rows, index = found
@@ -860,8 +897,9 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
                 remaining -= piece
             for j in range(c):
                 tile_sums[g_count] += remaining[:, j]
-    sums /= t
-    out = sums.transpose(1, 2, 0, 3).reshape(b, n, (g_count + 1) * d)
+        # the tile's time means, into its windows' rows of the [B, N, (G+1)·D] output
+        means = out[w0:w1].reshape(w1 - w0, n, g_count + 1, d).transpose(2, 0, 1, 3)
+        np.divide(tile_sums, t, out=means)
 
     def bw(grad):
         # per pattern, the gradient reaching each step of its time mean: [B, 1, N, D]

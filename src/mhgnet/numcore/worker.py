@@ -78,8 +78,8 @@ def run_halves(run: Callable, spans: Sequence, first: tuple, second: tuple) -> N
     The calling thread takes the larger half, h = ceil(len(spans) / 2), as
     the worker starts later. Returns when both halves are done, and raises
     the worker's exception if it raised one and this thread's half did not.
-    While another thread's halves hold the worker, both halves run here,
-    one after the other.
+    While another thread's halves hold the worker, or when no worker thread
+    can be started, both halves run here, one after the other.
     """
     global _worker
     half = (len(spans) + 1) // 2
@@ -89,7 +89,12 @@ def run_halves(run: Callable, spans: Sequence, first: tuple, second: tuple) -> N
         return
     try:
         if _worker is None:
-            _worker = _Worker()
+            try:
+                _worker = _Worker()
+            except RuntimeError:  # no thread can be started now; the next call tries again
+                run(spans[:half], *first)
+                run(spans[half:], *second)
+                return
         _worker.tasks.put((run, (spans[half:], *second)))
         try:
             run(spans[:half], *first)

@@ -249,7 +249,11 @@ def channel_major(features: Tensor) -> Tensor:
 
 
 def gru_scan(
-    inputs: Tensor, gru: FoldedGru, enc: RecurrentEncoder, mask: np.ndarray | None = None
+    inputs: Tensor,
+    gru: FoldedGru,
+    enc: RecurrentEncoder,
+    mask: np.ndarray | None = None,
+    scale: float = 1.0,
 ) -> Tensor:
     """Run the GRU over axis 0 of [T, K, B, N] and redistribute; returns [W, B * N].
 
@@ -257,12 +261,13 @@ def gru_scan(
     channel-major layout of :func:`gru_sequence`, and ``gru`` the weights
     of :func:`fold_gru`. :func:`gru_sequence` applies them one step at a
     time, so no pre-activation of the whole window is built, and it applies
-    the dropout ``mask`` [T, W, B * N] and the encoder's redistribution in
-    the same graph node. That op checks the shapes.
+    the dropout ``mask`` [T, W, B * N] times ``scale`` and the encoder's
+    redistribution in the same graph node. That op checks the shapes.
     """
     t, k, b, n = inputs.shape
     merged = reshape(inputs, (t, k, b * n))
-    return gru_sequence(merged, gru.w_zr, gru.w_n, (enc.redist_w1, enc.redist_w2, enc.gain), mask)
+    redistribute = (enc.redist_w1, enc.redist_w2, enc.gain)
+    return gru_sequence(merged, gru.w_zr, gru.w_n, redistribute, mask, scale)
 
 
 def encode_sequence(
@@ -282,16 +287,18 @@ def encode_sequence(
     the states as one [T * W, B * N] matrix, and the result is gated
     elementwise by ``gain``. Here the dropout mask is drawn as [B, T, N, W]
     and transposed, so every state element keeps the draw it would get in
-    batch-major order.
+    batch-major order. The op takes the boolean draw and the scale
+    1 / keep, which it applies to the kept states, rather than a float
+    mask of 8 times the bytes that a gradient would hold until the backward.
     """
     t, _, b, n = inputs.shape
     width = enc.gru.update_h.shape[0]
-    mask = None
+    mask, scale = None, 1.0
     if training and enc.dropout > 0.0:
         if rng is None:
             raise ConfigError("training-mode dropout needs an rng")
         keep = 1.0 - enc.dropout
         drawn = (rng.random((b, t, n, width)) < keep).transpose(1, 3, 0, 2)
-        mask = drawn.reshape(t, width, b * n) / keep
-    encoded = gru_scan(inputs, gru, enc, mask)
+        mask, scale = drawn.reshape(t, width, b * n), 1.0 / keep
+    encoded = gru_scan(inputs, gru, enc, mask, scale)
     return transpose(reshape(encoded, (encoded.shape[0], b, n)), (1, 2, 0))

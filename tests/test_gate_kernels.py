@@ -175,11 +175,16 @@ def _gated_kernel(g):
     return lambda channels, lift, *parts: gated_time_means(channels, lift, parts[:g], parts[g:])
 
 
-def _encoder(mask):
-    """``gru_sequence`` with a redistribution, and its composed oracle, on six leaves."""
+def _encoder(mask, keep=1.0):
+    """``gru_sequence`` with a redistribution, and its composed oracle, on six leaves.
+
+    The kernel takes ``mask`` and the scale 1 / ``keep``; the oracle takes
+    the float mask ``mask / keep``.
+    """
+    floats = None if mask is None else mask / keep
     return (
-        lambda *a: gru_sequence(*a[:3], a[3:], mask),
-        lambda *a: kernel_oracle.gru_encode(*a[:3], a[3:], mask),
+        lambda *a: gru_sequence(*a[:3], a[3:], mask, 1.0 / keep),
+        lambda *a: kernel_oracle.gru_encode(*a[:3], a[3:], floats),
     )
 
 
@@ -254,6 +259,57 @@ class TestGruEncoding:
         others = np.arange(m) != 11
         assert np.isnan(out[:, 11]).all()
         assert np.array_equal(out[:, others], clean[:, others])
+
+    KEEP = 0.6
+
+    def draw(self, rng, t, w, m):
+        """A dropout draw whose sequence 0 is dropped at every step and sequence 1 kept."""
+        drawn = rng.random((t, w, m)) < self.KEEP
+        drawn[:, :, 0], drawn[:, :, 1] = False, True
+        return drawn
+
+    def test_boolean_draw_and_scale_equal_the_float_mask(self):
+        rng = np.random.default_rng(101)
+        shape = t, _, w, m, _, u = (12, 3, 10, 37, 10, 10)
+        leaves = self.leaves(rng, *shape)
+        drawn, weights = self.draw(rng, t, w, m), rng.normal(size=(u, m))
+        kernel, oracle = _encoder(drawn, self.KEEP)
+        out = _assert_same(kernel, oracle, leaves, weights, self.SUMMED)
+        # every gradient is bit for bit the kernel's own given the float mask
+        _, grads = _forward_and_grads(kernel, leaves, weights)
+        _, float_grads = _forward_and_grads(_encoder(drawn / self.KEEP)[0], leaves, weights)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, float_grads))
+        # no state of the dropped sequence reaches the encoding or the inputs
+        assert not out[:, 0].any() and not grads[0][:, :, 0].any()
+        assert out[:, 1].all()
+
+    def test_a_dropped_negative_state_keeps_its_sign(self):
+        # the kernels' masking, with the draw and then 1 / keep, against the
+        # float mask: a dropped state is a zero of its own sign, a NaN stays
+        states = np.array([-1.5, 2.0, -0.0, 0.0, -3.0, 4.0, np.nan, np.nan])
+        drawn = np.array([False, False, False, False, True, True, False, True])
+        want = states * (drawn / self.KEEP)
+        for out in (None, states.copy()):
+            got = tensor_module._dropout(states, drawn, 1.0 / self.KEEP, out=out)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.signbit(got[0]) and got[0] == 0.0
+        # and through the kernel: with every negative state dropped, the
+        # forward and every gradient match the composed ops, signs of zeros too
+        rng = np.random.default_rng(102)
+        shape = t, k, w, m, v, u = (3, 2, 4, 5, 5, 3)
+        leaves = self.leaves(rng, *shape)
+        states = kernel_oracle.gru_lean(*(leaf.data for leaf in leaves[:3])).data
+        drawn = states >= 0
+        assert drawn.any() and not drawn.all()
+        weights = rng.normal(size=(u, m))
+        kernel, oracle = _encoder(drawn, self.KEEP)
+        _assert_same(kernel, oracle, leaves, weights, self.SUMMED)
+        _, grads = _forward_and_grads(kernel, leaves, weights)
+        _, float_grads = _forward_and_grads(_encoder(drawn / self.KEEP)[0], leaves, weights)
+        for grad, float_grad in zip(grads, float_grads):
+            assert np.array_equal(grad, float_grad)
+            assert np.array_equal(np.signbit(grad), np.signbit(float_grad))
 
     def test_without_gradient_keeps_no_states(self, monkeypatch):
         # the states alone, T·W·M floats, are more than the op may allocate

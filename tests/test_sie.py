@@ -414,6 +414,29 @@ class TestEncodeSequence:
                 assert not untracked.requires_grad
                 assert np.array_equal(tracked.data, untracked.data)
 
+    @pytest.mark.parametrize("columns", [2048, 7])
+    def test_streamed_dropout_equals_the_float_mask(self, monkeypatch, columns):
+        # in training mode without a gradient the encoder streams the states
+        # span by span, masks them with the boolean draw and scales them by
+        # 1 / keep: bit for bit the states times the float mask draw / keep
+        from mhgnet.numcore import tensor as tensor_module
+
+        monkeypatch.setattr(tensor_module, "GRU_COLUMNS", columns)
+        b, t, n, c, width = 2, 5, 15, 2, 3
+        enc = _encoder(d=c, width=width, t=t, store=ParameterStore(SplitRng(28)), dropout=0.4)
+        x = Tensor(np.random.default_rng(29).normal(size=(b, t, n, c)))
+        keep = 1.0 - enc.dropout
+        drawn = SplitRng(30, "drop").random((b, t, n, width)) < keep
+        assert drawn.any() and not drawn.all()
+        floats = (drawn / keep).transpose(1, 3, 0, 2).reshape(t, width, b * n)
+        lift = _identity_lift(c)
+        with no_grad():
+            streamed = _encode(x, lift, enc, True, SplitRng(30, "drop"))
+            want = gru_scan(channel_major(x), fold_gru(lift, enc.gru), enc, floats)
+        assert np.array_equal(streamed.data, want.data.reshape(width, b, n).transpose(1, 2, 0))
+        with no_grad():
+            assert not np.array_equal(streamed.data, _encode(x, lift, enc).data)
+
     def test_eval_mode_deterministic(self):
         store = ParameterStore(SplitRng(15))
         enc = _encoder(d=3, width=3, t=3, store=store, dropout=0.5)

@@ -8,8 +8,11 @@ asserts that the results agree bit for bit and that the second call's
 spans did run on the worker. Also: a NaN stays in its own columns, an
 exception on either thread reaches the caller and leaves the worker usable,
 a call after an interrupted wait gets its own half's report, one-span and
-gradient calls start no worker, a forked child starts its own, and threads
-that call the kernels at once get the one-thread bits.
+gradient calls start no worker, nor does a call whose thread cannot start, a
+forked child starts its own, and threads that call the kernels at once get
+the one-thread bits. Grad mode is per thread: interleaved ``no_grad`` blocks
+leave it on in every thread, and a thread that trains beside one that
+forecasts gets the gradients of a run alone.
 """
 
 import os
@@ -23,9 +26,9 @@ import pytest
 
 from mhgnet.data import make_bundle, synthesize
 from mhgnet.model import ForecastModel, ModelConfig
-from mhgnet.numcore import Tensor, gru_sequence, regression_head, worker
+from mhgnet.numcore import Tensor, grad_enabled, gru_sequence, no_grad, regression_head, worker
 from mhgnet.numcore import tensor as tensor_module
-from mhgnet.train_eval import predict
+from mhgnet.train_eval import masked_mae_loss, predict
 
 SPAN_FUNCTIONS = ("_gru_spans", "_head_spans")
 
@@ -72,8 +75,7 @@ def _gru_args(seed, t=4, k=3, w=10, m=37, v=10, u=10):
     return [rng.normal(size=shape) for shape in shapes], (rng.random((t, w, m)) < 0.6) / 0.6
 
 
-# the kernels take no gradient of untracked arguments; no_grad is not used,
-# as it sets one flag for every thread
+# the kernels take no gradient of untracked arguments
 def _gru(args, mask, encode=True):
     if not encode:
         return gru_sequence(*args[:3]).data
@@ -236,6 +238,26 @@ class TestNoWorker:
         assert threads == {"MainThread"}
         assert worker._worker is None
 
+    def test_a_thread_that_cannot_start(self, cpus, threads, monkeypatch):
+        monkeypatch.setattr(tensor_module, "GRU_COLUMNS", 7)
+        args, mask = _gru_args(353)
+        cpus(1)
+        want = _gru(args, mask)
+        cpus(2)
+
+        def cannot_start(thread):
+            raise RuntimeError("can't start new thread")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", cannot_start)
+            threads.clear()
+            assert np.array_equal(_gru(args, mask), want)
+            assert threads == {"MainThread"}
+            assert worker._worker is None
+        threads.clear()
+        assert np.array_equal(_gru(args, mask), want)  # the next call starts one
+        assert threads == {"MainThread", "numcore-spans"}
+
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_worker(cpus, monkeypatch):
@@ -275,10 +297,21 @@ def test_a_forked_child_starts_its_own_worker(cpus, monkeypatch):
 
 
 def test_threads_calling_at_once_get_the_one_thread_bits(cpus, monkeypatch):
+    # tracked arguments under no_grad, each thread in blocks of its own
     monkeypatch.setattr(tensor_module, "GRU_COLUMNS", 7)
     monkeypatch.setattr(tensor_module, "HEAD_ROWS", 5)
-    cases = [_gru_args(360 + i) for i in range(3)] + [_head_args(370 + i) for i in range(3)]
-    calls = [lambda c=c: _gru(*c) for c in cases[:3]] + [lambda c=c: _head(c) for c in cases[3:]]
+
+    def tracked(args):
+        return [Tensor(a, requires_grad=True) for a in args]
+
+    def untracked(call, *args):
+        with no_grad():
+            return call(*args)
+
+    gru_cases = [_gru_args(360 + i) for i in range(3)]
+    head_cases = [tracked(_head_args(370 + i)) for i in range(3)]
+    calls = [lambda c=c: untracked(_gru, tracked(c[0]), c[1]) for c in gru_cases]
+    calls += [lambda c=c: untracked(_head, c) for c in head_cases]
     cpus(1)
     want = [call() for call in calls]
     cpus(2)
@@ -301,3 +334,83 @@ def test_threads_calling_at_once_get_the_one_thread_bits(cpus, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert mismatches == []
+    assert grad_enabled()
+    leaves = head_cases[0]
+    assert regression_head(leaves[:3], leaves[3:5], *leaves[5:]).requires_grad
+
+
+class TestGradModePerThread:
+    def test_interleaved_no_grad_blocks_leave_it_on_in_every_thread(self):
+        # A enters, B enters, A leaves, B leaves: with one flag for the whole
+        # process, B would restore the False it found on entering
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def a():
+            with no_grad():
+                a_in.set()
+                b_in.wait(10)
+                seen["a inside"] = grad_enabled()
+            seen["a after"] = grad_enabled()
+            a_out.set()
+
+        def b():
+            a_in.wait(10)
+            with no_grad():
+                b_in.set()
+                a_out.wait(10)
+                seen["b inside"] = grad_enabled()
+            seen["b after"] = grad_enabled()
+
+        pair = [threading.Thread(target=a), threading.Thread(target=b)]
+        for thread in pair:
+            thread.start()
+        for thread in pair:
+            thread.join(timeout=30)
+        assert seen == {"a inside": False, "a after": True, "b inside": False, "b after": True}
+        assert grad_enabled()
+        fresh = []
+        with no_grad():  # a thread started inside a block starts with grad mode on
+            thread = threading.Thread(target=lambda: fresh.append(grad_enabled()))
+            thread.start()
+            thread.join(timeout=30)
+            assert not grad_enabled()
+        assert fresh == [True] and grad_enabled()
+
+    def test_training_beside_a_forecasting_thread_gets_the_gradients_of_a_run_alone(self):
+        bundle = make_bundle(synthesize(24, 4, 3, seed=1), 12, 12)
+        windows = bundle.train.slice(slice(0, 16))
+        x = bundle.scaler.apply(windows.inputs[..., :1])
+
+        def gradients():
+            # the cluster refresh runs under no_grad too; the step keeps dropout
+            model = ForecastModel(ModelConfig(n=24, seed=1))
+            model.refresh_clusters(bundle.train, bundle.scaler)
+            pred = model.forward(x, windows.tod_index, windows.dow_index)
+            masked_mae_loss(pred, windows.targets, bundle.scaler).backward()
+            return [p.tensor.grad for p in model.parameters()]
+
+        want = gradients()
+        server = ForecastModel(ModelConfig(n=24, seed=2))
+        server.refresh_clusters(bundle.train, bundle.scaler)
+        served = bundle.test.slice(slice(0, 8))
+        stop, forecasts = threading.Event(), []
+
+        def serve():
+            while not stop.is_set():
+                forecasts.append(predict(server, served, bundle.scaler, batch_size=4))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        forecaster = threading.Thread(target=serve)
+        forecaster.start()
+        try:
+            got = [gradients() for _ in range(3)]
+        finally:
+            stop.set()
+            forecaster.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert forecasts and not forecaster.is_alive()
+        for grads in got:
+            assert all(g is not None and np.array_equal(g, w) for g, w in zip(grads, want))
+        assert all(np.array_equal(f, forecasts[0]) for f in forecasts)
