@@ -769,11 +769,11 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
     c = max(1, min(T, STREAM_BUDGET // (B·N·D))) steps. Each block's
     residual starts as that block's ``channels @ lift``, and its patterns
     are added step by step, in time order, as ``mean`` over axis 1 adds
-    them, into the tile's sums: one contiguous [G+1, W, N, D] scratch for
-    the widest tile, reused by each tile. A tile's sums divided by T then go
-    once, transposed, into its windows' rows of the output. The block's
-    residual and gated piece live in one allocation of two [W, c, N, D]
-    blocks of the widest tile, made once per call.
+    them, into the tile's sums, a [G+1, W, N, D] scratch sized for the
+    widest tile of W windows, in which each pattern's sums are contiguous.
+    A tile's sums divided by T then go once, transposed, into its windows'
+    rows of the output. The block's residual and gated piece live in one
+    allocation of two [W, c, N, D] blocks, made once per call.
 
     A gate depends on its (window, step) only through the G stacked
     step-logit rows, and windows that share timestamps share those rows. So
@@ -848,7 +848,7 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
     out = np.empty((b, n, (g_count + 1) * d))
     # each pattern's sums over a tile's steps, contiguous: adding into the
     # strided output instead took a B=64 call at N=300 from 14 to 23 ms
-    scratch = np.empty((g_count + 1) * widest * n * d)
+    scratch = np.empty((g_count + 1, widest, n, d))
     # one allocation for the widest tile's residual and gated piece, two
     # blocks of ``size`` floats, and, without a gradient, its table in the
     # rest if it fits
@@ -859,8 +859,7 @@ def gated_time_means(channels, lift, step_logits: Sequence, node_logits: Sequenc
         floats = max(floats, min(2 * size + largest, bound))
     flat = _empty(floats)
     for (w0, w1), found in zip(tiles, distinct):
-        tile_sums = scratch[: scratch.size // widest * (w1 - w0)]
-        tile_sums = tile_sums.reshape(g_count + 1, w1 - w0, n, d)
+        tile_sums = scratch[:, : w1 - w0]
         tile_sums.fill(0.0)
         table = index = None
         if found is not None:
