@@ -367,6 +367,7 @@ class TestGradModePerThread:
             thread.start()
         for thread in pair:
             thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in pair)
         assert seen == {"a inside": False, "a after": True, "b inside": False, "b after": True}
         assert grad_enabled()
         fresh = []
@@ -375,7 +376,7 @@ class TestGradModePerThread:
             thread.start()
             thread.join(timeout=30)
             assert not grad_enabled()
-        assert fresh == [True] and grad_enabled()
+        assert not thread.is_alive() and fresh == [True] and grad_enabled()
 
     def test_training_beside_a_forecasting_thread_gets_the_gradients_of_a_run_alone(self):
         bundle = make_bundle(synthesize(24, 4, 3, seed=1), 12, 12)
