@@ -576,7 +576,8 @@ def gru_sequence(
     column spans of at most ``GRU_COLUMNS``, so the buffers, allocated once
     per call, stay cache-sized and no span is a narrow remainder, on which
     BLAS takes another kernel path. Without a gradient an encoding holds
-    one span's states at a time and runs the GEMM by ``w1ᵀ`` span by span:
+    one span's states at a time, frees them and the step buffers before
+    the GEMM by ``w2ᵀ``, and runs the GEMM by ``w1ᵀ`` span by span:
     bit for bit the whole batch's product, but on a one-column span, where
     numpy takes a matrix-vector product. Two or more spans without a
     gradient run in two halves on two threads when two CPUs are usable
@@ -643,8 +644,11 @@ def gru_sequence(
             (kept, x, neg_zr_t, w_n_t, rows, flat[:buffers_size], first, encode),
             (kept, x, neg_zr_t, w_n_t, rows, flat[buffers_size:], second, encode),
         )
+        del first, second
     else:
         _gru_spans(spans, kept, x, neg_zr_t, w_n_t, rows, flat, states, encode)
+    if streamed:  # span scratch, which goes before w2ᵀ @ layer allocates the encoding
+        del states, flat
     if extra:
         if keep:
             s = states if mask is None else _dropout(states, mask, scale)

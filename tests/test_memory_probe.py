@@ -7,7 +7,9 @@ above 15.5 MB (N = 24, B = 64) and 42.0 MB (N = 300, B = 16). They peaked
 at 18.3, 16.5 and 45.7 MB while the forward held the embedded channels
 through the GRU scan, the gating built its sums for the whole batch before
 it copied them into its output, and a train step held its dropout mask in
-float64.
+float64. On one CPU and on two, the GRU scan and the head peak below
+``std.decouple``: the GRU scan frees its span scratch before it allocates
+the encoding.
 """
 
 import importlib.util
@@ -29,6 +31,12 @@ def cpus(request, monkeypatch):
     return request.param
 
 
+def test_forecast_at_n300_peaks_below_22_mb():
+    peak, stages = memory_probe.forecast_peaks(300, 64)
+    assert peak < 22e6
+    assert set(stages) == {name for _, _, name in memory_probe.STAGES}
+
+
 def test_forecast_at_n300_peaks_no_higher(cpus):
     peak, stages = memory_probe.forecast_peaks(300, 64)
     assert peak <= 15_000_000
@@ -39,3 +47,18 @@ def test_forecast_at_n300_peaks_no_higher(cpus):
 @pytest.mark.parametrize("n, b, bound", [(24, 64, 15_500_000), (300, 16, 42_000_000)])
 def test_train_step_peaks_no_higher(cpus, n, b, bound):
     assert memory_probe.train_step_peak(n, b) <= bound
+
+
+def test_forecast_at_n300_peaks_in_decouple_not_in_the_gru_scan():
+    # the hop states and their channel-major copy used to be held together
+    # while the GRU ran, which put the forecast's peak inside sie.gru_scan
+    _, stages = memory_probe.forecast_peaks(300, 64)
+    assert stages["sie.gru_scan"] < stages["std.decouple"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_two_thread_kernels_peak_below_decouple(monkeypatch, cpus):
+    # on two threads the GRU scan and the head each hold a second half's buffers
+    monkeypatch.setattr(worker, "usable_cpus", lambda: cpus)
+    _, stages = memory_probe.forecast_peaks(300, 64)
+    assert memory_probe.below_decouple(stages)

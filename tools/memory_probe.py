@@ -12,9 +12,10 @@ runs (tracemalloc counts numpy's array buffers):
   training windows at N = 300, with the peak inside each of the stages
   ``sie.gru_scan`` (the GRU and the redistribution), ``sie.encode_sequence``
   (which holds the GRU scan), ``std.decouple`` and the skip and regression
-  head, ``numcore.regression_head``, and names the stage that sets the
-  forecast's peak (on two threads the GRU scan and the head each hold a
-  second half's buffers, so it may differ from one CPU to two);
+  head, ``numcore.regression_head``. It names the stage that sets the
+  forecast's peak and says whether the GRU scan's and the head's peaks stay
+  below ``std.decouple``'s: run on two threads, each of those two kernels
+  holds a second half's buffers;
 - ``train step``: forward, masked MAE loss over the full horizon, backward
   and one Adam step on the first B training windows, at N = 24, B = 64 and
   at N = 300, B = 16. The second step is measured, so the gradients and
@@ -103,6 +104,15 @@ def _stage_peaks(run) -> tuple[int, dict[str, int]]:
             setattr(owner, attr, original)
 
 
+# the stages whose peaks should stay below the peak inside std.decouple
+BELOW_DECOUPLE = ("sie.gru_scan", "numcore.regression_head")
+
+
+def below_decouple(stages: dict[str, int]) -> bool:
+    """Whether each of BELOW_DECOUPLE peaks below ``std.decouple``."""
+    return all(stages[name] < stages["std.decouple"] for name in BELOW_DECOUPLE)
+
+
 def peak_stage(peak: int, stages: dict[str, int]) -> str:
     """The first of STAGES, the innermost of nested ones, inside which the run reached ``peak``."""
     return next((name for _, _, name in STAGES if stages.get(name) == peak), "no stage")
@@ -170,9 +180,11 @@ def measure(case: str, n: int, b: int) -> str:
     if case == "forecast":
         peak, stages = forecast_peaks(n, b)
         inside = ", ".join(f"{name} {stages[name] / 1e6:.1f}" for _, _, name in STAGES)
+        verdict = "below" if below_decouple(stages) else "NOT below"
         return (
             f"tracemalloc peak {peak / 1e6:.1f} MB (inside {inside}); "
-            f"set inside {peak_stage(peak, stages)}"
+            f"set inside {peak_stage(peak, stages)}; "
+            f"{' and '.join(BELOW_DECOUPLE)} peak {verdict} std.decouple"
         )
     return f"tracemalloc peak {train_step_peak(n, b) / 1e6:.1f} MB"
 
