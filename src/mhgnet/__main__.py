@@ -1,3 +1,3 @@
-from .cli import entry
+from .launch import main
 
-entry()
+main()

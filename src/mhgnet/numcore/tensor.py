@@ -299,7 +299,12 @@ def _logistic(neg: Array, out: Array | None = None) -> Array:
     reference on [-700, 700] either form is within 2.6e-16 relative.
     """
     with np.errstate(over="ignore"):
-        out = np.exp(neg, out=out)
+        return _logistic_passes(neg, out)
+
+
+def _logistic_passes(neg: Array, out: Array | None) -> Array:
+    """:func:`_logistic` for a caller that has entered ``np.errstate(over="ignore")``."""
+    out = np.exp(neg, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
 
@@ -511,42 +516,47 @@ def _dropout(s: Array, mask: Array, scale: float, out: Array | None = None) -> A
 def _gru_spans(spans, kept, x, neg_zr_t, w_n_t, rows, flat, states, encode) -> None:
     """The GRU forward of :func:`gru_sequence` over its column ``spans`` of ``x``.
 
-    ``rows`` lays out the step buffers in ``flat``; ``kept`` holds each
-    span's gates and candidates when a gradient is taken, and is empty
+    Each span comes with its index, as ``(i, (lo, hi))``. ``rows`` lays out
+    the step buffers in ``flat``; ``kept`` holds span i's gates and
+    candidates at ``kept[i]`` when a gradient is taken, and is empty
     otherwise. Without ``encode`` the states go into their columns of
     ``states`` [T, W, M]. Given ``encode`` = (w1ᵀ, mask, scale, layer),
     ``states`` is scratch for one span's states, which are masked, scaled
-    and multiplied by w1ᵀ into the span's columns of ``layer``.
+    and multiplied by w1ᵀ into the span's columns of ``layer``. Overflow
+    is ignored for the whole call, entered once and not once per step: the
+    logistic's, below x = -709, gives its exact limit, and so an overflowing
+    GEMM here is not reported either.
     """
     t, k = x.shape[:2]
     w = w_n_t.shape[0]
-    for i, (lo, hi) in enumerate(spans):
-        xh, xrh, diff, *step = _buffers(flat, rows, hi - lo)
-        hidden, rh = xh[k:], xrh[k:]
-        hidden.fill(0.0)
-        if encode:
-            span_states = states[: t * w * (hi - lo)].reshape(t, w, hi - lo)
-        else:
-            span_states = states[:, :, lo:hi]
-        for j in range(t):
-            zr, cand = (kept[i][0][j], kept[i][1][j]) if kept else step
-            xh[:k] = x[j, :, lo:hi]
-            np.matmul(neg_zr_t, xh, out=zr)
-            _logistic(zr, out=zr)
-            z, r = zr[:w], zr[w:]
-            np.multiply(r, hidden, out=rh)
-            xrh[:k] = xh[:k]
-            np.matmul(w_n_t, xrh, out=cand)
-            np.tanh(cand, out=cand)
-            np.subtract(cand, hidden, out=diff)
-            diff *= z
-            hidden += diff
-            span_states[j] = hidden
-        if encode:
-            w1_t, mask, scale, layer = encode
-            if mask is not None:
-                _dropout(span_states, mask[:, :, lo:hi], scale, out=span_states)
-            np.matmul(w1_t, span_states.reshape(t * w, hi - lo), out=layer[:, lo:hi])
+    with np.errstate(over="ignore"):
+        for i, (lo, hi) in spans:
+            xh, xrh, diff, *step = _buffers(flat, rows, hi - lo)
+            hidden, rh = xh[k:], xrh[k:]
+            hidden.fill(0.0)
+            if encode:
+                span_states = states[: t * w * (hi - lo)].reshape(t, w, hi - lo)
+            else:
+                span_states = states[:, :, lo:hi]
+            for j in range(t):
+                zr, cand = (kept[i][0][j], kept[i][1][j]) if kept else step
+                xh[:k] = x[j, :, lo:hi]
+                np.matmul(neg_zr_t, xh, out=zr)
+                _logistic_passes(zr, out=zr)
+                z, r = zr[:w], zr[w:]
+                np.multiply(r, hidden, out=rh)
+                xrh[:k] = xh[:k]
+                np.matmul(w_n_t, xrh, out=cand)
+                np.tanh(cand, out=cand)
+                np.subtract(cand, hidden, out=diff)
+                diff *= z
+                hidden += diff
+                span_states[j] = hidden
+            if encode:
+                w1_t, mask, scale, layer = encode
+                if mask is not None:
+                    _dropout(span_states, mask[:, :, lo:hi], scale, out=span_states)
+                np.matmul(w1_t, span_states.reshape(t * w, hi - lo), out=layer[:, lo:hi])
 
 
 def gru_sequence(
@@ -580,9 +590,9 @@ def gru_sequence(
     the GEMM by ``w2ᵀ``, and runs the GEMM by ``w1ᵀ`` span by span:
     bit for bit the whole batch's product, but on a one-column span, where
     numpy takes a matrix-vector product. Two or more spans without a
-    gradient run in two halves on two threads when two CPUs are usable
-    (:mod:`.worker`), each half in buffers of its own: the same spans and
-    arithmetic, so the same bits.
+    gradient run on two threads when two CPUs are usable (:mod:`.worker`),
+    which claim them one at a time, each thread in buffers of its own: the
+    same spans and arithmetic, so the same bits.
 
     With a gradient the states are kept, with each span's gates and
     candidates, and an encoding's GEMMs and their backward run over the
@@ -618,12 +628,12 @@ def gru_sequence(
     spans = _spans(m, GRU_COLUMNS)
     widest = max(hi - lo for lo, hi in spans)
     streamed = bool(extra) and not keep  # an encoding that keeps one span's states only
-    # on two threads each half has its own step buffers and, when streamed,
-    # span states: the second half's follow the first's in one allocation,
-    # as four apart raised a served process's peak RSS by 2 MB
-    halves = 2 if not keep and worker.share(spans) else 1
+    # on two threads each has its own step buffers and, when streamed, span
+    # states: the worker's follow the caller's in one allocation, as four
+    # apart raised a served process's peak RSS by 2 MB
+    threads = 2 if not keep and worker.share(spans) else 1
     states_size = t * w * widest
-    states = _empty(halves * states_size if streamed else (t, w, m))
+    states = _empty(threads * states_size if streamed else (t, w, m))
     if extra:
         w1, w2, gain = extra
         gain_col = gain.data.reshape(u, 1)
@@ -634,19 +644,19 @@ def gru_sequence(
     # [x; h], [x; r * h], c - h, and without a gradient one step's gates and candidate
     rows = (k + w, k + w, w) if keep else (k + w, k + w, w, 2 * w, w)
     buffers_size = sum(rows) * widest
-    flat = _empty(halves * buffers_size)
+    flat = _empty(threads * buffers_size)
     encode = (w1.data.T, mask, scale, layer) if streamed else None
-    if halves == 2:
+    if threads == 2:
         first, second = (states[:states_size], states[states_size:]) if streamed else (states,) * 2
-        worker.run_halves(
+        worker.run_split(
             _gru_spans,
-            spans,
+            list(enumerate(spans)),
             (kept, x, neg_zr_t, w_n_t, rows, flat[:buffers_size], first, encode),
             (kept, x, neg_zr_t, w_n_t, rows, flat[buffers_size:], second, encode),
         )
         del first, second
     else:
-        _gru_spans(spans, kept, x, neg_zr_t, w_n_t, rows, flat, states, encode)
+        _gru_spans(enumerate(spans), kept, x, neg_zr_t, w_n_t, rows, flat, states, encode)
     if streamed:  # span scratch, which goes before w2ᵀ @ layer allocates the encoding
         del states, flat
     if extra:
@@ -1008,8 +1018,8 @@ def regression_head(node_parts: Sequence, window_parts: Sequence, w1, b1, w2, b2
     per-window parts broadcast over nodes, then runs the GEMM by ``w1``,
     ``+ b1`` and the ReLU in place, the GEMM by ``w2``, ``+ b2`` and
     ``* gain`` into the output rows. The buffers are allocated once per
-    call; two or more spans run in two halves on two threads when two CPUs
-    are usable, as in :func:`gru_sequence`. Within one span this is bit for
+    call; two or more spans run on two threads when two CPUs are usable,
+    as in :func:`gru_sequence`. Within one span this is bit for
     bit the composed ops; across spans the second GEMM may round
     differently, as BLAS takes another kernel for fewer rows.
 
@@ -1049,23 +1059,23 @@ def regression_head(node_parts: Sequence, window_parts: Sequence, w1, b1, w2, b2
     width = edges[-1]
     rows = b * n if keep else max(hi - lo for lo, hi in spans) * n
     size = rows * (width + hidden_width)
-    # on two threads the second half's ReLU'd skip and hidden layer follow
-    # the first half's
-    halves = 2 if not keep and worker.share(spans) else 1
+    # on two threads the worker's ReLU'd skip and hidden layer follow the
+    # caller's
+    threads = 2 if not keep and worker.share(spans) else 1
     # one allocation for the ReLU'd skip, the hidden layer and, with a
     # gradient, the pre-activations the gain's gradient reads: freed together
     # after the backward, they leave one hole that the next step's arrays of
     # that size can reuse, where three apart left the heap growing
-    flat = _empty(halves * size + (b * n * t_f if keep else 0))
+    flat = _empty(threads * size + (b * n * t_f if keep else 0))
     skip = flat[: rows * width].reshape(rows, width)
     hidden = flat[rows * width : size].reshape(rows, hidden_width)
     pre = flat[size:] if keep else np.empty(b * n * t_f)
     pre = pre.reshape(b * n, t_f)
     into_pre = None if keep else (pre, w2.data, b2.data, gain.data)
-    if halves == 2:
+    if threads == 2:
         skip_2 = flat[size : size + rows * width].reshape(rows, width)
         hidden_2 = flat[size + rows * width :].reshape(rows, hidden_width)
-        worker.run_halves(
+        worker.run_split(
             _head_spans,
             spans,
             (columns, n, skip, hidden, w1.data, b1.data, into_pre),

@@ -91,3 +91,16 @@ class TestSummarise:
         out = bench_pairs.summarise(self.pairs(10.0, 10.0), self.SPEC)
         assert "raw" not in out["test_mae"]
         assert out["test_mae"]["verdict"] == "no change"
+
+
+class TestSchedLoadBalance:
+    def test_reads_the_cpusets_flag(self, tmp_path):
+        (tmp_path / "cpuset.sched_load_balance").write_text("0\n")
+        assert bench_pairs.sched_load_balance(tmp_path) == 0
+        (tmp_path / "cpuset.sched_load_balance").write_text("1\n")
+        assert bench_pairs.sched_load_balance(tmp_path) == 1
+
+    def test_null_without_the_file_or_with_garbage(self, tmp_path):
+        assert bench_pairs.sched_load_balance(tmp_path / "missing") is None
+        (tmp_path / "cpuset.sched_load_balance").write_text("yes\n")
+        assert bench_pairs.sched_load_balance(tmp_path) is None

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from mhgnet.clusterer import ClusterAssignment
 from mhgnet.config import RunConfig, parse_config, render_config
 from mhgnet.data import load_series
 from mhgnet.errors import ConfigError, FormatError
+from mhgnet.launch import BLAS_THREADS, one_blas_thread
 from mhgnet.model import (
     ForecastModel,
     ModelConfig,
@@ -79,6 +83,26 @@ def _fast_config(tmp_path, **overrides):
     path = tmp_path / "run.cfg"
     path.write_text(render_config(cfg))
     return path
+
+
+class TestLauncher:
+    def test_unset_blas_thread_counts_become_one(self):
+        env = {name: value for name, value in os.environ.items() if name not in BLAS_THREADS}
+        one_blas_thread(env)
+        assert all(env[name] == "1" for name in BLAS_THREADS)
+
+    def test_counts_the_environment_sets_are_kept(self):
+        env = {"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": ""}
+        one_blas_thread(env)
+        assert env == {"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}
+
+    def test_the_launcher_runs_before_numpy_is_imported(self):
+        # the command imports mhgnet, then the launcher: neither may import numpy
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, mhgnet.launch; print('numpy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout.strip() == "False", out.stderr
 
 
 class TestConfig:

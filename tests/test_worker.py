@@ -1,11 +1,14 @@
 """The kernels' spans on two threads (``numcore.worker``) against one thread.
 
 Without a gradient, ``gru_sequence`` and ``regression_head`` run two or more
-spans in two halves, the second on a worker thread, when two CPUs are
-usable. The spans and their arithmetic are those of one thread, so each
-test here runs a call with the usable-CPU count patched to 1 and to 2, and
-asserts that the results agree bit for bit and that the second call's
-spans did run on the worker. Also: a NaN stays in its own columns, an
+spans on the calling thread and a worker thread, which claim them one at a
+time, when two CPUs are usable. The spans and their arithmetic are those of
+one thread, so each test here runs a call with the usable-CPU count patched
+to 1 and to 2, and asserts that the results agree bit for bit and that the
+second call's spans did run on the worker. The worker is pinned to a CPU of
+the caller's affinity other than the caller's, moved when the caller comes
+onto its CPU, left unpinned when the caller's affinity has no other CPU, and
+always runs the last span, however slow it is. Also: a NaN stays in its own columns, an
 exception on either thread reaches the caller and leaves the worker usable,
 a call after an interrupted wait gets its own half's report, one-span and
 gradient calls start no worker, nor does a call whose thread cannot start, a
@@ -31,6 +34,7 @@ from mhgnet.numcore import tensor as tensor_module
 from mhgnet.train_eval import masked_mae_loss, predict
 
 SPAN_FUNCTIONS = ("_gru_spans", "_head_spans")
+two_cpus = pytest.mark.skipif(worker.usable_cpus() < 2, reason="needs two usable CPUs")
 
 
 @pytest.fixture
@@ -134,7 +138,7 @@ class TestBitwiseOnTwoThreads:
 
 class TestIsolation:
     def test_a_nan_stays_in_its_gru_columns(self, cpus, threads, monkeypatch):
-        # sequence 30 sits in the worker's half of 6 spans
+        # sequence 30 sits in the last of 6 spans, which the worker runs first
         monkeypatch.setattr(tensor_module, "GRU_COLUMNS", 7)
         args, mask = _gru_args(330)
         clean = _gru(args, mask)
@@ -150,7 +154,7 @@ class TestIsolation:
         monkeypatch.setattr(tensor_module, "HEAD_ROWS", 5)
         args = _head_args(331)
         clean = _head(args)
-        args[0][6, 2, 1] = np.nan  # window 6, node 2: the worker's half
+        args[0][6, 2, 1] = np.nan  # window 6, node 2: the last span, the worker's
         threads.clear()
         out = _head(args)
         assert "numcore-spans" in threads
@@ -259,27 +263,15 @@ class TestNoWorker:
         assert threads == {"MainThread", "numcore-spans"}
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_starts_its_own_worker(cpus, monkeypatch):
-    monkeypatch.setattr(tensor_module, "GRU_COLUMNS", 256)
-    monkeypatch.setattr(tensor_module, "HEAD_ROWS", 256)
-    bundle = make_bundle(synthesize(24, 4, 3, seed=1), 12, 12)
-    model = ForecastModel(ModelConfig(n=24, seed=1))
-    model.refresh_clusters(bundle.train, bundle.scaler)
-    windows = bundle.test.slice(slice(0, 64))
-    want = predict(model, windows, bundle.scaler, batch_size=64)  # 6 GRU spans
-    parent_worker = worker._worker
-    assert parent_worker is not None and parent_worker.thread.is_alive()
+def _in_a_forked_child(check) -> bool:
+    """Whether ``check()`` returns True in a forked child of this process."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads, Python 3.12+
         pid = os.fork()
-    if pid == 0:  # the child: exit code 0 when it forecast the same bits on a worker of its own
+    if pid == 0:  # the child: exit code 0 when the check holds
         code = 1
         try:
-            fresh = worker._worker is None
-            got = predict(model, windows, bundle.scaler, batch_size=64)
-            started = worker._worker is not None and worker._worker.thread.is_alive()
-            code = 0 if fresh and started and np.array_equal(got, want) else 2
+            code = 0 if check() else 2
         finally:
             sys.stdout.flush()
             os._exit(code)
@@ -291,9 +283,141 @@ def test_a_forked_child_starts_its_own_worker(cpus, monkeypatch):
         if time.monotonic() > deadline:
             os.kill(pid, 9)
             os.waitpid(pid, 0)
-            pytest.fail("the forked child did not finish its forecast")
+            pytest.fail("the forked child did not finish its check")
         time.sleep(0.01)
-    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    return os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+@pytest.fixture
+def forecast_at_n24(cpus, monkeypatch):
+    """A B=64 forecast at N=24 in 6 GRU spans, and the one to expect; the worker is started."""
+    monkeypatch.setattr(tensor_module, "GRU_COLUMNS", 256)
+    monkeypatch.setattr(tensor_module, "HEAD_ROWS", 256)
+    bundle = make_bundle(synthesize(24, 4, 3, seed=1), 12, 12)
+    model = ForecastModel(ModelConfig(n=24, seed=1))
+    model.refresh_clusters(bundle.train, bundle.scaler)
+    windows = bundle.test.slice(slice(0, 64))
+
+    def forecast():
+        return predict(model, windows, bundle.scaler, batch_size=64)
+
+    want = forecast()
+    assert worker._worker is not None and worker._worker.thread.is_alive()
+    return forecast, want
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_worker(cpus, forecast_at_n24):
+    forecast, want = forecast_at_n24
+
+    def child():  # forecasts the same bits on a worker of its own
+        fresh = worker._worker is None
+        got = forecast()
+        started = worker._worker is not None and worker._worker.thread.is_alive()
+        return fresh and started and np.array_equal(got, want)
+
+    assert _in_a_forked_child(child)
+
+
+@two_cpus
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_pins_a_worker_of_its_own(forecast_at_n24):
+    forecast, want = forecast_at_n24
+
+    def child():
+        got = forecast()
+        own = worker._worker
+        return (
+            np.array_equal(got, want)
+            and own.cpu in os.sched_getaffinity(0)
+            and os.sched_getaffinity(own.thread.native_id) == {own.cpu}
+        )
+
+    assert _in_a_forked_child(child)
+
+
+class TestPlacement:
+    @pytest.fixture(autouse=True)
+    def fresh_worker(self, monkeypatch, cpus):
+        """A worker started by the test's first split, whose caller's CPU reads are recorded."""
+        monkeypatch.setattr(worker, "_worker", None)
+        monkeypatch.setattr(tensor_module, "GRU_COLUMNS", 7)  # 37 sequences in 6 spans
+        self.reads = []
+        read = worker._cpu_reader()
+
+        def recording():
+            self.reads.append(read())
+            return self.reads[-1]
+
+        monkeypatch.setattr(worker, "_cpu_reader", lambda: recording)
+
+    @staticmethod
+    def pinned() -> set:
+        return os.sched_getaffinity(worker._worker.thread.native_id)
+
+    @two_cpus
+    def test_the_worker_runs_on_another_cpu_of_the_callers_affinity(self):
+        _gru(*_gru_args(380))
+        (cpu,) = self.pinned()
+        assert cpu == worker._worker.cpu
+        assert cpu in os.sched_getaffinity(0)
+        assert cpu != self.reads[-1]
+
+    @two_cpus
+    def test_a_caller_on_the_workers_cpu_moves_the_worker(self, monkeypatch):
+        args, mask = _gru_args(381)
+        want = _gru(args, mask)
+        (cpu,) = self.pinned()
+        # the caller reads the worker's CPU as its own, as after a move there
+        monkeypatch.setattr(worker._worker, "caller_cpu", lambda: cpu)
+        assert np.array_equal(_gru(args, mask), want)
+        (moved,) = self.pinned()
+        assert moved != cpu
+        assert moved in os.sched_getaffinity(0)
+
+    def test_a_one_cpu_affinity_leaves_the_worker_unpinned(self, cpus, threads):
+        args, mask = _gru_args(382)
+        cpus(1)
+        want = _gru(args, mask)
+        cpus(2)
+        _gru(args, mask)  # starts the worker, pinned where the caller has another CPU
+        allowed = os.sched_getaffinity(0)
+        one = {min(allowed)}
+        os.sched_setaffinity(0, one)
+        try:
+            threads.clear()
+            got = _gru(args, mask)
+            assert self.pinned() == one
+            assert worker._worker.cpu is None
+        finally:
+            os.sched_setaffinity(0, allowed)
+        assert threads == {"MainThread", "numcore-spans"}
+        assert np.array_equal(got, want)
+
+    def test_a_slowed_worker_still_runs_the_last_span(self, cpus, monkeypatch):
+        args, mask = _gru_args(383)
+        cpus(1)
+        want = _gru(args, mask)
+        cpus(2)
+        ran = []
+        original = tensor_module._gru_spans
+
+        def slowed(spans, *rest):
+            name = threading.current_thread().name
+
+            def claimed():
+                for i, span in spans:
+                    if name == "numcore-spans":
+                        time.sleep(0.2)
+                    ran.append((name, i))
+                    yield i, span
+
+            return original(claimed(), *rest)
+
+        monkeypatch.setattr(tensor_module, "_gru_spans", slowed)
+        assert np.array_equal(_gru(args, mask), want)
+        assert sorted(i for _, i in ran) == list(range(6))
+        assert [i for name, i in ran if name == "numcore-spans"] == [5]
 
 
 def test_threads_calling_at_once_get_the_one_thread_bits(cpus, monkeypatch):

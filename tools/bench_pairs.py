@@ -24,6 +24,11 @@ the pairs could not show a regression of that size, and "no change" when it
 is not. A metric's ``verdict`` is the corrected one when it has no raw
 figure or the raw verdict agrees, and "unresolved" when they disagree. The
 file is rewritten after every pair.
+
+The ``machine`` block also records the cpuset's
+``cpuset.sched_load_balance``, read from ``/sys/fs/cgroup/cpuset/`` (null
+where that file is missing): at 0 the kernel never moves a thread to
+another CPU, so two-thread figures depend on where the threads were placed.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 WINS = 9
+CPUSET = Path("/sys/fs/cgroup/cpuset")
 
 
 def git(*args: str) -> str:
@@ -59,6 +65,14 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "raw": info["report"]["raw"],
         "machine": info["machine"],
     }
+
+
+def sched_load_balance(cpuset: Path = CPUSET) -> int | None:
+    """The cpuset's ``cpuset.sched_load_balance``, None where it cannot be read."""
+    try:
+        return int((cpuset / "cpuset.sched_load_balance").read_text())
+    except (OSError, ValueError):
+        return None
 
 
 def verdict(base: list[float], change: list[float], better: str, bound: float) -> dict:
@@ -121,6 +135,7 @@ def main() -> int:
     commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
                for side, rev in (("base", args.base), ("change", args.change))}
     seconds = spec["run_seconds"]
+    balance = sched_load_balance()
     report: dict = {"commits": commits, "seconds": seconds, "workloads": {}}
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     trees = {side: tmp / side for side in commits}
@@ -140,6 +155,7 @@ def main() -> int:
                 for side in order:
                     pair[side] = run(trees[side], workload, seed, seconds)
                     report["machine"] = pair[side].pop("machine")
+                    report["machine"]["cpuset.sched_load_balance"] = balance
                 pairs.append(pair)
                 report["workloads"][workload] = {
                     "failed": sum(p[s]["failed"] for p in pairs for s in commits),
