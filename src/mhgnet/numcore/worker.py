@@ -86,6 +86,7 @@ class _Worker:
         if self.cpu in allowed and self.cpu != here:
             return
         others = sorted(allowed - {here})
+        # the next CPU after the caller's, so that callers spread over CPUs spread their workers
         cpu = next((c for c in others if c > here), others[0]) if others else None
         try:
             os.sched_setaffinity(self.thread.native_id, allowed if cpu is None else {cpu})
